@@ -11,7 +11,8 @@ from .decisions import (ElectionDecision, InterventionDecision, ThresholdRule,
                         decision_indicator)
 from .imputation import (CategoricalDistribution, ImputationConfig,
                          LeadPopulation, MnarMechanism, accordion_mechanism,
-                         draw_dirichlet_posterior, impute_theta, mar_mechanism,
+                         draw_dirichlet_posterior, impute_theta,
+                         impute_theta_grid, mar_mechanism,
                          parametric_mechanism, tilt_distribution)
 from .metrics import (CostParams, cid_general, cid_lead, interval_overlap,
                       max_cost, worst_case_theta)
@@ -30,10 +31,10 @@ __all__ = [
     "accordion_mechanism", "annotate_plausible_region", "cid_general",
     "cid_lead", "decide_election", "decide_intervention", "decision_indicator",
     "draw_dirichlet_posterior", "expected_cid", "fit_simple_ols",
-    "impute_theta", "interval_overlap", "mar_mechanism", "max_cost",
-    "parametric_mechanism", "predict_interval", "render_election_figure",
-    "render_lead_figure", "sweep_election", "sweep_lead", "tilt_distribution",
-    "worst_case_theta",
+    "impute_theta", "impute_theta_grid", "interval_overlap", "mar_mechanism",
+    "max_cost", "parametric_mechanism", "predict_interval",
+    "render_election_figure", "render_lead_figure", "sweep_election",
+    "sweep_lead", "tilt_distribution", "worst_case_theta",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .decisions import ThresholdRule
 from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
-                         MnarMechanism, N_LEVELS, impute_theta)
+                         MnarMechanism, N_LEVELS, impute_theta,
+                         read_level_counts)
 from .metrics import CostParams, worst_case_theta
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
@@ -72,6 +73,14 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _checked(path: str, build):
+    """Call build(), reporting a ValueError as a config error at path."""
+    try:
+        return build()
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def _parse_mechanism(value, path: str) -> MnarMechanism:
     if isinstance(value, str):
         factory = BUILTIN_MECHANISMS.get(value)
@@ -103,15 +112,12 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
 
     grid_doc = doc.get("grid", {})
     t_min, t_max = DEFAULT_RANGE[mode]
-    try:
-        grid = KnobGrid(
-            t_min=float(grid_doc.get("t_min", t_min)),
-            t_max=float(grid_doc.get("t_max", t_max)),
-            step=float(grid_doc.get("step", DEFAULT_STEP[mode])),
-            t0=float(grid_doc.get("t0", 0.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
+    grid = _checked("grid", lambda: KnobGrid(
+        t_min=float(grid_doc.get("t_min", t_min)),
+        t_max=float(grid_doc.get("t_max", t_max)),
+        step=float(grid_doc.get("step", DEFAULT_STEP[mode])),
+        t0=float(grid_doc.get("t0", 0.0)),
+    ))
 
     outputs = doc.get("outputs", {})
     csv_path = base_dir / outputs.get("csv", f"{mode}_curve.csv")
@@ -123,8 +129,13 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
         block = _require(doc, "election", "")
         region = None
         if "plausible_region" in block:
-            lo, hi = block["plausible_region"]
-            region = PlausibleRegion(float(lo), float(hi))
+            bounds = block["plausible_region"]
+            if not (isinstance(bounds, list) and len(bounds) == 2):
+                raise ConfigError("election.plausible_region: must be a "
+                                  f"[lower, upper] pair, got {bounds!r}")
+            region = _checked("election.plausible_region",
+                              lambda: PlausibleRegion(float(bounds[0]),
+                                                      float(bounds[1])))
         kind = block.get("interval_kind", MEAN_RESPONSE)
         if kind not in (MEAN_RESPONSE, NEW_OBSERVATION):
             raise ConfigError(f"election.interval_kind: unknown kind {kind!r}")
@@ -147,8 +158,10 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
             n_total=int(_require(block, "n_total", "lead.")),
             mechanism=_parse_mechanism(
                 _require(block, "mechanism", "lead."), "lead.mechanism"),
-            m=int(block.get("m", 5)),
-            threshold=float(block.get("threshold", 0.20)),
+            m=_checked("lead.m", lambda: ImputationConfig(
+                m=int(block.get("m", 5))).m),
+            threshold=_checked("lead.threshold", lambda: ThresholdRule(
+                float(block.get("threshold", 0.20))).threshold),
             a=float(block.get("a", 1.0)),
             b=float(block.get("b", 1.0)),
             snapshot_ts=tuple(float(t) for t in block.get("snapshot_ts", ())),
@@ -200,10 +213,19 @@ def curve_to_csv(curve: CidCurve) -> str:
     return buf.getvalue()
 
 
+def _step_decimals(step: float) -> int:
+    """Fewest decimals, at least 2, that write the grid step exactly."""
+    decimals = 2
+    while decimals < 12 and abs(round(step, decimals) - step) > 1e-9 * step:
+        decimals += 1
+    return decimals
+
+
 def _verdict(curve: CidCurve, region_summary=None, e_cid=None) -> str:
     parts = [curve.reference_decision.value]
     if curve.change_points:
-        brackets = ", ".join(f"[{lo:.2f}, {hi:.2f}]"
+        d = _step_decimals(curve.step)
+        brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]"
                              for lo, hi in curve.change_points)
         parts.append(f"change points ≈ {brackets}")
     else:
@@ -235,7 +257,13 @@ def run(config: AnalysisConfig) -> int:
         e_cid = None
     else:
         s = config.lead
-        pop = LeadPopulation.from_csv(config.dataset_path, n_total=s.n_total)
+        counts = read_level_counts(config.dataset_path)
+        if sum(counts) > s.n_total:
+            raise ConfigError(
+                f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
+                f"observed in {config.dataset_path}"
+            )
+        pop = LeadPopulation(counts, n_total=s.n_total)
         cfg = ImputationConfig(m=s.m, seed=config.seed)
         rule = ThresholdRule(threshold=s.threshold)
         theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,

@@ -19,6 +19,8 @@ class CategoricalDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"probabilities must be finite, got {self.probs!r}")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -147,14 +149,19 @@ class LeadPopulation:
     @classmethod
     def from_csv(cls, path, n_total: int, cutoff_level: int = 3) -> "LeadPopulation":
         """Read a `level,count` CSV file; rows must cover levels 1..K in order."""
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = [(int(r["level"]), int(r["count"])) for r in reader]
-        rows.sort()
-        levels = [lvl for lvl, _ in rows]
-        if levels != list(range(1, len(rows) + 1)):
-            raise ValueError(f"levels must be 1..K without gaps, got {levels}")
-        return cls(tuple(c for _, c in rows), n_total, cutoff_level)
+        return cls(read_level_counts(path), n_total, cutoff_level)
+
+
+def read_level_counts(path) -> tuple:
+    """Per-level counts from a `level,count` CSV covering levels 1..K."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [(int(r["level"]), int(r["count"])) for r in reader]
+    rows.sort()
+    levels = [lvl for lvl, _ in rows]
+    if levels != list(range(1, len(rows) + 1)):
+        raise ValueError(f"levels must be 1..K without gaps, got {levels}")
+    return tuple(c for _, c in rows)
 
 
 @dataclass(frozen=True)
@@ -189,6 +196,28 @@ def draw_dirichlet_posterior(pop: LeadPopulation,
     return CategoricalDistribution.from_array(g)
 
 
+def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row i is p tilted by ts[i]: proportional to p * exp(ts[i] * w).
+
+    Computed as log p + t*w shifted by its row maximum before exponentiating,
+    so no entry overflows however large |t*w| grows; levels with p = 0 keep
+    zero mass.
+    """
+    if probs[0] == 0.0:
+        raise ValueError("baseline category empty: p_1 must be positive")
+    if len(w) != len(probs):
+        raise ValueError(f"mechanism has {len(w)} weights for {len(probs)} levels")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tw = np.multiply.outer(ts, w)
+        z = np.log(probs) + tw
+    if not np.all(np.isfinite(tw)):
+        raise ValueError(f"knob values and t*w must be finite, got t in {ts}")
+    z -= z.max(axis=1, keepdims=True)
+    tilted = np.exp(z, out=z)
+    tilted /= tilted.sum(axis=1, keepdims=True)
+    return tilted
+
+
 def tilt_distribution(p: CategoricalDistribution, mech: MnarMechanism,
                       t: float) -> CategoricalDistribution:
     """Pattern-mixture tilt: p_t[k] proportional to p[k] * exp(t * w[k]).
@@ -196,41 +225,58 @@ def tilt_distribution(p: CategoricalDistribution, mech: MnarMechanism,
     Equivalent to adding t*w on the log-odds scale with level 1 as baseline;
     category 1 must have positive mass for that representation to exist.
     """
-    probs = p.as_array()
-    if probs[0] == 0.0:
-        raise ValueError("baseline category empty: p_1 must be positive")
-    w = mech.as_array()
-    if len(w) != p.k:
-        raise ValueError(f"mechanism has {len(w)} weights for {p.k} levels")
-    tilted = probs * np.exp(t * w)
-    return CategoricalDistribution.from_array(tilted)
+    row = _tilt_rows(p.as_array(), mech.as_array(), np.array([t], dtype=float))[0]
+    return CategoricalDistribution(tuple(float(v) for v in row))
 
 
-def impute_theta(pop: LeadPopulation, mech: MnarMechanism, t: float,
-                 cfg: ImputationConfig, stream_index: int = 0):
-    """Multiply-imputed fraction above the cutoff under tilt t.
+def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
+                      cfg: ImputationConfig, stream_index: int = 0):
+    """Multiply-imputed fraction above the cutoff at every knob value in ts.
 
     Each of the M rounds draws level probabilities from the Dirichlet
     posterior, tilts them, imputes all missing units with a single
     multinomial draw (missing units are exchangeable given the tilted
     probabilities), and computes the completed-population fraction above
-    the cutoff. Returns the mean fraction and the mean completed frequency
-    vector over the M rounds.
+    the cutoff. Round m uses substream(seed, stream_index, m) at every t
+    (common random numbers): the posterior draw is shared by the whole grid,
+    and each multinomial starts from the generator state that follows it.
+    Row i therefore depends on ts[i] alone, not on the other knob values or
+    their order.
+
+    Returns (thetas, freqs): the mean fraction per knob value, shape (T,),
+    and the mean completed frequency vector per knob value, shape (T, K).
     """
-    if not np.isfinite(t):
-        raise ValueError(f"knob value must be finite, got {t}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"knob values must be a 1-D sequence, got shape {ts.shape}")
+    w = mech.as_array()
     observed = pop.counts_array()
     n_missing = pop.n_missing
-    theta_sum = 0.0
-    freq_sum = np.zeros(pop.k)
+    theta_sum = np.zeros(len(ts))
+    freq_sum = np.zeros((len(ts), pop.k))
+    imputed = np.empty((len(ts), pop.k), dtype=np.int64)
     for m in range(cfg.m):
         rng = substream(cfg.seed, stream_index, m)
         p = draw_dirichlet_posterior(pop, rng)
-        p_t = tilt_distribution(p, mech, t)
-        imputed = rng.multinomial(n_missing, p_t.as_array())
-        completed = observed + imputed
-        theta_sum += completed[pop.cutoff_level:].sum() / pop.n_total
+        p_t = _tilt_rows(p.as_array(), w, ts)
+        bit_generator = rng.bit_generator
+        after_posterior = bit_generator.state
+        for i, row in enumerate(p_t):
+            bit_generator.state = after_posterior
+            imputed[i] = rng.multinomial(n_missing, row)
+        completed = np.add(imputed, observed, out=imputed)
+        theta_sum += completed[:, pop.cutoff_level:].sum(axis=1) / pop.n_total
         freq_sum += completed / pop.n_total
-    theta_hat = theta_sum / cfg.m
-    freqs = CategoricalDistribution.from_array(freq_sum / cfg.m)
-    return theta_hat, freqs
+    freqs = freq_sum / cfg.m
+    return theta_sum / cfg.m, freqs / freqs.sum(axis=1, keepdims=True)
+
+
+def impute_theta(pop: LeadPopulation, mech: MnarMechanism, t: float,
+                 cfg: ImputationConfig, stream_index: int = 0):
+    """impute_theta_grid at the single knob value t.
+
+    Returns the mean fraction above the cutoff and the mean completed
+    frequencies as a CategoricalDistribution.
+    """
+    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg, stream_index)
+    return thetas[0], CategoricalDistribution(tuple(float(v) for v in freqs[0]))

@@ -12,7 +12,7 @@ import numpy as np
 from .decisions import (ThresholdRule, decide_election, decide_intervention,
                         decision_indicator)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
-                         impute_theta)
+                         impute_theta_grid)
 from .metrics import CostParams, cid_general, cid_lead, interval_overlap
 from .regression import MEAN_RESPONSE, FittedLine, Interval, predict_interval
 
@@ -150,16 +150,18 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
                costs: CostParams) -> CidCurve:
     """Sweep MNAR tilt strength t against the MAR reference at t0.
 
-    Every grid point reuses the same per-imputation substreams (common random
-    numbers), so the estimate curve is smooth in t and independent of
-    evaluation order.
+    The whole grid is imputed in one common-random-numbers pass
+    (impute_theta_grid): every grid point reuses the same per-imputation
+    substreams, so the estimate curve is smooth in t, and each point is
+    byte-identical to imputing it alone, in any evaluation order. The grid
+    contains t0 exactly, so the reference estimate is its row.
     """
     ts = grid.values()
-    theta_ref, _ = impute_theta(pop, mech, grid.t0, cfg)
+    thetas, _ = impute_theta_grid(pop, mech, ts, cfg)
+    theta_ref = thetas[grid.index_of_t0()]
     ref_decision = decide_intervention(theta_ref, rule)
     points = []
-    for t in ts:
-        theta_t, _ = impute_theta(pop, mech, float(t), cfg)
+    for t, theta_t in zip(ts, thetas):
         decision = decide_intervention(theta_t, rule)
         d_t = decision_indicator(ref_decision, decision)
         points.append(CurvePoint(t=float(t), estimate=theta_t, interval=None,

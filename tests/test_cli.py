@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import shutil
 from pathlib import Path
 
@@ -147,6 +149,40 @@ class TestRun:
                                                 "mechanism": "nope"}})
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc_name, block, key, value", [
+        ("lead_doc", "lead", "m", 0),
+        ("lead_doc", "lead", "threshold", 1.5),
+        ("election_doc", "election", "plausible_region", [1]),
+        ("lead_doc", "lead", "n_total", 10),  # below the 110,000 observed
+    ])
+    def test_bad_field_exits_1_with_path(self, tmp_path, capsys, request,
+                                         doc_name, block, key, value):
+        doc = request.getfixturevalue(doc_name)
+        doc[block][key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path)]) == 1
+        assert f"config error: {block}.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_extreme_tilt_stays_finite(self, tmp_path, lead_doc, capsys):
+        # exp(t * w) alone overflows for t * w above about 709
+        lead_doc["grid"] = {"t_min": -800, "t_max": 800, "step": 100}
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 17
+        for row in rows:
+            t, estimate, _, _, _, _, _, cid = row.split(",")
+            assert math.isfinite(float(estimate)) and math.isfinite(float(cid))
+
+    def test_verdict_precision_follows_grid_step(self, tmp_path, lead_doc,
+                                                 capsys):
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path), "--grid-step", "0.002"]) == 0
+        verdict = capsys.readouterr().out
+        assert re.search(r"change points ≈ \[0\.\d{3}, 0\.\d{3}\]$",
+                         verdict.strip()), verdict
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from cid.imputation import (CategoricalDistribution, ImputationConfig,
                             LeadPopulation, MnarMechanism,
                             accordion_mechanism, draw_dirichlet_posterior,
-                            impute_theta, mar_mechanism,
+                            impute_theta, impute_theta_grid, mar_mechanism,
                             parametric_mechanism, substream,
                             tilt_distribution)
 from tests.conftest import LEAD_PROBS
@@ -118,6 +118,23 @@ class TestTilt:
         once = tilt_distribution(p, mech, t1 + t2)
         assert twice.probs == pytest.approx(once.probs, abs=1e-10)
 
+    @given(probs=arrays(float, 6, elements=st.floats(0.01, 1.0)),
+           weights=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=50)
+    def test_extreme_tilt_moves_mass_to_extreme_weights(self, probs, weights,
+                                                        sign):
+        # t -> +inf keeps only the levels with the largest w, t -> -inf the
+        # smallest, in proportion to p; exp(t*w) alone overflows long before
+        p = CategoricalDistribution.from_array(probs)
+        w = np.array(weights, dtype=float)
+        out = np.array(tilt_distribution(
+            p, MnarMechanism(weights=tuple(weights)), sign * 1e4).probs)
+        extreme = w == (w.max() if sign > 0 else w.min())
+        expected = np.where(extreme, p.as_array(), 0.0)
+        assert np.all(np.isfinite(out))
+        assert out == pytest.approx(expected / expected.sum(), abs=1e-12)
+
     def test_accordion_high_mass_decreasing_in_t(self):
         p = dist(*LEAD_PROBS)
         masses = [tilt_distribution(p, accordion_mechanism(), t).mass_above(3)
@@ -171,11 +188,74 @@ class TestImputeTheta:
         sd_theta = sd_q * lead_population.n_missing / lead_population.n_total
         assert abs(theta - lead_population.observed_fraction_high) <= 3 * sd_theta
 
+    def test_rejects_non_finite_knob(self, lead_population):
+        with pytest.raises(ValueError, match="finite"):
+            impute_theta(lead_population, accordion_mechanism(), float("nan"),
+                         ImputationConfig(m=1))
+
     def test_substreams_are_independent_of_order(self):
         g1 = substream(5, 0, 3).random(4)
         _ = substream(5, 0, 2).random(4)
         g2 = substream(5, 0, 3).random(4)
         assert np.array_equal(g1, g2)
+
+
+def per_point_reference(pop, mech, ts, cfg):
+    """One knob value at a time: substream -> Dirichlet -> tilt -> multinomial."""
+    thetas, freqs = [], []
+    for t in ts:
+        theta_sum = 0.0
+        freq_sum = np.zeros(pop.k)
+        for m in range(cfg.m):
+            rng = substream(cfg.seed, 0, m)
+            p = draw_dirichlet_posterior(pop, rng)
+            p_t = tilt_distribution(p, mech, float(t))
+            completed = pop.counts_array() + rng.multinomial(pop.n_missing,
+                                                             p_t.as_array())
+            theta_sum += completed[pop.cutoff_level:].sum() / pop.n_total
+            freq_sum += completed / pop.n_total
+        thetas.append(theta_sum / cfg.m)
+        freq = freq_sum / cfg.m
+        freqs.append(freq / freq.sum())
+    return np.array(thetas), np.array(freqs)
+
+
+class TestImputeThetaGrid:
+    TS = np.round(np.arange(-2.0, 4.0 + 1e-9, 0.25), 10)
+
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism(), mar_mechanism()],
+                             ids=lambda mech: mech.name)
+    @pytest.mark.parametrize("seed", [20240101, 7, 99])
+    def test_equals_per_point_loop(self, lead_population, mech, seed):
+        cfg = ImputationConfig(m=3, seed=seed)
+        thetas, freqs = impute_theta_grid(lead_population, mech, self.TS, cfg)
+        ref_thetas, ref_freqs = per_point_reference(lead_population, mech,
+                                                    self.TS, cfg)
+        assert np.array_equal(thetas, ref_thetas)
+        assert np.array_equal(freqs, ref_freqs)
+
+    def test_order_independent(self, lead_population):
+        cfg = ImputationConfig(m=3, seed=5)
+        mech = parametric_mechanism()
+        ref_thetas, ref_freqs = per_point_reference(lead_population, mech,
+                                                    self.TS, cfg)
+        reversed_order = np.arange(len(self.TS))[::-1]
+        shuffled = np.random.default_rng(0).permutation(len(self.TS))
+        for order in (reversed_order, shuffled):
+            thetas, freqs = impute_theta_grid(lead_population, mech,
+                                              self.TS[order], cfg)
+            assert np.array_equal(thetas, ref_thetas[order])
+            assert np.array_equal(freqs, ref_freqs[order])
+
+    def test_single_point_is_impute_theta(self, lead_population):
+        cfg = ImputationConfig(m=4, seed=3)
+        thetas, freqs = impute_theta_grid(lead_population,
+                                          accordion_mechanism(), [0.7], cfg)
+        theta, dist = impute_theta(lead_population, accordion_mechanism(),
+                                   0.7, cfg)
+        assert thetas[0] == theta
+        assert tuple(freqs[0]) == dist.probs
 
 
 def test_population_validation():
@@ -203,3 +283,12 @@ def test_distribution_validation():
         CategoricalDistribution(probs=(0.5, 0.6))
     with pytest.raises(ValueError):
         CategoricalDistribution(probs=(-0.1, 1.1))
+
+
+@pytest.mark.parametrize("probs", [(float("nan"), float("nan")),
+                                   (0.5, float("nan")),
+                                   (float("inf"), 0.0),
+                                   (1.0, float("-inf"))])
+def test_distribution_rejects_non_finite(probs):
+    with pytest.raises(ValueError, match="finite"):
+        CategoricalDistribution(probs=probs)
