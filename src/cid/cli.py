@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -15,9 +16,9 @@ from pathlib import Path
 from typing import Optional
 
 from .decisions import ThresholdRule
-from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
-                         MnarMechanism, N_LEVELS, impute_theta,
-                         read_level_counts)
+from .imputation import (BUILTIN_MECHANISMS, CategoricalDistribution,
+                         ImputationConfig, LeadPopulation, MnarMechanism,
+                         N_LEVELS, read_level_counts)
 from .metrics import CostParams, worst_case_theta
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
@@ -29,6 +30,16 @@ from .svgfig import FigureSpec, render_election_figure, render_lead_figure
 DEFAULT_SEED = 20240101
 DEFAULT_STEP = {"election": 0.02, "lead": 0.05}
 DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
+
+# Known fields of each config object; the document's top level also holds
+# the block named by its mode.
+TOP_FIELDS = ("mode", "dataset", "grid", "outputs", "seed")
+GRID_FIELDS = ("t_min", "t_max", "step", "t0")
+OUTPUT_FIELDS = ("csv", "svg")
+ELECTION_FIELDS = ("x0", "level", "interval_kind", "plausible_region")
+LEAD_FIELDS = ("n_total", "mechanism", "m", "threshold", "a", "b",
+               "snapshot_ts", "knob_distribution")
+KNOB_DISTRIBUTION_FIELDS = ("support", "weights")
 
 
 class ConfigError(Exception):
@@ -73,6 +84,42 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _fields(value, path: str, known: tuple) -> dict:
+    """value as a config object whose keys are all in known; path is the
+    object's field prefix ("" for the document, "grid." for its grid)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config'}: must be an object, "
+                          f"got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{path}{key}: unknown field "
+                              f"(known: {', '.join(known)})")
+    return value
+
+
+def _finite(value, path: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return number
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string, got {value!r}")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    number = _finite(value, path)
+    if number != int(number):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    return int(number)
+
+
 def _checked(path: str, build):
     """Call build(), reporting a ValueError as a config error at path."""
     try:
@@ -96,77 +143,108 @@ def _parse_mechanism(value, path: str) -> MnarMechanism:
                 f"{path}: weight vector must have length {N_LEVELS}, "
                 f"got {len(value)}"
             )
-        return MnarMechanism(weights=tuple(float(w) for w in value))
+        return MnarMechanism(weights=tuple(_finite(w, f"{path}[{i}]")
+                                           for i, w in enumerate(value)))
     raise ConfigError(f"{path}: mechanism must be a name or a weight vector")
+
+
+def _parse_election(block: dict) -> ElectionSettings:
+    region = None
+    if "plausible_region" in block:
+        bounds = block["plausible_region"]
+        if not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ConfigError("election.plausible_region: must be a "
+                              f"[lower, upper] pair, got {bounds!r}")
+        region = _checked("election.plausible_region", lambda: PlausibleRegion(
+            *(_finite(b, "election.plausible_region") for b in bounds)))
+    kind = block.get("interval_kind", MEAN_RESPONSE)
+    if kind not in (MEAN_RESPONSE, NEW_OBSERVATION):
+        raise ConfigError(f"election.interval_kind: unknown kind {kind!r}")
+    level = _finite(block.get("level", 0.95), "election.level")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"election.level: must be in (0, 1), got {level}")
+    return ElectionSettings(
+        x0=_finite(_require(block, "x0", "election."), "election.x0"),
+        level=level,
+        interval_kind=kind,
+        plausible_region=region,
+    )
+
+
+def _parse_lead(block: dict) -> LeadSettings:
+    dist = None
+    if "knob_distribution" in block:
+        d = _fields(block["knob_distribution"], "lead.knob_distribution.",
+                    KNOB_DISTRIBUTION_FIELDS)
+        support = _require(d, "support", "lead.knob_distribution.")
+        weights = _require(d, "weights", "lead.knob_distribution.")
+        dist = _checked("lead.knob_distribution",
+                        lambda: KnobDistribution.from_weights(support, weights))
+    costs = {key: _finite(block.get(key, 1.0), f"lead.{key}")
+             for key in ("a", "b")}
+    for key, cost in costs.items():
+        if cost < 0:
+            raise ConfigError(f"lead.{key}: must be nonnegative, got {cost}")
+    if costs["a"] == costs["b"] == 0:
+        raise ConfigError("lead.b: costs a and b must not both be zero")
+    snapshot_ts = block.get("snapshot_ts", [])
+    if not isinstance(snapshot_ts, list):
+        raise ConfigError(f"lead.snapshot_ts: must be a list of knob values, "
+                          f"got {snapshot_ts!r}")
+    return LeadSettings(
+        n_total=_integer(_require(block, "n_total", "lead."), "lead.n_total"),
+        mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
+                                   "lead.mechanism"),
+        m=_checked("lead.m", lambda: ImputationConfig(
+            m=_integer(block.get("m", 5), "lead.m")).m),
+        threshold=_checked("lead.threshold", lambda: ThresholdRule(
+            _finite(block.get("threshold", 0.20), "lead.threshold")).threshold),
+        a=costs["a"],
+        b=costs["b"],
+        snapshot_ts=tuple(_finite(t, f"lead.snapshot_ts[{i}]")
+                          for i, t in enumerate(snapshot_ts)),
+        knob_distribution=dist,
+    )
 
 
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
     """Validate a config document and fill defaults.
 
-    Relative paths are resolved against base_dir (the config file's directory).
+    Every range check that needs no dataset happens here; unknown fields at
+    any level are rejected. Relative paths are resolved against base_dir
+    (the config file's directory).
     """
+    _fields(doc, "", TOP_FIELDS + ("election", "lead"))
     mode = _require(doc, "mode", "")
     if mode not in ("election", "lead"):
         raise ConfigError(f"mode: must be 'election' or 'lead', got {mode!r}")
-    dataset = base_dir / _require(doc, "dataset", "")
+    other = "lead" if mode == "election" else "election"
+    if other in doc:
+        raise ConfigError(f"{other}: block is not used in {mode} mode")
+    dataset = base_dir / _string(_require(doc, "dataset", ""), "dataset")
 
-    grid_doc = doc.get("grid", {})
-    t_min, t_max = DEFAULT_RANGE[mode]
-    grid = _checked("grid", lambda: KnobGrid(
-        t_min=float(grid_doc.get("t_min", t_min)),
-        t_max=float(grid_doc.get("t_max", t_max)),
-        step=float(grid_doc.get("step", DEFAULT_STEP[mode])),
-        t0=float(grid_doc.get("t0", 0.0)),
-    ))
+    grid_doc = _fields(doc.get("grid", {}), "grid.", GRID_FIELDS)
+    defaults = dict(zip(("t_min", "t_max"), DEFAULT_RANGE[mode]),
+                    step=DEFAULT_STEP[mode], t0=0.0)
+    grid = _checked("grid", lambda: KnobGrid(**{
+        key: _finite(grid_doc.get(key, default), f"grid.{key}")
+        for key, default in defaults.items()}))
 
-    outputs = doc.get("outputs", {})
-    csv_path = base_dir / outputs.get("csv", f"{mode}_curve.csv")
-    svg_path = base_dir / outputs.get("svg", f"{mode}_figure.svg")
-    seed = int(doc.get("seed", DEFAULT_SEED))
+    outputs = _fields(doc.get("outputs", {}), "outputs.", OUTPUT_FIELDS)
+    csv_path = base_dir / _string(outputs.get("csv", f"{mode}_curve.csv"),
+                                  "outputs.csv")
+    svg_path = base_dir / _string(outputs.get("svg", f"{mode}_figure.svg"),
+                                  "outputs.svg")
+    seed = _integer(doc.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {seed}")
 
     election = lead = None
     if mode == "election":
-        block = _require(doc, "election", "")
-        region = None
-        if "plausible_region" in block:
-            bounds = block["plausible_region"]
-            if not (isinstance(bounds, list) and len(bounds) == 2):
-                raise ConfigError("election.plausible_region: must be a "
-                                  f"[lower, upper] pair, got {bounds!r}")
-            region = _checked("election.plausible_region",
-                              lambda: PlausibleRegion(float(bounds[0]),
-                                                      float(bounds[1])))
-        kind = block.get("interval_kind", MEAN_RESPONSE)
-        if kind not in (MEAN_RESPONSE, NEW_OBSERVATION):
-            raise ConfigError(f"election.interval_kind: unknown kind {kind!r}")
-        election = ElectionSettings(
-            x0=float(_require(block, "x0", "election.")),
-            level=float(block.get("level", 0.95)),
-            interval_kind=kind,
-            plausible_region=region,
-        )
+        election = _parse_election(
+            _fields(_require(doc, "election", ""), "election.", ELECTION_FIELDS))
     else:
-        block = _require(doc, "lead", "")
-        dist = None
-        if "knob_distribution" in block:
-            d = block["knob_distribution"]
-            dist = KnobDistribution.from_weights(
-                _require(d, "support", "lead.knob_distribution."),
-                _require(d, "weights", "lead.knob_distribution."),
-            )
-        lead = LeadSettings(
-            n_total=int(_require(block, "n_total", "lead.")),
-            mechanism=_parse_mechanism(
-                _require(block, "mechanism", "lead."), "lead.mechanism"),
-            m=_checked("lead.m", lambda: ImputationConfig(
-                m=int(block.get("m", 5))).m),
-            threshold=_checked("lead.threshold", lambda: ThresholdRule(
-                float(block.get("threshold", 0.20))).threshold),
-            a=float(block.get("a", 1.0)),
-            b=float(block.get("b", 1.0)),
-            snapshot_ts=tuple(float(t) for t in block.get("snapshot_ts", ())),
-            knob_distribution=dist,
-        )
+        lead = _parse_lead(_fields(_require(doc, "lead", ""), "lead.", LEAD_FIELDS))
     return AnalysisConfig(mode=mode, dataset_path=dataset, grid=grid,
                           seed=seed, csv_path=csv_path, svg_path=svg_path,
                           election=election, lead=lead)
@@ -268,18 +346,19 @@ def run(config: AnalysisConfig) -> int:
         rule = ThresholdRule(threshold=s.threshold)
         theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
                                     pop.n_total)
+        if not s.threshold < theta_wc:
+            raise ConfigError(
+                f"lead.threshold: {s.threshold} is not below the worst-case "
+                f"proportion theta_wc = {theta_wc:.6g} of {config.dataset_path}"
+            )
         costs = CostParams(a=s.a, b=s.b, theta_wc=theta_wc,
                            threshold=s.threshold)
         curve = sweep_lead(pop, s.mechanism, config.grid, cfg, rule, costs)
-        snapshots = []
-        for t in s.snapshot_ts:
-            snap_t = float(curve.point_nearest(t).t)
-            _, freqs = impute_theta(pop, s.mechanism, snap_t, cfg)
-            snapshots.append((snap_t, freqs))
-        if not snapshots:
-            mid = curve.points[len(curve.points) // 2].t
-            _, freqs = impute_theta(pop, s.mechanism, mid, cfg)
-            snapshots = [(mid, freqs)]
+        rows = ([curve.index_nearest(t) for t in s.snapshot_ts]
+                or [len(curve.points) // 2])
+        snapshots = [(curve.points[i].t, CategoricalDistribution(
+                          tuple(curve.completed_freqs[i].tolist())))
+                     for i in rows]
         spec = FigureSpec(reference_line=config.grid.t0,
                           title=f"CID under MNAR tilt ({s.mechanism.name})")
         svg = render_lead_figure(curve, snapshots, spec)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .regression import Interval
 
 
@@ -12,6 +14,11 @@ class ElectionDecision(Enum):
     CHALLENGER_WINS = "challenger"
     UNCLEAR = "unclear"
     INCUMBENT_WINS = "incumbent"
+
+
+# Decision for each code decide_election_codes returns.
+ELECTION_DECISIONS = (ElectionDecision.CHALLENGER_WINS, ElectionDecision.UNCLEAR,
+                      ElectionDecision.INCUMBENT_WINS)
 
 
 class InterventionDecision(Enum):
@@ -41,6 +48,14 @@ def decide_election(interval: Interval, boundary: float = 50.0) -> ElectionDecis
     if interval.upper < boundary:
         return ElectionDecision.CHALLENGER_WINS
     return ElectionDecision.UNCLEAR
+
+
+def decide_election_codes(lower, upper, boundary: float = 50.0) -> np.ndarray:
+    """decide_election over arrays of interval bounds, with the same
+    comparisons; element i indexes ELECTION_DECISIONS."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    return np.where(boundary < lower, 2, np.where(upper < boundary, 0, 1))
 
 
 def decide_intervention(theta_hat: float, rule: ThresholdRule) -> InterventionDecision:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .regression import Interval
 
 
@@ -50,6 +52,29 @@ def interval_overlap(first: Interval, second: Interval) -> float:
     overlap = hi - lo
     j = 0.5 * (overlap / first.width + overlap / second.width)
     return min(max(j, 0.0), 1.0)
+
+
+def interval_overlaps(ref_lower: float, ref_upper: float, lower, upper) -> np.ndarray:
+    """interval_overlap(reference, interval i) for arrays of interval bounds.
+
+    Follows the scalar form step by step: the same max/min tie rules, the
+    same hi < lo and zero-width branches, and the same clamp.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    lo = np.where(lower > ref_lower, lower, ref_lower)
+    hi = np.where(upper < ref_upper, upper, ref_upper)
+    ref_width = ref_upper - ref_lower
+    width = upper - lower
+    overlap = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = 0.5 * (overlap / ref_width + overlap / width)
+    j = np.where(0.0 > j, 0.0, j)
+    j = np.where(1.0 < j, 1.0, j)
+    same_point = (ref_lower == ref_upper) & (ref_upper == lower) & (lower == upper)
+    j = np.where((ref_width == 0.0) | (width == 0.0),
+                 np.where(same_point, 1.0, 0.0), j)
+    return np.where(hi < lo, 0.0, j)
 
 
 def cid_general(d_t: int, j_t: float) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -111,28 +111,44 @@ def fit_simple_ols(data: ElectionDataset) -> FittedLine:
 
 MEAN_RESPONSE = "mean-response"
 NEW_OBSERVATION = "new-observation"
+_DELTA = {MEAN_RESPONSE: 0.0, NEW_OBSERVATION: 1.0}
+
+
+def predict_intervals(fit: FittedLine, x0s, level: float = 0.95,
+                      kind: str = MEAN_RESPONSE):
+    """Intervals at every x0 in x0s, as (center, lower, upper) arrays.
+
+    Half-width is q * sqrt(sigma2 * (delta + 1/n + (x0 - x_mean)^2 / sxx)) with
+    delta = 0 for mean-response, 1 for new-observation, and q the two-sided
+    Student-t quantile on n - 2 degrees of freedom, computed once per call.
+    """
+    delta = _DELTA.get(kind)
+    if delta is None:
+        raise ValueError(f"unknown interval kind: {kind!r}")
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    x = np.atleast_1d(np.asarray(x0s, dtype=float))
+    center = fit.intercept + fit.slope * x
+    q = float(special.stdtrit(fit.n - 2, 0.5 + level / 2.0))
+    with np.errstate(invalid="ignore"):  # non-finite x fails the check below
+        half = q * np.sqrt(
+            fit.sigma2 * (delta + 1.0 / fit.n + (x - fit.x_mean) ** 2 / fit.sxx))
+        lower = center - half
+        upper = center + half
+    ordered = (lower <= center) & (center <= upper)
+    if not np.all(ordered):
+        i = int(np.argmin(ordered))
+        raise ValueError(
+            f"interval must satisfy lower <= center <= upper, "
+            f"got ({lower[i]}, {center[i]}, {upper[i]})"
+        )
+    return center, lower, upper
 
 
 def predict_interval(fit: FittedLine, x0: float, level: float = 0.95,
                      kind: str = MEAN_RESPONSE) -> Interval:
-    """Interval for the regression line at x0 (mean-response) or for a new draw.
-
-    Half-width is q * sqrt(sigma2 * (delta + 1/n + (x0 - x_mean)^2 / sxx)) with
-    delta = 0 for mean-response, 1 for new-observation, and q the two-sided
-    Student-t quantile on n - 2 degrees of freedom.
-    """
-    if kind == MEAN_RESPONSE:
-        delta = 0.0
-    elif kind == NEW_OBSERVATION:
-        delta = 1.0
-    else:
-        raise ValueError(f"unknown interval kind: {kind!r}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    center = fit.predict(x0)
-    q = float(stats.t.ppf(0.5 + level / 2.0, fit.n - 2))
-    half = q * float(
-        np.sqrt(fit.sigma2 * (delta + 1.0 / fit.n + (x0 - fit.x_mean) ** 2 / fit.sxx))
-    )
-    return Interval(lower=center - half, upper=center + half,
-                    level=level, center=center)
+    """Interval for the regression line at x0 (mean-response) or for a new
+    draw: predict_intervals at the single point x0."""
+    center, lower, upper = predict_intervals(fit, [x0], level, kind)
+    return Interval(lower=float(lower[0]), upper=float(upper[0]),
+                    level=level, center=float(center[0]))

@@ -4,17 +4,18 @@ summarize plausible regions, and average CID under a knob distribution."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .decisions import (ThresholdRule, decide_election, decide_intervention,
+from .decisions import (ELECTION_DECISIONS, ThresholdRule,
+                        decide_election_codes, decide_intervention,
                         decision_indicator)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
-from .metrics import CostParams, cid_general, cid_lead, interval_overlap
-from .regression import MEAN_RESPONSE, FittedLine, Interval, predict_interval
+from .metrics import CostParams, cid_lead, interval_overlaps
+from .regression import MEAN_RESPONSE, FittedLine, Interval, predict_intervals
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,13 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class CidCurve:
+    """Swept points in grid order; a lead curve also carries the mean
+    completed frequencies of every point, shape (T, K)."""
+
     points: tuple
     change_points: tuple
     reference_decision: object
+    completed_freqs: Optional[np.ndarray] = field(default=None, compare=False)
 
     def ts(self) -> np.ndarray:
         return np.array([p.t for p in self.points])
@@ -69,9 +74,11 @@ class CidCurve:
     def cids(self) -> np.ndarray:
         return np.array([p.cid for p in self.points])
 
+    def index_nearest(self, t: float) -> int:
+        return int(np.argmin(np.abs(self.ts() - t)))
+
     def point_nearest(self, t: float) -> CurvePoint:
-        ts = self.ts()
-        return self.points[int(np.argmin(np.abs(ts - t)))]
+        return self.points[self.index_nearest(t)]
 
     @property
     def step(self) -> float:
@@ -126,23 +133,32 @@ def _change_points(ts, decisions):
 def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
                    level: float = 0.95, kind: str = MEAN_RESPONSE) -> CidCurve:
     """Sweep additive measurement error t, comparing each perturbed interval
-    and decision against the reference at t0."""
+    and decision against the reference at t0.
+
+    The whole grid is evaluated as arrays: predict_intervals builds every
+    interval from one Student-t quantile, and the decisions, d_t, overlaps
+    and CID follow decide_election, decision_indicator, interval_overlap and
+    cid_general element by element. The grid contains t0 exactly, so the
+    reference is its row.
+    """
     ts = grid.values()
-    ref_interval = predict_interval(fit, x0 + grid.t0, level, kind)
-    ref_decision = decide_election(ref_interval)
-    points = []
-    for t in ts:
-        interval = predict_interval(fit, x0 + t, level, kind)
-        decision = decide_election(interval)
-        d_t = decision_indicator(ref_decision, decision)
-        j_t = interval_overlap(ref_interval, interval)
-        points.append(CurvePoint(t=float(t), estimate=interval.center,
-                                 interval=interval, decision=decision,
-                                 d_t=d_t, j_t=j_t,
-                                 cid=cid_general(d_t, j_t)))
-    return CidCurve(points=tuple(points),
-                    change_points=_change_points(ts, [p.decision for p in points]),
-                    reference_decision=ref_decision)
+    center, lower, upper = predict_intervals(fit, x0 + ts, level, kind)
+    i0 = grid.index_of_t0()
+    codes = decide_election_codes(lower, upper)
+    d_t = (codes == codes[i0]).astype(int)
+    j_t = interval_overlaps(lower[i0], upper[i0], lower, upper)
+    cid = d_t * (1.0 + j_t)
+    decisions = [ELECTION_DECISIONS[k] for k in codes.tolist()]
+    points = tuple(
+        CurvePoint(t=t, estimate=c,
+                   interval=Interval(lower=lo, upper=hi, level=level, center=c),
+                   decision=decision, d_t=d, j_t=j, cid=v)
+        for t, c, lo, hi, decision, d, j, v in zip(
+            ts.tolist(), center.tolist(), lower.tolist(), upper.tolist(),
+            decisions, d_t.tolist(), j_t.tolist(), cid.tolist()))
+    return CidCurve(points=points,
+                    change_points=_change_points(ts, decisions),
+                    reference_decision=decisions[i0])
 
 
 def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
@@ -154,10 +170,11 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     (impute_theta_grid): every grid point reuses the same per-imputation
     substreams, so the estimate curve is smooth in t, and each point is
     byte-identical to imputing it alone, in any evaluation order. The grid
-    contains t0 exactly, so the reference estimate is its row.
+    contains t0 exactly, so the reference estimate is its row. The curve
+    carries every point's mean completed frequencies.
     """
     ts = grid.values()
-    thetas, _ = impute_theta_grid(pop, mech, ts, cfg)
+    thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
     theta_ref = thetas[grid.index_of_t0()]
     ref_decision = decide_intervention(theta_ref, rule)
     points = []
@@ -169,7 +186,7 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
                                  cid=cid_lead(theta_ref, theta_t, d_t, costs)))
     return CidCurve(points=tuple(points),
                     change_points=_change_points(ts, [p.decision for p in points]),
-                    reference_decision=ref_decision)
+                    reference_decision=ref_decision, completed_freqs=freqs)
 
 
 def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:

@@ -1,13 +1,22 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cid.cli import ConfigError, load_config, main, parse_config
+from cid.decisions import ThresholdRule
+from cid.imputation import (ImputationConfig, LeadPopulation, impute_theta,
+                            read_level_counts)
+from cid.metrics import CostParams, worst_case_theta
 from cid.regression import MEAN_RESPONSE
+from cid.svgfig import FigureSpec, render_lead_figure
+from cid.sweep import sweep_lead
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -90,6 +99,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"mode": "panel", "dataset": "d.csv"})
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("election", "level", 1.5),
+        ("election", "level", 0.0),
+        ("election", "x0", math.nan),
+        ("election", "x0", math.inf),
+        ("lead", "a", -1.0),
+        ("lead", "b", -0.5),
+        ("lead", "m", 2.5),
+        ("lead", "n_total", "many"),
+    ])
+    def test_range_checked_at_parse_time(self, block, key, value):
+        settings = ({"x0": -0.728} if block == "election"
+                    else {"n_total": 400000, "mechanism": "accordion"})
+        settings[key] = value
+        doc = {"mode": block, "dataset": "d.csv", block: settings}
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key}: "):
+            parse_config(doc)
+
+    def test_costs_not_both_zero(self):
+        with pytest.raises(ConfigError, match="not both be zero"):
+            parse_config({"mode": "lead", "dataset": "d.csv",
+                          "lead": {"n_total": 400000, "mechanism": "accordion",
+                                   "a": 0, "b": 0}})
+
 
 class TestRun:
     def test_election_end_to_end(self, tmp_path, election_doc, capsys):
@@ -155,6 +188,11 @@ class TestRun:
         ("lead_doc", "lead", "threshold", 1.5),
         ("election_doc", "election", "plausible_region", [1]),
         ("lead_doc", "lead", "n_total", 10),  # below the 110,000 observed
+        ("election_doc", "election", "level", 1.5),
+        ("election_doc", "election", "x0", math.nan),
+        ("lead_doc", "lead", "threshold", 0.9),  # not below theta_wc = 0.79
+        ("lead_doc", "lead", "a", -1.0),
+        ("lead_doc", "lead", "b", -1.0),
     ])
     def test_bad_field_exits_1_with_path(self, tmp_path, capsys, request,
                                          doc_name, block, key, value):
@@ -164,6 +202,63 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert f"config error: {block}.{key}:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("doc_name, path, key", [
+        ("lead_doc", (), "sed"),
+        ("lead_doc", ("grid",), "stepp"),
+        ("election_doc", ("outputs",), "png"),
+        ("election_doc", ("election",), "levle"),
+        ("lead_doc", ("lead",), "mm"),
+        ("lead_doc", ("lead", "knob_distribution"), "wieghts"),
+    ])
+    def test_unknown_field_exits_1_with_path(self, tmp_path, capsys, request,
+                                             doc_name, path, key):
+        doc = request.getfixturevalue(doc_name)
+        if "knob_distribution" in path:
+            doc["lead"]["knob_distribution"] = {"support": [0.0],
+                                                "weights": [1.0]}
+        block = doc
+        for name in path:
+            block = block[name]
+        block[key] = 0.25
+        config = write_config(tmp_path, doc)
+        assert main(["run", str(config)]) == 1
+        field = ".".join(path + (key,))
+        assert f"config error: {field}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_other_mode_block_exits_1(self, tmp_path, capsys, election_doc):
+        election_doc["lead"] = {"n_total": 400000, "mechanism": "accordion"}
+        path = write_config(tmp_path, election_doc)
+        assert main(["run", str(path)]) == 1
+        assert "config error: lead:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snapshot_ts", [[0.0, 0.5], [-0.4, 0.9], None])
+    def test_lead_snapshots_equal_single_point_imputation(
+            self, tmp_path, lead_doc, snapshot_ts):
+        if snapshot_ts is None:
+            del lead_doc["lead"]["snapshot_ts"]
+        else:
+            lead_doc["lead"]["snapshot_ts"] = snapshot_ts
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 0
+        config = load_config(path)
+        s = config.lead
+        pop = LeadPopulation(read_level_counts(config.dataset_path), s.n_total)
+        cfg = ImputationConfig(m=s.m, seed=config.seed)
+        costs = CostParams(a=s.a, b=s.b, threshold=s.threshold, theta_wc=
+                           worst_case_theta(pop.observed_high_count,
+                                            pop.n_observed, pop.n_total))
+        curve = sweep_lead(pop, s.mechanism, config.grid, cfg,
+                           ThresholdRule(s.threshold), costs)
+        snap_ts = ([curve.point_nearest(t).t for t in snapshot_ts]
+                   if snapshot_ts else [curve.points[len(curve.points) // 2].t])
+        snapshots = [(t, impute_theta(pop, s.mechanism, t, cfg)[1])
+                     for t in snap_ts]
+        spec = FigureSpec(reference_line=config.grid.t0,
+                          title=f"CID under MNAR tilt ({s.mechanism.name})")
+        assert (tmp_path / "figure.svg").read_text() == \
+            render_lead_figure(curve, snapshots, spec)
 
     def test_extreme_tilt_stays_finite(self, tmp_path, lead_doc, capsys):
         # exp(t * w) alone overflows for t * w above about 709
@@ -196,6 +291,17 @@ def test_mechanisms_listing(capsys):
     out = capsys.readouterr().out
     assert "accordion: (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)" in out
     assert "parametric" in out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, cid.cli; print(sorted(m for m in sys.modules " \
+           "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_bundled_configs_parse():

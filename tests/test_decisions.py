@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cid.decisions import (ElectionDecision, InterventionDecision,
-                           ThresholdRule, decide_election, decide_intervention,
-                           decision_indicator)
+from cid.decisions import (ELECTION_DECISIONS, ElectionDecision,
+                           InterventionDecision, ThresholdRule,
+                           decide_election, decide_election_codes,
+                           decide_intervention, decision_indicator)
 from cid.regression import Interval
 
 
@@ -33,6 +34,19 @@ class TestDecideElection:
         before = decide_election(iv(lo, lo + width))
         after = decide_election(iv(lo + shift, lo + shift + width))
         assert order.index(after) >= order.index(before)
+
+
+    @given(bounds=st.lists(st.tuples(st.sampled_from([48.0, 50.0, 52.0]) |
+                                     st.floats(0, 100),
+                                     st.sampled_from([0.0, 2.0]) |
+                                     st.floats(0, 50)),
+                           min_size=1, max_size=8))
+    def test_codes_equal_scalar_decisions(self, bounds):
+        intervals = [iv(lo, lo + w) for lo, w in bounds]
+        codes = decide_election_codes([i.lower for i in intervals],
+                                      [i.upper for i in intervals])
+        assert [ELECTION_DECISIONS[k] for k in codes.tolist()] == \
+            [decide_election(i) for i in intervals]
 
 
 class TestDecideIntervention:

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
-                         max_cost, worst_case_theta)
+                         interval_overlaps, max_cost, worst_case_theta)
 from cid.regression import Interval
 
 
@@ -15,6 +17,27 @@ intervals = st.builds(
     lambda lo, w: iv(lo, lo + w),
     st.floats(-100, 100), st.floats(0.01, 100),
 )
+
+
+# Few distinct endpoints, so ties, shared endpoints and zero widths are common.
+tie_prone_intervals = st.builds(
+    lambda lo, w: iv(lo, lo + w),
+    st.sampled_from([-0.0, 0.0, 1.0, 2.5, 3.0]), st.sampled_from([0.0, 0.5, 2.0]),
+)
+
+
+class TestIntervalOverlaps:
+    @given(ref=tie_prone_intervals | intervals,
+           others=st.lists(tie_prone_intervals | intervals, min_size=1,
+                           max_size=8))
+    def test_equals_scalar_overlap(self, ref, others):
+        got = interval_overlaps(ref.lower, ref.upper,
+                                [o.lower for o in others],
+                                [o.upper for o in others])
+        expected = [interval_overlap(ref, o) for o in others]
+        # compare signs too: -0.0 == 0.0, but they print differently
+        assert [(j, math.copysign(1.0, j)) for j in got.tolist()] == \
+            [(j, math.copysign(1.0, j)) for j in expected]
 
 
 class TestIntervalOverlap:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.integrate import quad
 
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
-                            FittedLine, fit_simple_ols, predict_interval)
+                            FittedLine, fit_simple_ols, predict_interval,
+                            predict_intervals)
 
 
 def normal_equations_fit(x, y):
@@ -123,6 +125,31 @@ class TestPredictInterval:
             predict_interval(hibbs_fit, 0.0, 0.95, "bootstrap")
 
 
+class TestPredictIntervals:
+    @pytest.mark.parametrize("kind", [MEAN_RESPONSE, NEW_OBSERVATION])
+    def test_rows_equal_single_point_intervals(self, hibbs_fit, kind):
+        x0s = -0.728 + np.linspace(-4, 4, 81)
+        center, lower, upper = predict_intervals(hibbs_fit, x0s, 0.9, kind)
+        for i, x0 in enumerate(x0s):
+            iv = predict_interval(hibbs_fit, x0, 0.9, kind)
+            assert (iv.center, iv.lower, iv.upper) == (center[i], lower[i],
+                                                       upper[i])
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_level_outside_unit_interval(self, hibbs_fit, level):
+        with pytest.raises(ValueError, match="level must be in"):
+            predict_intervals(hibbs_fit, [0.0, 1.0], level)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, hibbs_fit, bad):
+        with pytest.raises(ValueError, match="lower <= center <= upper"):
+            predict_intervals(hibbs_fit, [0.0, bad, 1.0])
+
+    def test_unknown_kind(self, hibbs_fit):
+        with pytest.raises(ValueError, match="kind"):
+            predict_intervals(hibbs_fit, [0.0], 0.95, "bootstrap")
+
+
 def test_shift_y_shifts_intercept_only(hibbs_data, hibbs_fit):
     c = 7.5
     shifted = ElectionDataset(hibbs_data.years, hibbs_data.growth,
@@ -135,5 +162,11 @@ def test_shift_y_shifts_intercept_only(hibbs_data, hibbs_fit):
 
 @pytest.mark.parametrize("df,p", [(5, 0.975), (14, 0.975), (30, 0.995)])
 def test_t_quantile_matches_quadrature_oracle(df, p):
-    from scipy import stats
     assert stats.t.ppf(p, df) == pytest.approx(t_quantile_oracle(df, p), abs=1e-6)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 14, 16, 30, 100, 1000])
+def test_stdtrit_equals_t_ppf(df):
+    for level in (1e-6, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
+        p = 0.5 + level / 2.0
+        assert special.stdtrit(df, p) == stats.t.ppf(p, df)

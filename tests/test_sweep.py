@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
-from cid.decisions import ElectionDecision, InterventionDecision, ThresholdRule
+from cid.decisions import (ElectionDecision, InterventionDecision,
+                           ThresholdRule, decide_election, decision_indicator)
 from cid.imputation import (ImputationConfig, LeadPopulation,
-                            accordion_mechanism, mar_mechanism,
+                            accordion_mechanism, impute_theta, mar_mechanism,
                             parametric_mechanism)
-from cid.metrics import CostParams, worst_case_theta
+from cid.metrics import (CostParams, cid_general, interval_overlap,
+                         worst_case_theta)
+from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
+                            predict_interval)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
                        annotate_plausible_region, expected_cid,
                        sweep_election, sweep_lead)
@@ -84,6 +93,105 @@ class TestSweepElection:
                        for flo, fhi in fine.change_points)
 
 
+def scalar_sweep_election(fit, x0, grid, level, kind):
+    """Per-point oracle: the scalar interval, decision and metric functions."""
+    ref = predict_interval(fit, x0 + grid.t0, level, kind)
+    ref_decision = decide_election(ref)
+    rows = []
+    for t in grid.values():
+        interval = predict_interval(fit, x0 + t, level, kind)
+        decision = decide_election(interval)
+        d_t = decision_indicator(ref_decision, decision)
+        j_t = interval_overlap(ref, interval)
+        rows.append((float(t), interval.center, interval.lower, interval.upper,
+                     decision, d_t, j_t, cid_general(d_t, j_t)))
+    return rows, ref_decision
+
+
+# sigma2 = 0 gives zero-width intervals; the center is exactly 50 at x = 3.
+POINT_FIT = FittedLine(intercept=44.0, slope=2.0, sigma2=0.0, n=16,
+                       x_mean=0.5, sxx=30.0)
+
+
+class TestSweepElectionMatchesScalarOracle:
+    @pytest.mark.parametrize("kind", [MEAN_RESPONSE, NEW_OBSERVATION])
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.95, 0.999])
+    @pytest.mark.parametrize("x0, grid", [
+        (-0.728, KnobGrid(-4, 4, 0.02)),
+        (0.3, KnobGrid(-2, 3, 0.05, t0=0.5)),
+        (-0.728, KnobGrid(0, 0, 0.02)),
+    ])
+    def test_hibbs_fit(self, hibbs_fit, x0, grid, level, kind):
+        self.check(hibbs_fit, x0, grid, level, kind)
+
+    @pytest.mark.parametrize("kind", [MEAN_RESPONSE, NEW_OBSERVATION])
+    @pytest.mark.parametrize("x0, grid", [
+        (1.0, KnobGrid(-4, 4, 0.25)),
+        (3.0, KnobGrid(-1, 1, 0.5)),
+        (3.0, KnobGrid(0, 0, 0.5)),
+    ])
+    def test_zero_width_intervals(self, x0, grid, kind):
+        self.check(POINT_FIT, x0, grid, 0.95, kind)
+
+    @staticmethod
+    def check(fit, x0, grid, level, kind):
+        curve = sweep_election(fit, x0, grid, level, kind)
+        rows, ref_decision = scalar_sweep_election(fit, x0, grid, level, kind)
+        got = [(p.t, p.estimate, p.interval.lower, p.interval.upper,
+                p.decision, p.d_t, p.j_t, p.cid) for p in curve.points]
+        assert got == rows
+        assert all(p.interval.center == p.estimate for p in curve.points)
+        assert curve.reference_decision is ref_decision
+        expected = tuple((rows[i][0], rows[i + 1][0])
+                         for i in range(len(rows) - 1)
+                         if rows[i][4] is not rows[i + 1][4])
+        assert curve.change_points == expected
+
+
+def election_roots(fit, x0, level, kind):
+    """Knob values where center(t) +- q*se(t) = 50, in closed form.
+
+    Squaring (center - 50)^2 = q^2 sigma2 (delta + 1/n + (u - x_mean)^2 / sxx)
+    gives a quadratic in u = x0 + t whose roots are the decision boundaries.
+    """
+    delta = 1.0 if kind == NEW_OBSERVATION else 0.0
+    k = stats.t.ppf(0.5 + level / 2.0, fit.n - 2) ** 2 * fit.sigma2
+    c = fit.intercept - 50.0
+    a = fit.slope ** 2 - k / fit.sxx
+    b = 2.0 * fit.slope * c + 2.0 * k * fit.x_mean / fit.sxx
+    c = c ** 2 - k * (delta + 1.0 / fit.n) - k * fit.x_mean ** 2 / fit.sxx
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return []
+    return sorted((-b + sign * math.sqrt(disc)) / (2.0 * a) - x0
+                  for sign in (-1.0, 1.0))
+
+
+class TestElectionChangePointOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(x0=st.floats(-3.0, 3.0), level=st.floats(0.5, 0.99),
+           kind=st.sampled_from([MEAN_RESPONSE, NEW_OBSERVATION]),
+           step=st.sampled_from([0.5, 0.1, 0.02, 0.005]))
+    def test_brackets_hold_the_closed_form_roots(self, hibbs_fit, x0, level,
+                                                 kind, step):
+        roots = election_roots(hibbs_fit, x0, level, kind)
+        # two crossings inside one step may leave the decision unchanged
+        assume(len(roots) < 2 or roots[1] - roots[0] > step)
+        curve = sweep_election(hibbs_fit, x0, KnobGrid(-4, 4, step), level, kind)
+        ts = curve.ts()
+        tol = 1e-9
+
+        def in_bracket(r, lo, hi):
+            return lo - tol <= r <= hi + tol
+
+        for r in roots:
+            if ts[0] + tol < r < ts[-1] - tol:
+                assert any(in_bracket(r, lo, hi)
+                           for lo, hi in curve.change_points), (r, curve.change_points)
+        for lo, hi in curve.change_points:
+            assert any(in_bracket(r, lo, hi) for r in roots), ((lo, hi), roots)
+
+
 class TestSweepLead:
     def test_accordion_change_point(self, lead_population, lead_costs):
         cfg = ImputationConfig(m=200, seed=20240101)
@@ -114,6 +222,19 @@ class TestSweepLead:
                        ThresholdRule(), lead_costs)
         assert [p.estimate for p in a.points] == [p.estimate for p in b.points]
         assert [p.cid for p in a.points] == [p.cid for p in b.points]
+
+    def test_completed_freqs_equal_single_point_imputation(
+            self, lead_population, lead_costs):
+        cfg = ImputationConfig(m=3, seed=7)
+        mech = accordion_mechanism()
+        curve = sweep_lead(lead_population, mech, KnobGrid(-1, 1, 0.25), cfg,
+                           ThresholdRule(), lead_costs)
+        assert curve.completed_freqs.shape == (len(curve.points),
+                                               lead_population.k)
+        for p, row in zip(curve.points, curve.completed_freqs):
+            theta, freqs = impute_theta(lead_population, mech, p.t, cfg)
+            assert p.estimate == theta
+            assert tuple(row.tolist()) == freqs.probs
 
 
 class TestExpectedCid:
