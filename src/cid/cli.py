@@ -11,14 +11,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from .decisions import ThresholdRule
 from .imputation import (BUILTIN_MECHANISMS, CategoricalDistribution,
                          ImputationConfig, LeadPopulation, MnarMechanism,
-                         N_LEVELS, read_level_counts)
+                         mar_mechanism, read_level_counts)
 from .metrics import CostParams, worst_case_theta
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
@@ -138,11 +138,6 @@ def _parse_mechanism(value, path: str) -> MnarMechanism:
             )
         return factory()
     if isinstance(value, list):
-        if len(value) != N_LEVELS:
-            raise ConfigError(
-                f"{path}: weight vector must have length {N_LEVELS}, "
-                f"got {len(value)}"
-            )
         return MnarMechanism(weights=tuple(_finite(w, f"{path}[{i}]")
                                            for i, w in enumerate(value)))
     raise ConfigError(f"{path}: mechanism must be a name or a weight vector")
@@ -226,9 +221,11 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
     grid_doc = _fields(doc.get("grid", {}), "grid.", GRID_FIELDS)
     defaults = dict(zip(("t_min", "t_max"), DEFAULT_RANGE[mode]),
                     step=DEFAULT_STEP[mode], t0=0.0)
-    grid = _checked("grid", lambda: KnobGrid(**{
-        key: _finite(grid_doc.get(key, default), f"grid.{key}")
-        for key, default in defaults.items()}))
+    grid_values = {key: _finite(grid_doc.get(key, default), f"grid.{key}")
+                   for key, default in defaults.items()}
+    if not grid_values["step"] > 0:
+        raise ConfigError(f"grid.step: must be positive, got {grid_values['step']}")
+    grid = _checked("grid", lambda: KnobGrid(**grid_values))
 
     outputs = _fields(doc.get("outputs", {}), "outputs.", OUTPUT_FIELDS)
     csv_path = base_dir / _string(outputs.get("csv", f"{mode}_curve.csv"),
@@ -250,7 +247,14 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
                           election=election, lead=lead)
 
 
-def load_config(path) -> AnalysisConfig:
+def load_config(path, seed: Optional[int] = None,
+                grid_step: Optional[float] = None) -> AnalysisConfig:
+    """Read and validate a JSON config file.
+
+    seed and grid_step, when given, replace the file's `seed` and
+    `grid.step` before validation, so they are checked like the file's own
+    values.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -258,6 +262,11 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    if isinstance(doc, dict):  # parse_config reports any other document
+        if seed is not None:
+            doc["seed"] = seed
+        if grid_step is not None and isinstance(doc.get("grid", {}), dict):
+            doc["grid"] = dict(doc.get("grid", {}), step=grid_step)
     return parse_config(doc, base_dir=path.parent)
 
 
@@ -279,15 +288,18 @@ def curve_to_csv(curve: CidCurve) -> str:
 
     Fields that do not apply to the pipeline are left empty.
     """
+    def column(values):
+        if values is None:
+            return [""] * len(curve.t)
+        return [f"{v:.6f}" for v in values.tolist()]
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "estimate", "lo", "hi", "decision", "d_t", "j_t", "cid"])
-    for p in curve.points:
-        lo = f"{p.interval.lower:.6f}" if p.interval is not None else ""
-        hi = f"{p.interval.upper:.6f}" if p.interval is not None else ""
-        j = f"{p.j_t:.6f}" if p.j_t is not None else ""
-        writer.writerow([f"{p.t:.6f}", f"{p.estimate:.6f}", lo, hi,
-                         p.decision.value, p.d_t, j, f"{p.cid:.6f}"])
+    writer.writerows(zip(
+        column(curve.t), column(curve.estimate), column(curve.lower),
+        column(curve.upper), [d.value for d in curve.decision],
+        curve.d_t.tolist(), column(curve.j_t), column(curve.cid)))
     return buf.getvalue()
 
 
@@ -341,6 +353,14 @@ def run(config: AnalysisConfig) -> int:
                 f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
                 f"observed in {config.dataset_path}"
             )
+        mech = s.mechanism
+        if mech.name == "mar":  # no tilt at any level: fits every level count
+            mech = mar_mechanism(len(counts))
+        if len(mech.weights) != len(counts):
+            raise ConfigError(
+                f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
+                f"for the {len(counts)} levels of {config.dataset_path}"
+            )
         pop = LeadPopulation(counts, n_total=s.n_total)
         cfg = ImputationConfig(m=s.m, seed=config.seed)
         rule = ThresholdRule(threshold=s.threshold)
@@ -353,14 +373,14 @@ def run(config: AnalysisConfig) -> int:
             )
         costs = CostParams(a=s.a, b=s.b, theta_wc=theta_wc,
                            threshold=s.threshold)
-        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, rule, costs)
+        curve = sweep_lead(pop, mech, config.grid, cfg, rule, costs)
         rows = ([curve.index_nearest(t) for t in s.snapshot_ts]
-                or [len(curve.points) // 2])
-        snapshots = [(curve.points[i].t, CategoricalDistribution(
+                or [len(curve.t) // 2])
+        snapshots = [(float(curve.t[i]), CategoricalDistribution(
                           tuple(curve.completed_freqs[i].tolist())))
                      for i in rows]
         spec = FigureSpec(reference_line=config.grid.t0,
-                          title=f"CID under MNAR tilt ({s.mechanism.name})")
+                          title=f"CID under MNAR tilt ({mech.name})")
         svg = render_lead_figure(curve, snapshots, spec)
         summary = None
         e_cid = (expected_cid(curve, s.knob_distribution)
@@ -381,20 +401,11 @@ def _cmd_mechanisms(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.grid_step is not None:
-        g = config.grid
-        overrides["grid"] = KnobGrid(g.t_min, g.t_max, args.grid_step, g.t0)
+    config = load_config(args.config, seed=args.seed, grid_step=args.grid_step)
     if args.out_dir is not None:
         out = Path(args.out_dir)
-        overrides["csv_path"] = out / config.csv_path.name
-        overrides["svg_path"] = out / config.svg_path.name
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
+        config = replace(config, csv_path=out / config.csv_path.name,
+                         svg_path=out / config.svg_path.name)
     return run(config)
 
 

@@ -7,7 +7,7 @@ coordinates can be parsed back and inverted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,20 +29,13 @@ DEFAULT_COLORS = {
 class FigureSpec:
     width_px: int = 720
     height_px: int = 560
-    panels: tuple = ("cid-curve", "interval-bars")
     reference_line: Optional[float] = 0.0
     region_lines: Optional[tuple] = None
     title: str = ""
-    colors: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("figure dimensions must be positive")
-        if not self.panels:
-            raise ValueError("need at least one panel")
-
-    def color(self, key: str) -> str:
-        return self.colors.get(key, DEFAULT_COLORS[key])
 
 
 def _fmt(v: float) -> str:
@@ -115,15 +108,15 @@ def _ticks(lo, hi, n=5):
 
 def _axes(out, frame, spec, x_label, y_label):
     out.append(_rect(frame.left, frame.top, frame.width, frame.height,
-                     "none", extra=f' stroke="{spec.color("axis")}"'))
+                     "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
     bottom = frame.top + frame.height
     for xv in _ticks(frame.xmin, frame.xmax):
         px = frame.px(xv)
-        out.append(_line(px, bottom, px, bottom + 4, spec.color("axis")))
+        out.append(_line(px, bottom, px, bottom + 4, DEFAULT_COLORS["axis"]))
         out.append(_text(px, bottom + 16, f"{xv:g}"))
     for yv in _ticks(frame.ymin, frame.ymax):
         py = frame.py(yv)
-        out.append(_line(frame.left - 4, py, frame.left, py, spec.color("axis")))
+        out.append(_line(frame.left - 4, py, frame.left, py, DEFAULT_COLORS["axis"]))
         out.append(_text(frame.left - 8, py + 4, f"{yv:.3g}", anchor="end"))
     out.append(_text(frame.left + frame.width / 2, bottom + 32, x_label))
     out.append(_text(frame.left - 40, frame.top + frame.height / 2, y_label,
@@ -153,29 +146,30 @@ def _cid_panel(out, curve, spec, frame, y_label="CID"):
     out.append(frame.open_group("cid-panel"))
     _axes(out, frame, spec, "knob value t", y_label)
     if spec.reference_line is not None:
-        _vline(out, frame, spec.reference_line, spec.color("reference"),
+        _vline(out, frame, spec.reference_line, DEFAULT_COLORS["reference"],
                cls="reference-line")
     if spec.region_lines is not None:
         for t in spec.region_lines:
-            _vline(out, frame, t, spec.color("region"), cls="region-line")
-    pts = [(frame.px(p.t), frame.py(p.cid)) for p in curve.points]
+            _vline(out, frame, t, DEFAULT_COLORS["region"], cls="region-line")
+    pts = [(frame.px(t), frame.py(cid))
+           for t, cid in zip(curve.t.tolist(), curve.cid.tolist())]
     if len(pts) == 1:
         x, y = pts[0]
-        out.append(_rect(x - 2, y - 2, 4, 4, spec.color("curve"),
+        out.append(_rect(x - 2, y - 2, 4, 4, DEFAULT_COLORS["curve"],
                          cls="cid-marker"))
     else:
-        out.append(_polyline(pts, spec.color("curve"), cls="cid-polyline"))
+        out.append(_polyline(pts, DEFAULT_COLORS["curve"], cls="cid-polyline"))
     out.append("</g>")
 
 
 def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
     """Two stacked panels: CID vs t, and the swept intervals with the
     reference interval highlighted."""
-    if not curve.points:
+    if not len(curve.t):
         raise ValueError("cannot render an empty curve")
-    if any(p.interval is None or p.j_t is None for p in curve.points):
+    if curve.lower is None or curve.upper is None or curve.j_t is None:
         raise ValueError("election figure needs intervals and overlap values")
-    ts = curve.ts()
+    ts = curve.t
     margin, gap = 56, 48
     panel_h = (spec.height_px - 2 * margin - gap) / 2
     panel_w = spec.width_px - 2 * margin
@@ -185,25 +179,23 @@ def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
     out = []
     _cid_panel(out, curve, spec, top)
 
-    lows = [p.interval.lower for p in curve.points]
-    highs = [p.interval.upper for p in curve.points]
+    lows = curve.lower.tolist()
+    highs = curve.upper.tolist()
     span = max(highs) - min(lows)
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
                     top.xmin, top.xmax,
                     min(lows) - 0.05 * span, max(highs) + 0.05 * span)
     ref_t = spec.reference_line if spec.reference_line is not None else 0.0
-    ref_point = curve.point_nearest(ref_t)
+    ref = curve.index_nearest(ref_t)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, spec, "knob value t", "interval")
-    for p in curve.points:
-        px = bottom.px(p.t)
-        out.append(_line(px, bottom.py(p.interval.lower),
-                         px, bottom.py(p.interval.upper),
-                         spec.color("interval"), 1.0, cls="interval-bar"))
-    px = bottom.px(ref_point.t)
-    out.append(_line(px, bottom.py(ref_point.interval.lower),
-                     px, bottom.py(ref_point.interval.upper),
-                     spec.color("reference_interval"), 2.5,
+    for t, lo, hi in zip(ts.tolist(), lows, highs):
+        px = bottom.px(t)
+        out.append(_line(px, bottom.py(lo), px, bottom.py(hi),
+                         DEFAULT_COLORS["interval"], 1.0, cls="interval-bar"))
+    px = bottom.px(ts[ref])
+    out.append(_line(px, bottom.py(lows[ref]), px, bottom.py(highs[ref]),
+                     DEFAULT_COLORS["reference_interval"], 2.5,
                      cls="reference-interval"))
     out.append("</g>")
     return _document(spec, out)
@@ -211,11 +203,11 @@ def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
 
 def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
     """CID-vs-t panel plus one completed-frequency bar chart per snapshot."""
-    if not curve.points:
+    if not len(curve.t):
         raise ValueError("cannot render an empty curve")
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    ts = curve.ts()
+    ts = curve.t
     for t, _ in snapshots:
         if np.min(np.abs(ts - t)) > 1e-6:
             raise ValueError(f"snapshot t = {t} is not on the sweep grid")
@@ -240,13 +232,13 @@ def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
                        0.5, dist.k + 0.5, 0.0, ymax)
         out.append(frame.open_group("freq-panel"))
         out.append(_rect(frame.left, frame.top, frame.width, frame.height,
-                         "none", extra=f' stroke="{spec.color("axis")}"'))
+                         "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
         base = frame.py(0.0)
         bar_w = frame.width / dist.k * 0.8
         for level, prob in enumerate(dist.probs, start=1):
             x = frame.px(level) - bar_w / 2
             y = frame.py(prob)
-            out.append(_rect(x, y, bar_w, base - y, spec.color("bar"),
+            out.append(_rect(x, y, bar_w, base - y, DEFAULT_COLORS["bar"],
                              cls="freq-bar",
                              extra=f' data-level="{level}"'))
         out.append(_text(frame.left + frame.width / 2, base + 16,

@@ -4,18 +4,17 @@ summarize plausible regions, and average CID under a knob distribution."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .decisions import (ELECTION_DECISIONS, ThresholdRule,
-                        decide_election_codes, decide_intervention,
-                        decision_indicator)
+                        decide_election_codes, decide_intervention)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
 from .metrics import CostParams, cid_lead, interval_overlaps
-from .regression import MEAN_RESPONSE, FittedLine, Interval, predict_intervals
+from .regression import MEAN_RESPONSE, FittedLine, predict_intervals
 
 
 @dataclass(frozen=True)
@@ -47,43 +46,54 @@ class KnobGrid:
         return int(np.floor((self.t0 - self.t_min) / self.step + eps))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    t: float
-    estimate: float
-    interval: Optional[Interval]
-    decision: object
-    d_t: int
-    j_t: Optional[float]
-    cid: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CidCurve:
-    """Swept points in grid order; a lead curve also carries the mean
-    completed frequencies of every point, shape (T, K)."""
+    """A swept CID curve as columns in grid order.
 
-    points: tuple
+    t, estimate, d_t and cid are arrays of length T and decision holds each
+    point's decision. An election curve also has the interval bounds lower
+    and upper and the overlap j_t; a lead curve has the mean completed
+    frequencies of every point, shape (T, K). change_points are the
+    grid-adjacent (t_low, t_high) pairs where the decision differs.
+    """
+
+    t: np.ndarray
+    estimate: np.ndarray
+    decision: tuple
+    d_t: np.ndarray
+    cid: np.ndarray
     change_points: tuple
     reference_decision: object
-    completed_freqs: Optional[np.ndarray] = field(default=None, compare=False)
-
-    def ts(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    def cids(self) -> np.ndarray:
-        return np.array([p.cid for p in self.points])
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+    j_t: Optional[np.ndarray] = None
+    completed_freqs: Optional[np.ndarray] = None
 
     def index_nearest(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.ts() - t)))
-
-    def point_nearest(self, t: float) -> CurvePoint:
-        return self.points[self.index_nearest(t)]
+        return int(np.argmin(np.abs(self.t - t)))
 
     @property
     def step(self) -> float:
-        ts = self.ts()
-        return float(np.min(np.diff(ts))) if len(ts) > 1 else 0.0
+        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else 0.0
+
+
+def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, decisions: tuple,
+           cid, **columns) -> CidCurve:
+    """A curve with the reference at row i0 of the grid ts.
+
+    d_t marks the points whose decision equals the reference's; cid maps the
+    d_t array to the CID column. columns holds the study's optional columns.
+    """
+    reference = decisions[i0]
+    d_t = np.fromiter((d == reference for d in decisions), dtype=int,
+                      count=len(decisions))
+    t = ts.tolist()
+    change_points = tuple((t[i], t[i + 1]) for i in range(len(t) - 1)
+                          if decisions[i] != decisions[i + 1])
+    return CidCurve(t=ts, estimate=estimate, decision=decisions,
+                    d_t=d_t, cid=np.asarray(cid(d_t), dtype=float),
+                    change_points=change_points, reference_decision=reference,
+                    **columns)
 
 
 @dataclass(frozen=True)
@@ -121,15 +131,6 @@ class KnobDistribution:
         return cls(tuple(float(t) for t in support), tuple(w / w.sum()))
 
 
-def _change_points(ts, decisions):
-    """Grid-adjacent (t_low, t_high) pairs where the decision differs."""
-    brackets = []
-    for i in range(len(ts) - 1):
-        if decisions[i] != decisions[i + 1]:
-            brackets.append((float(ts[i]), float(ts[i + 1])))
-    return tuple(brackets)
-
-
 def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
                    level: float = 0.95, kind: str = MEAN_RESPONSE) -> CidCurve:
     """Sweep additive measurement error t, comparing each perturbed interval
@@ -145,20 +146,10 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
     center, lower, upper = predict_intervals(fit, x0 + ts, level, kind)
     i0 = grid.index_of_t0()
     codes = decide_election_codes(lower, upper)
-    d_t = (codes == codes[i0]).astype(int)
     j_t = interval_overlaps(lower[i0], upper[i0], lower, upper)
-    cid = d_t * (1.0 + j_t)
-    decisions = [ELECTION_DECISIONS[k] for k in codes.tolist()]
-    points = tuple(
-        CurvePoint(t=t, estimate=c,
-                   interval=Interval(lower=lo, upper=hi, level=level, center=c),
-                   decision=decision, d_t=d, j_t=j, cid=v)
-        for t, c, lo, hi, decision, d, j, v in zip(
-            ts.tolist(), center.tolist(), lower.tolist(), upper.tolist(),
-            decisions, d_t.tolist(), j_t.tolist(), cid.tolist()))
-    return CidCurve(points=points,
-                    change_points=_change_points(ts, decisions),
-                    reference_decision=decisions[i0])
+    decisions = tuple(ELECTION_DECISIONS[k] for k in codes.tolist())
+    return _curve(ts, i0, center, decisions, lambda d_t: d_t * (1.0 + j_t),
+                  lower=lower, upper=upper, j_t=j_t)
 
 
 def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
@@ -175,18 +166,13 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     """
     ts = grid.values()
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
-    theta_ref = thetas[grid.index_of_t0()]
-    ref_decision = decide_intervention(theta_ref, rule)
-    points = []
-    for t, theta_t in zip(ts, thetas):
-        decision = decide_intervention(theta_t, rule)
-        d_t = decision_indicator(ref_decision, decision)
-        points.append(CurvePoint(t=float(t), estimate=theta_t, interval=None,
-                                 decision=decision, d_t=d_t, j_t=None,
-                                 cid=cid_lead(theta_ref, theta_t, d_t, costs)))
-    return CidCurve(points=tuple(points),
-                    change_points=_change_points(ts, [p.decision for p in points]),
-                    reference_decision=ref_decision, completed_freqs=freqs)
+    i0 = grid.index_of_t0()
+    theta_ref = thetas[i0]
+    decisions = tuple(decide_intervention(theta_t, rule) for theta_t in thetas)
+    return _curve(ts, i0, thetas, decisions,
+                  lambda d_t: [cid_lead(theta_ref, theta_t, d, costs)
+                               for theta_t, d in zip(thetas, d_t.tolist())],
+                  completed_freqs=freqs)
 
 
 def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
@@ -195,17 +181,16 @@ def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
     Each support point snaps to the nearest grid point; points farther than
     half a grid step from the grid are rejected.
     """
-    ts = curve.ts()
-    half_step = curve.step / 2.0 if len(ts) > 1 else 0.0
+    half_step = curve.step / 2.0
     total = 0.0
     for t, w in zip(dist.support, dist.weights):
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > half_step + 1e-12:
+        i = curve.index_nearest(t)
+        if abs(curve.t[i] - t) > half_step + 1e-12:
             raise ValueError(
                 f"support off grid: t = {t} is farther than step/2 from any grid point"
             )
-        total += w * curve.points[i].cid
-    return total
+        total += w * curve.cid[i]
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -228,13 +213,13 @@ def annotate_plausible_region(curve: CidCurve,
                               region: PlausibleRegion) -> RegionSummary:
     """Min/max CID over the grid points inside the region, and any decision
     change brackets overlapping it."""
-    inside = [p for p in curve.points if region.lower <= p.t <= region.upper]
-    if not inside:
+    cids = curve.cid[(region.lower <= curve.t) & (curve.t <= region.upper)]
+    if not len(cids):
         warnings.warn("plausible region contains no grid points", stacklevel=2)
         return RegionSummary(None, None, (), 0)
-    cids = [p.cid for p in inside]
     brackets = tuple(
         (lo, hi) for lo, hi in curve.change_points
         if hi >= region.lower and lo <= region.upper
     )
-    return RegionSummary(min(cids), max(cids), brackets, len(inside))
+    return RegionSummary(float(cids.min()), float(cids.max()), brackets,
+                         len(cids))

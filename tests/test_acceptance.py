@@ -82,9 +82,7 @@ def test_criterion_3_election_change_points(election_curve):
     brackets = election_curve.change_points
     assert any(lo - 0.05 <= 0.88 <= hi + 0.05 for lo, hi in brackets)
     assert any(lo - 0.05 <= 2.62 <= hi + 0.05 for lo, hi in brackets)
-    ts = election_curve.ts()
-    js = np.array([p.j_t for p in election_curve.points])
-    covered = ts[js >= 0.5]
+    covered = election_curve.t[election_curve.j_t >= 0.5]
     assert covered.min() == pytest.approx(-2.0, abs=0.05)
     assert covered.max() == pytest.approx(1.2, abs=0.05)
     ok(3, f"brackets {brackets}, J>=0.5 on "
@@ -233,11 +231,11 @@ class TestCriterion8Properties:
                  for k, v in panel.attrib.items() if k.startswith("data-")}
         poly = next(el for el in root.iter()
                     if el.get("class") == "cid-polyline")
-        for raw, p in zip(poly.get("points").split(), curve.points):
+        for raw, t, cid in zip(poly.get("points").split(), curve.t, curve.cid):
             x, y = map(float, raw.split(","))
-            expect_x = attrs["left"] + (p.t - attrs["xmin"]) / \
+            expect_x = attrs["left"] + (t - attrs["xmin"]) / \
                 (attrs["xmax"] - attrs["xmin"]) * attrs["width"]
-            expect_y = attrs["top"] + (attrs["ymax"] - p.cid) / \
+            expect_y = attrs["top"] + (attrs["ymax"] - cid) / \
                 (attrs["ymax"] - attrs["ymin"]) * attrs["height"]
             assert abs(x - expect_x) <= 0.5
             assert abs(y - expect_y) <= 0.5

@@ -78,10 +78,15 @@ class TestParseConfig:
                                         "mechanism": [1] * 10}})
         assert config.lead.mechanism.weights == (1.0,) * 10
 
-    def test_wrong_weight_length(self):
-        with pytest.raises(ConfigError, match="length"):
-            parse_config({"mode": "lead", "dataset": "d.csv",
-                          "lead": {"n_total": 100, "mechanism": [1] * 7}})
+    def test_wrong_weight_length(self, tmp_path, lead_doc, capsys):
+        # the length is checked against the dataset's 10 levels at run time
+        lead_doc["lead"]["mechanism"] = [1] * 7
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: lead.mechanism: custom has 7 weights for the " \
+               "10 levels" in err
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_unknown_mechanism(self):
         with pytest.raises(ConfigError, match="unknown mechanism"):
@@ -251,14 +256,60 @@ class TestRun:
                                             pop.n_observed, pop.n_total))
         curve = sweep_lead(pop, s.mechanism, config.grid, cfg,
                            ThresholdRule(s.threshold), costs)
-        snap_ts = ([curve.point_nearest(t).t for t in snapshot_ts]
-                   if snapshot_ts else [curve.points[len(curve.points) // 2].t])
+        snap_ts = ([float(curve.t[curve.index_nearest(t)]) for t in snapshot_ts]
+                   if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
         snapshots = [(t, impute_theta(pop, s.mechanism, t, cfg)[1])
                      for t in snap_ts]
         spec = FigureSpec(reference_line=config.grid.t0,
                           title=f"CID under MNAR tilt ({s.mechanism.name})")
         assert (tmp_path / "figure.svg").read_text() == \
             render_lead_figure(curve, snapshots, spec)
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--grid-step", "0", "grid.step"),
+        ("--grid-step", "-0.1", "grid.step"),
+        ("--grid-step", "nan", "grid.step"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_bad_override_exits_1_with_path(self, tmp_path, lead_doc, capsys,
+                                            option, value, field):
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path), option, value]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("mechanism, code", [
+        ("mar", 0),
+        ([1, 1, 0.5, 0, -0.5], 0),
+        ("accordion", 1),
+    ])
+    def test_mechanism_length_follows_dataset(self, tmp_path, lead_doc, capsys,
+                                              mechanism, code):
+        (tmp_path / "five_levels.csv").write_text(
+            "level,count\n1,300\n2,400\n3,200\n4,80\n5,20\n")
+        lead_doc["dataset"] = "five_levels.csv"
+        lead_doc["lead"].update(n_total=2000, mechanism=mechanism)
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            rows = (tmp_path / "curve.csv").read_text().splitlines()
+            assert len(rows) == 8
+            svg = (tmp_path / "figure.svg").read_text()
+            assert svg.count('class="freq-bar"') == 2 * 5  # two snapshots
+        else:
+            assert "config error: lead.mechanism: accordion has 10 weights " \
+                   "for the 5 levels" in captured.err
+            assert not (tmp_path / "curve.csv").exists()
+
+    def test_bundled_election_reproduces_committed_outputs(self, tmp_path,
+                                                           capsys):
+        assert main(["run", str(REPO / "configs" / "election.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+        for name in ("election_curve.csv", "election_figure.svg"):
+            assert (tmp_path / name).read_bytes() == \
+                (REPO / "out" / name).read_bytes(), name
 
     def test_extreme_tilt_stays_finite(self, tmp_path, lead_doc, capsys):
         # exp(t * w) alone overflows for t * w above about 709

@@ -67,11 +67,11 @@ class TestElectionFigure:
         panel = find_by_class(root, "cid-panel")[0]
         px, py = panel_transform(panel)
         pts = find_by_class(root, "cid-polyline")[0].get("points").split()
-        assert len(pts) == len(election_curve.points)
-        for raw, p in zip(pts, election_curve.points):
+        assert len(pts) == len(election_curve.t)
+        for raw, t, cid in zip(pts, election_curve.t, election_curve.cid):
             x, y = map(float, raw.split(","))
-            assert abs(x - px(p.t)) <= 0.5
-            assert abs(y - py(p.cid)) <= 0.5
+            assert abs(x - px(t)) <= 0.5
+            assert abs(y - py(cid)) <= 0.5
 
     def test_interval_bars_parse_back(self, election_curve):
         svg = render_election_figure(election_curve, FigureSpec())
@@ -79,11 +79,12 @@ class TestElectionFigure:
         panel = find_by_class(root, "interval-panel")[0]
         px, py = panel_transform(panel)
         bars = find_by_class(root, "interval-bar")
-        assert len(bars) == len(election_curve.points)
-        for bar, p in zip(bars, election_curve.points):
-            assert abs(float(bar.get("x1")) - px(p.t)) <= 0.5
-            assert abs(float(bar.get("y1")) - py(p.interval.lower)) <= 0.5
-            assert abs(float(bar.get("y2")) - py(p.interval.upper)) <= 0.5
+        assert len(bars) == len(election_curve.t)
+        for bar, t, lo, hi in zip(bars, election_curve.t, election_curve.lower,
+                                  election_curve.upper):
+            assert abs(float(bar.get("x1")) - px(t)) <= 0.5
+            assert abs(float(bar.get("y1")) - py(lo)) <= 0.5
+            assert abs(float(bar.get("y2")) - py(hi)) <= 0.5
         assert len(find_by_class(root, "reference-interval")) == 1
 
     def test_curve_touches_zero_at_change_point(self, election_curve):
@@ -92,8 +93,8 @@ class TestElectionFigure:
         panel = find_by_class(root, "cid-panel")[0]
         _, py = panel_transform(panel)
         pts = find_by_class(root, "cid-polyline")[0].get("points").split()
-        zero_ts = [p.t for p in election_curve.points if p.cid == 0.0]
-        assert zero_ts
+        zero_ts = election_curve.t[election_curve.cid == 0.0]
+        assert len(zero_ts)
         ys = {round(float(r.split(",")[0]), 3): float(r.split(",")[1])
               for r in pts}
         px, _ = panel_transform(panel)
@@ -114,8 +115,9 @@ class TestElectionFigure:
 
     def test_empty_curve_rejected(self, election_curve):
         from cid.sweep import CidCurve
-        empty = CidCurve(points=(), change_points=(),
-                         reference_decision=None)
+        empty = CidCurve(t=np.empty(0), estimate=np.empty(0), decision=(),
+                         d_t=np.empty(0, dtype=int), cid=np.empty(0),
+                         change_points=(), reference_decision=None)
         with pytest.raises(ValueError, match="empty"):
             render_election_figure(empty, FigureSpec())
 
@@ -169,5 +171,3 @@ class TestLeadFigure:
 def test_figure_spec_validation():
     with pytest.raises(ValueError):
         FigureSpec(width_px=0)
-    with pytest.raises(ValueError):
-        FigureSpec(panels=())

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cid.decisions import (ElectionDecision, InterventionDecision,
-                           ThresholdRule, decide_election, decision_indicator)
+                           ThresholdRule, decide_election, decide_intervention,
+                           decision_indicator)
 from cid.imputation import (ImputationConfig, LeadPopulation,
                             accordion_mechanism, impute_theta, mar_mechanism,
                             parametric_mechanism)
-from cid.metrics import (CostParams, cid_general, interval_overlap,
+from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
                          worst_case_theta)
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_interval)
@@ -61,29 +62,28 @@ class TestSweepElection:
         assert abs((brackets[1][0] + brackets[1][1]) / 2 - 2.62) <= 0.05
 
     def test_overlap_half_region(self, election_curve):
-        ts = election_curve.ts()
-        js = np.array([p.j_t for p in election_curve.points])
-        covered = ts[js >= 0.5]
+        covered = election_curve.t[election_curve.j_t >= 0.5]
         assert abs(covered.min() - (-2.0)) <= 0.05
         assert abs(covered.max() - 1.2) <= 0.05
 
     def test_reference_point_is_maximum(self, election_curve):
-        p0 = election_curve.point_nearest(0.0)
-        assert p0.cid == 2.0
-        assert p0.d_t == 1
+        i0 = election_curve.index_nearest(0.0)
+        assert election_curve.cid[i0] == 2.0
+        assert election_curve.d_t[i0] == 1
         assert election_curve.reference_decision is \
             ElectionDecision.CHALLENGER_WINS
 
     def test_estimate_affine_in_t(self, election_curve, hibbs_fit):
-        p0 = election_curve.point_nearest(0.0)
-        for p in election_curve.points[::40]:
-            expected = p0.estimate + hibbs_fit.slope * (p.t - p0.t)
-            assert p.estimate == pytest.approx(expected, abs=1e-9)
+        ts, estimate = election_curve.t, election_curve.estimate
+        i0 = election_curve.index_nearest(0.0)
+        for i in range(0, len(ts), 40):
+            expected = estimate[i0] + hibbs_fit.slope * (ts[i] - ts[i0])
+            assert estimate[i] == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_single_point_grid(self, hibbs_fit):
         curve = sweep_election(hibbs_fit, -0.728, KnobGrid(0, 0, 0.02))
-        assert len(curve.points) == 1
-        assert curve.points[0].cid == 2.0
+        assert len(curve.t) == 1
+        assert curve.cid[0] == 2.0
         assert curve.change_points == ()
 
     def test_refinement_preserves_brackets(self, hibbs_fit, election_curve):
@@ -137,10 +137,11 @@ class TestSweepElectionMatchesScalarOracle:
     def check(fit, x0, grid, level, kind):
         curve = sweep_election(fit, x0, grid, level, kind)
         rows, ref_decision = scalar_sweep_election(fit, x0, grid, level, kind)
-        got = [(p.t, p.estimate, p.interval.lower, p.interval.upper,
-                p.decision, p.d_t, p.j_t, p.cid) for p in curve.points]
+        got = list(zip(curve.t.tolist(), curve.estimate.tolist(),
+                       curve.lower.tolist(), curve.upper.tolist(),
+                       curve.decision, curve.d_t.tolist(), curve.j_t.tolist(),
+                       curve.cid.tolist()))
         assert got == rows
-        assert all(p.interval.center == p.estimate for p in curve.points)
         assert curve.reference_decision is ref_decision
         expected = tuple((rows[i][0], rows[i + 1][0])
                          for i in range(len(rows) - 1)
@@ -178,7 +179,7 @@ class TestElectionChangePointOracle:
         # two crossings inside one step may leave the decision unchanged
         assume(len(roots) < 2 or roots[1] - roots[0] > step)
         curve = sweep_election(hibbs_fit, x0, KnobGrid(-4, 4, step), level, kind)
-        ts = curve.ts()
+        ts = curve.t
         tol = 1e-9
 
         def in_bracket(r, lo, hi):
@@ -199,7 +200,7 @@ class TestSweepLead:
                            KnobGrid(-2, 4, 0.05), cfg, ThresholdRule(),
                            lead_costs)
         assert curve.reference_decision is InterventionDecision.INTERVENE
-        assert curve.point_nearest(0.0).cid == 1.0
+        assert curve.cid[curve.index_nearest(0.0)] == 1.0
         mids = [(lo + hi) / 2 for lo, hi in curve.change_points]
         assert any(abs(m - 0.4) <= 0.1 for m in mids)
 
@@ -209,9 +210,8 @@ class TestSweepLead:
                            KnobGrid(-1, 1, 0.2), cfg, ThresholdRule(),
                            lead_costs)
         assert curve.change_points == ()
-        ests = curve.cids()
-        assert np.ptp([p.estimate for p in curve.points]) == 0.0
-        assert np.all(ests == ests[0])
+        assert np.ptp(curve.estimate) == 0.0
+        assert np.all(curve.cid == curve.cid[0])
 
     def test_deterministic_given_seed(self, lead_population, lead_costs):
         cfg = ImputationConfig(m=20, seed=99)
@@ -220,8 +220,8 @@ class TestSweepLead:
                        ThresholdRule(), lead_costs)
         b = sweep_lead(lead_population, parametric_mechanism(), grid, cfg,
                        ThresholdRule(), lead_costs)
-        assert [p.estimate for p in a.points] == [p.estimate for p in b.points]
-        assert [p.cid for p in a.points] == [p.cid for p in b.points]
+        assert a.estimate.tolist() == b.estimate.tolist()
+        assert a.cid.tolist() == b.cid.tolist()
 
     def test_completed_freqs_equal_single_point_imputation(
             self, lead_population, lead_costs):
@@ -229,12 +229,57 @@ class TestSweepLead:
         mech = accordion_mechanism()
         curve = sweep_lead(lead_population, mech, KnobGrid(-1, 1, 0.25), cfg,
                            ThresholdRule(), lead_costs)
-        assert curve.completed_freqs.shape == (len(curve.points),
+        assert curve.completed_freqs.shape == (len(curve.t),
                                                lead_population.k)
-        for p, row in zip(curve.points, curve.completed_freqs):
-            theta, freqs = impute_theta(lead_population, mech, p.t, cfg)
-            assert p.estimate == theta
+        for t, estimate, row in zip(curve.t, curve.estimate,
+                                    curve.completed_freqs):
+            theta, freqs = impute_theta(lead_population, mech, t, cfg)
+            assert estimate == theta
             assert tuple(row.tolist()) == freqs.probs
+
+
+def scalar_sweep_lead(pop, mech, grid, cfg, rule, costs):
+    """Per-point oracle: impute each knob value alone, then the scalar
+    decision and metric functions."""
+    theta_ref, _ = impute_theta(pop, mech, grid.t0, cfg)
+    ref_decision = decide_intervention(theta_ref, rule)
+    rows = []
+    for t in grid.values():
+        theta, _ = impute_theta(pop, mech, t, cfg)
+        decision = decide_intervention(theta, rule)
+        d_t = decision_indicator(ref_decision, decision)
+        rows.append((float(t), theta, decision, d_t,
+                     cid_lead(theta_ref, theta, d_t, costs)))
+    return rows, ref_decision
+
+
+class TestSweepLeadMatchesScalarOracle:
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism(), mar_mechanism()],
+                             ids=lambda mech: mech.name)
+    @pytest.mark.parametrize("grid, seed", [
+        (KnobGrid(-1, 2, 0.25, t0=0.5), 20240101),
+        (KnobGrid(-0.45, 1.3, 0.1, t0=-0.25), 7),
+    ])
+    def test_matches_per_point_loop(self, lead_population, mech, grid, seed):
+        cfg = ImputationConfig(m=3, seed=seed)
+        rule = ThresholdRule()
+        costs = CostParams(a=1.0, b=2.0, theta_wc=worst_case_theta(
+            lead_population.observed_high_count, lead_population.n_observed,
+            lead_population.n_total))
+        curve = sweep_lead(lead_population, mech, grid, cfg, rule, costs)
+        rows, ref_decision = scalar_sweep_lead(lead_population, mech, grid,
+                                               cfg, rule, costs)
+        got = list(zip(curve.t.tolist(), curve.estimate.tolist(),
+                       curve.decision, curve.d_t.tolist(), curve.cid.tolist()))
+        assert got == rows
+        assert curve.reference_decision is ref_decision
+        expected = tuple((rows[i][0], rows[i + 1][0])
+                         for i in range(len(rows) - 1)
+                         if rows[i][2] is not rows[i + 1][2])
+        assert curve.change_points == expected
+        if mech.name != "mar":
+            assert expected  # the grid crosses the decision threshold
 
 
 class TestExpectedCid:
@@ -244,7 +289,8 @@ class TestExpectedCid:
 
     def test_uniform_three_points(self, election_curve):
         dist = KnobDistribution.from_weights((-0.5, 0.0, 0.5), (1, 1, 1))
-        cids = [election_curve.point_nearest(t).cid for t in (-0.5, 0.0, 0.5)]
+        cids = [election_curve.cid[election_curve.index_nearest(t)]
+                for t in (-0.5, 0.0, 0.5)]
         assert expected_cid(election_curve, dist) == pytest.approx(
             np.mean(cids))
 
@@ -256,7 +302,7 @@ class TestExpectedCid:
         for t in (-3.14, 0.42, 2.0):
             dist = KnobDistribution(support=(t,), weights=(1.0,))
             assert expected_cid(election_curve, dist) == \
-                election_curve.point_nearest(t).cid
+                election_curve.cid[election_curve.index_nearest(t)]
 
     def test_support_off_grid(self, election_curve):
         dist = KnobDistribution(support=(4.5,), weights=(1.0,))
