@@ -4,16 +4,17 @@ or lead pipeline, and write the curve CSV and figure SVG."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .decisions import ThresholdRule
 from .imputation import (BUILTIN_MECHANISMS, CategoricalDistribution,
@@ -30,6 +31,9 @@ from .svgfig import FigureSpec, render_election_figure, render_lead_figure
 DEFAULT_SEED = 20240101
 DEFAULT_STEP = {"election": 0.02, "lead": 0.05}
 DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
+# Largest knob grid a config may ask for: 60,000 points is a fine lead grid
+# (step 1e-4), while a step of 1e-9 would need 8e9 points (60 GiB per column).
+MAX_GRID_POINTS = 1_000_000
 
 # Known fields of each config object; the document's top level also holds
 # the block named by its mode.
@@ -226,6 +230,10 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
     if not grid_values["step"] > 0:
         raise ConfigError(f"grid.step: must be positive, got {grid_values['step']}")
     grid = _checked("grid", lambda: KnobGrid(**grid_values))
+    if grid.n_points() > MAX_GRID_POINTS:
+        raise ConfigError(f"grid.step: {grid.step} implies "
+                          f"{grid.n_points():.0f} grid points "
+                          f"(at most {MAX_GRID_POINTS:,})")
 
     outputs = _fields(doc.get("outputs", {}), "outputs.", OUTPUT_FIELDS)
     csv_path = base_dir / _string(outputs.get("csv", f"{mode}_curve.csv"),
@@ -286,21 +294,21 @@ def _write_atomic(path: Path, content: str) -> None:
 def curve_to_csv(curve: CidCurve) -> str:
     """Serialize a curve as `t,estimate,lo,hi,decision,d_t,j_t,cid`.
 
-    Fields that do not apply to the pipeline are left empty.
+    Fields that do not apply to the pipeline are left empty. One row
+    template covers the columns present and is filled for all rows at once;
+    no field needs quoting, since each is a number or a decision label
+    without commas, quotes or newlines.
     """
-    def column(values):
-        if values is None:
-            return [""] * len(curve.t)
-        return [f"{v:.6f}" for v in values.tolist()]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "estimate", "lo", "hi", "decision", "d_t", "j_t", "cid"])
-    writer.writerows(zip(
-        column(curve.t), column(curve.estimate), column(curve.lower),
-        column(curve.upper), [d.value for d in curve.decision],
-        curve.d_t.tolist(), column(curve.j_t), column(curve.cid)))
-    return buf.getvalue()
+    labels = np.array([d.value for d in curve.family], dtype=object)
+    fields = (("%.6f", curve.t), ("%.6f", curve.estimate),
+              ("%.6f", curve.lower), ("%.6f", curve.upper),
+              ("%s", labels[curve.codes]), ("%d", curve.d_t),
+              ("%.6f", curve.j_t), ("%.6f", curve.cid))
+    row = ",".join(spec if values is not None else ""
+                   for spec, values in fields) + "\n"
+    columns = [values.tolist() for _, values in fields if values is not None]
+    body = (row * len(curve.t)) % tuple(chain.from_iterable(zip(*columns)))
+    return "t,estimate,lo,hi,decision,d_t,j_t,cid\n" + body
 
 
 def _step_decimals(step: float) -> int:
@@ -348,6 +356,12 @@ def run(config: AnalysisConfig) -> int:
     else:
         s = config.lead
         counts = read_level_counts(config.dataset_path)
+        cutoff = LeadPopulation.cutoff_level
+        if len(counts) <= cutoff:
+            raise ConfigError(
+                f"dataset: {config.dataset_path} has {len(counts)} levels; the "
+                f"lead study needs levels above the cutoff level {cutoff}"
+            )
         if sum(counts) > s.n_total:
             raise ConfigError(
                 f"lead.n_total: {s.n_total} is below the {sum(counts)} units "

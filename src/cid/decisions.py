@@ -26,6 +26,11 @@ class InterventionDecision(Enum):
     DONT_INTERVENE = "no-intervene"
 
 
+# Decision for each code decide_intervention_codes returns.
+INTERVENTION_DECISIONS = (InterventionDecision.DONT_INTERVENE,
+                          InterventionDecision.INTERVENE)
+
+
 @dataclass(frozen=True)
 class ThresholdRule:
     """Intervene when the estimated proportion strictly exceeds the threshold."""
@@ -65,6 +70,18 @@ def decide_intervention(theta_hat: float, rule: ThresholdRule) -> InterventionDe
     if theta_hat > rule.threshold:
         return InterventionDecision.INTERVENE
     return InterventionDecision.DONT_INTERVENE
+
+
+def decide_intervention_codes(thetas, rule: ThresholdRule) -> np.ndarray:
+    """decide_intervention over an array of estimated proportions, with the
+    same range check and strict > at the threshold; element i indexes
+    INTERVENTION_DECISIONS."""
+    thetas = np.asarray(thetas, dtype=float)
+    outside = ~((0.0 <= thetas) & (thetas <= 1.0))
+    if outside.any():
+        raise ValueError(f"theta_hat must be in [0, 1], "
+                         f"got {thetas[outside][0]}")
+    return (thetas > rule.threshold).astype(int)
 
 
 def decision_indicator(reference, candidate) -> int:

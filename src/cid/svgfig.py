@@ -8,6 +8,7 @@ coordinates can be parsed back and inverted exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -42,13 +43,21 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """_fmt of every element of a 1-D array."""
+    return ["%.3f" % v for v in values.tolist()]
+
+
 def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace('"', "&quot;"))
 
 
 class _Frame:
-    """Affine map from a data rectangle to a pixel rectangle (y flipped)."""
+    """Affine map from a data rectangle to a pixel rectangle (y flipped).
+
+    px and py take a number or an array of numbers.
+    """
 
     def __init__(self, left, top, width, height, xmin, xmax, ymin, ymax):
         if xmax <= xmin:
@@ -83,9 +92,12 @@ def _line(x1, y1, x2, y2, stroke, width=1.0, cls=None) -> str:
             f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
 
-def _polyline(pts, stroke, width=1.5, cls=None) -> str:
+def _polyline(xs, ys, stroke, width=1.5, cls=None) -> str:
+    """A polyline through the points (xs[i], ys[i]); xs holds formatted
+    coordinates and ys numbers."""
     c = f' class="{cls}"' if cls else ""
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    coords = " ".join(["%s,%.3f"] * len(xs)) % tuple(
+        chain.from_iterable(zip(xs, ys.tolist())))
     return (f'<polyline{c} points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
 
@@ -143,6 +155,8 @@ def _document(spec, body) -> str:
 
 
 def _cid_panel(out, curve, spec, frame, y_label="CID"):
+    """Append the CID-vs-t panel to out; return the formatted pixel x of
+    every grid point."""
     out.append(frame.open_group("cid-panel"))
     _axes(out, frame, spec, "knob value t", y_label)
     if spec.reference_line is not None:
@@ -151,15 +165,17 @@ def _cid_panel(out, curve, spec, frame, y_label="CID"):
     if spec.region_lines is not None:
         for t in spec.region_lines:
             _vline(out, frame, t, DEFAULT_COLORS["region"], cls="region-line")
-    pts = [(frame.px(t), frame.py(cid))
-           for t, cid in zip(curve.t.tolist(), curve.cid.tolist())]
-    if len(pts) == 1:
-        x, y = pts[0]
+    if len(curve.t) == 1:
+        x, y = frame.px(curve.t[0]), frame.py(curve.cid[0])
         out.append(_rect(x - 2, y - 2, 4, 4, DEFAULT_COLORS["curve"],
                          cls="cid-marker"))
+        xs = [_fmt(x)]
     else:
-        out.append(_polyline(pts, DEFAULT_COLORS["curve"], cls="cid-polyline"))
+        xs = _fmt_column(frame.px(curve.t))
+        out.append(_polyline(xs, frame.py(curve.cid), DEFAULT_COLORS["curve"],
+                             cls="cid-polyline"))
     out.append("</g>")
+    return xs
 
 
 def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
@@ -177,22 +193,22 @@ def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
     out = []
-    _cid_panel(out, curve, spec, top)
+    xs = _cid_panel(out, curve, spec, top)
 
-    lows = curve.lower.tolist()
-    highs = curve.upper.tolist()
-    span = max(highs) - min(lows)
+    lows, highs = curve.lower, curve.upper
+    lo, hi = float(lows.min()), float(highs.max())
+    span = hi - lo
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
-                    top.xmin, top.xmax,
-                    min(lows) - 0.05 * span, max(highs) + 0.05 * span)
+                    top.xmin, top.xmax, lo - 0.05 * span, hi + 0.05 * span)
     ref_t = spec.reference_line if spec.reference_line is not None else 0.0
     ref = curve.index_nearest(ref_t)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, spec, "knob value t", "interval")
-    for t, lo, hi in zip(ts.tolist(), lows, highs):
-        px = bottom.px(t)
-        out.append(_line(px, bottom.py(lo), px, bottom.py(hi),
-                         DEFAULT_COLORS["interval"], 1.0, cls="interval-bar"))
+    # The two panels share left, width, xmin and xmax, so they share xs.
+    bar = ('<line class="interval-bar" x1="%s" y1="%.3f" x2="%s" y2="%.3f" '
+           f'stroke="{DEFAULT_COLORS["interval"]}" stroke-width="{_fmt(1.0)}"/>')
+    out.append("\n".join([bar] * len(xs)) % tuple(chain.from_iterable(
+        zip(xs, bottom.py(lows).tolist(), xs, bottom.py(highs).tolist()))))
     px = bottom.px(ts[ref])
     out.append(_line(px, bottom.py(lows[ref]), px, bottom.py(highs[ref]),
                      DEFAULT_COLORS["reference_interval"], 2.5,

@@ -9,8 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .decisions import (ELECTION_DECISIONS, ThresholdRule,
-                        decide_election_codes, decide_intervention)
+from .decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
+                        ThresholdRule, decide_election_codes,
+                        decide_intervention_codes)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
 from .metrics import CostParams, cid_lead, interval_overlaps
@@ -34,32 +35,44 @@ class KnobGrid:
                 f"need t_min <= t0 <= t_max, got ({self.t_min}, {self.t0}, {self.t_max})"
             )
 
+    def _k_range(self) -> tuple:
+        """(k_lo, k_hi) as floats: the grid is t0 + k*step, -k_lo <= k <= k_hi."""
+        eps = 1e-9 * self.step
+        return (np.floor((self.t0 - self.t_min) / self.step + eps),
+                np.floor((self.t_max - self.t0) / self.step + eps))
+
     def values(self) -> np.ndarray:
         """Grid points t0 + k*step inside [t_min, t_max]; always contains t0."""
-        eps = 1e-9 * self.step
-        k_lo = int(np.floor((self.t0 - self.t_min) / self.step + eps))
-        k_hi = int(np.floor((self.t_max - self.t0) / self.step + eps))
-        return self.t0 + self.step * np.arange(-k_lo, k_hi + 1)
+        k_lo, k_hi = self._k_range()
+        return self.t0 + self.step * np.arange(-int(k_lo), int(k_hi) + 1)
 
     def index_of_t0(self) -> int:
-        eps = 1e-9 * self.step
-        return int(np.floor((self.t0 - self.t_min) / self.step + eps))
+        return int(self._k_range()[0])
+
+    def n_points(self) -> float:
+        """len(values()), computed without building the grid. A float: it
+        is inf when the step is so small that the count overflows."""
+        k_lo, k_hi = self._k_range()
+        return float(k_lo + k_hi + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class CidCurve:
     """A swept CID curve as columns in grid order.
 
-    t, estimate, d_t and cid are arrays of length T and decision holds each
-    point's decision. An election curve also has the interval bounds lower
-    and upper and the overlap j_t; a lead curve has the mean completed
-    frequencies of every point, shape (T, K). change_points are the
-    grid-adjacent (t_low, t_high) pairs where the decision differs.
+    t, estimate, codes, d_t and cid are arrays of length T. codes[i] is the
+    index of point i's decision in family, the rule family's tuple of
+    decisions (ELECTION_DECISIONS or INTERVENTION_DECISIONS). An election
+    curve also has the interval bounds lower and upper and the overlap j_t;
+    a lead curve has the mean completed frequencies of every point, shape
+    (T, K). change_points are the grid-adjacent (t_low, t_high) pairs where
+    the decision differs.
     """
 
     t: np.ndarray
     estimate: np.ndarray
-    decision: tuple
+    codes: np.ndarray
+    family: tuple
     d_t: np.ndarray
     cid: np.ndarray
     change_points: tuple
@@ -69,6 +82,11 @@ class CidCurve:
     j_t: Optional[np.ndarray] = None
     completed_freqs: Optional[np.ndarray] = None
 
+    @property
+    def decision(self) -> tuple:
+        """Each point's decision, in grid order."""
+        return tuple(self.family[k] for k in self.codes.tolist())
+
     def index_nearest(self, t: float) -> int:
         return int(np.argmin(np.abs(self.t - t)))
 
@@ -77,23 +95,21 @@ class CidCurve:
         return float(np.min(np.diff(self.t))) if len(self.t) > 1 else 0.0
 
 
-def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, decisions: tuple,
-           cid, **columns) -> CidCurve:
+def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,
+           family: tuple, cid, **columns) -> CidCurve:
     """A curve with the reference at row i0 of the grid ts.
 
-    d_t marks the points whose decision equals the reference's; cid maps the
-    d_t array to the CID column. columns holds the study's optional columns.
+    codes index family; d_t marks the points whose decision equals the
+    reference's, and cid maps the d_t array to the CID column. columns holds
+    the study's optional columns.
     """
-    reference = decisions[i0]
-    d_t = np.fromiter((d == reference for d in decisions), dtype=int,
-                      count=len(decisions))
-    t = ts.tolist()
-    change_points = tuple((t[i], t[i + 1]) for i in range(len(t) - 1)
-                          if decisions[i] != decisions[i + 1])
-    return CidCurve(t=ts, estimate=estimate, decision=decisions,
+    d_t = (codes == codes[i0]).astype(int)
+    changed = np.flatnonzero(codes[1:] != codes[:-1])
+    change_points = tuple(zip(ts[changed].tolist(), ts[changed + 1].tolist()))
+    return CidCurve(t=ts, estimate=estimate, codes=codes, family=family,
                     d_t=d_t, cid=np.asarray(cid(d_t), dtype=float),
-                    change_points=change_points, reference_decision=reference,
-                    **columns)
+                    change_points=change_points,
+                    reference_decision=family[codes[i0]], **columns)
 
 
 @dataclass(frozen=True)
@@ -147,8 +163,8 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
     i0 = grid.index_of_t0()
     codes = decide_election_codes(lower, upper)
     j_t = interval_overlaps(lower[i0], upper[i0], lower, upper)
-    decisions = tuple(ELECTION_DECISIONS[k] for k in codes.tolist())
-    return _curve(ts, i0, center, decisions, lambda d_t: d_t * (1.0 + j_t),
+    return _curve(ts, i0, center, codes, ELECTION_DECISIONS,
+                  lambda d_t: d_t * (1.0 + j_t),
                   lower=lower, upper=upper, j_t=j_t)
 
 
@@ -168,8 +184,8 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
     i0 = grid.index_of_t0()
     theta_ref = thetas[i0]
-    decisions = tuple(decide_intervention(theta_t, rule) for theta_t in thetas)
-    return _curve(ts, i0, thetas, decisions,
+    codes = decide_intervention_codes(thetas, rule)
+    return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
                   lambda d_t: [cid_lead(theta_ref, theta_t, d, costs)
                                for theta_t, d in zip(thetas, d_t.tolist())],
                   completed_freqs=freqs)

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,15 @@ class TestParseConfig:
         doc = {"mode": block, "dataset": "d.csv", block: settings}
         with pytest.raises(ConfigError, match=rf"^{block}\.{key}: "):
             parse_config(doc)
+
+    def test_grid_size_bounded(self):
+        doc = {"mode": "election", "dataset": "d.csv",
+               "election": {"x0": -0.728}}
+        # [-4, 4] at step 1e-5 has 800,001 points; at 8e-6, 1,000,001
+        assert parse_config(dict(doc, grid={"step": 1e-5})).grid.step == 1e-5
+        with pytest.raises(ConfigError, match=r"^grid\.step: 8e-06 implies "
+                                              r"1000001 grid points"):
+            parse_config(dict(doc, grid={"step": 8e-6}))
 
     def test_costs_not_both_zero(self):
         with pytest.raises(ConfigError, match="not both be zero"):
@@ -279,29 +289,49 @@ class TestRun:
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
 
-    @pytest.mark.parametrize("mechanism, code", [
-        ("mar", 0),
-        ([1, 1, 0.5, 0, -0.5], 0),
-        ("accordion", 1),
+    @pytest.mark.parametrize("counts, mechanism, error", [
+        pytest.param((300, 400, 200, 80, 20), "mar", None, id="mar-0"),
+        pytest.param((300, 400, 200, 80, 20), [1, 1, 0.5, 0, -0.5], None,
+                     id="mechanism1-0"),
+        pytest.param((300, 400, 200, 80, 20), "accordion",
+                     "lead.mechanism: accordion has 10 weights for the 5 "
+                     "levels", id="accordion-1"),
+        # no level above the cutoff level 3
+        pytest.param((300, 400, 200), "mar", "dataset: ", id="3-levels-1"),
     ])
     def test_mechanism_length_follows_dataset(self, tmp_path, lead_doc, capsys,
-                                              mechanism, code):
-        (tmp_path / "five_levels.csv").write_text(
-            "level,count\n1,300\n2,400\n3,200\n4,80\n5,20\n")
-        lead_doc["dataset"] = "five_levels.csv"
+                                              counts, mechanism, error):
+        (tmp_path / "levels.csv").write_text("level,count\n" + "".join(
+            f"{level},{count}\n" for level, count in enumerate(counts, 1)))
+        lead_doc["dataset"] = "levels.csv"
         lead_doc["lead"].update(n_total=2000, mechanism=mechanism)
         path = write_config(tmp_path, lead_doc)
-        assert main(["run", str(path)]) == code
+        assert main(["run", str(path)]) == (1 if error else 0)
         captured = capsys.readouterr()
-        if code == 0:
+        if error is None:
             rows = (tmp_path / "curve.csv").read_text().splitlines()
             assert len(rows) == 8
             svg = (tmp_path / "figure.svg").read_text()
-            assert svg.count('class="freq-bar"') == 2 * 5  # two snapshots
+            assert svg.count('class="freq-bar"') == 2 * len(counts)
         else:
-            assert "config error: lead.mechanism: accordion has 10 weights " \
-                   "for the 5 levels" in captured.err
+            assert f"config error: {error}" in captured.err
             assert not (tmp_path / "curve.csv").exists()
+
+    def test_too_fine_grid_exits_1_without_allocating(self, tmp_path,
+                                                      election_doc, capsys):
+        path = write_config(tmp_path, election_doc)
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--grid-step", "1e-9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "config error: grid.step: 1e-09 implies 1999999999 grid " \
+               "points" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
 
     def test_bundled_election_reproduces_committed_outputs(self, tmp_path,
                                                            capsys):

@@ -1,11 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cid.decisions import (ELECTION_DECISIONS, ElectionDecision,
-                           InterventionDecision, ThresholdRule,
-                           decide_election, decide_election_codes,
-                           decide_intervention, decision_indicator)
+from cid.decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
+                           ElectionDecision, InterventionDecision,
+                           ThresholdRule, decide_election,
+                           decide_election_codes, decide_intervention,
+                           decide_intervention_codes, decision_indicator)
 from cid.regression import Interval
 
 
@@ -77,6 +80,36 @@ class TestDecideIntervention:
     def test_custom_threshold(self):
         assert decide_intervention(0.25, ThresholdRule(0.30)) is \
             InterventionDecision.DONT_INTERVENE
+
+    @given(thetas=st.lists(st.sampled_from([0.0, 0.2, 0.30, 1.0]) |
+                           st.floats(0, 1), min_size=1, max_size=8),
+           threshold=st.sampled_from([0.2, 0.3]) |
+           st.floats(0.01, 0.99))
+    def test_codes_equal_scalar_decisions(self, thetas, threshold):
+        rule = ThresholdRule(threshold)
+        codes = decide_intervention_codes(thetas, rule)
+        assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == \
+            [decide_intervention(theta, rule) for theta in thetas]
+
+    def test_codes_tie_is_strict(self):
+        codes = decide_intervention_codes([0.19, 0.20, 0.21], self.rule)
+        assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == [
+            InterventionDecision.DONT_INTERVENE,
+            InterventionDecision.DONT_INTERVENE,
+            InterventionDecision.INTERVENE]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, math.nan, math.inf])
+    def test_codes_domain_error(self, bad):
+        with pytest.raises(ValueError, match="theta_hat must be in"):
+            decide_intervention(bad, self.rule)
+        with pytest.raises(ValueError, match="theta_hat must be in"):
+            decide_intervention_codes([0.5, bad, 0.1], self.rule)
+
+
+@pytest.mark.parametrize("decision", ELECTION_DECISIONS + INTERVENTION_DECISIONS)
+def test_labels_need_no_csv_quoting(decision):
+    # curve_to_csv writes labels unquoted
+    assert not set(decision.value) & {",", '"', "\n", "\r"}
 
 
 class TestDecisionIndicator:

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cid.decisions import ThresholdRule
+from cid.decisions import ELECTION_DECISIONS, ThresholdRule
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             impute_theta)
 from cid.metrics import CostParams, worst_case_theta
@@ -115,7 +115,9 @@ class TestElectionFigure:
 
     def test_empty_curve_rejected(self, election_curve):
         from cid.sweep import CidCurve
-        empty = CidCurve(t=np.empty(0), estimate=np.empty(0), decision=(),
+        empty = CidCurve(t=np.empty(0), estimate=np.empty(0),
+                         codes=np.empty(0, dtype=int),
+                         family=ELECTION_DECISIONS,
                          d_t=np.empty(0, dtype=int), cid=np.empty(0),
                          change_points=(), reference_decision=None)
         with pytest.raises(ValueError, match="empty"):

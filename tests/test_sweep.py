@@ -45,6 +45,13 @@ class TestKnobGrid:
         assert np.allclose(np.diff(vals), 0.3)
         assert np.isclose(vals, 0.1).any()
 
+    @given(lo=st.floats(-10, 0), hi=st.floats(0, 10),
+           step=st.sampled_from([0.3, 0.1, 0.02, 0.001]) | st.floats(1e-3, 5),
+           frac=st.floats(0, 1))
+    def test_n_points_counts_values(self, lo, hi, step, frac):
+        grid = KnobGrid(lo, hi, step, t0=min(hi, lo + frac * (hi - lo)))
+        assert grid.n_points() == len(grid.values())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             KnobGrid(-1, 1, 0.0)
