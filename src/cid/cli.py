@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -102,13 +101,18 @@ def _fields(value, path: str, known: tuple) -> dict:
 
 
 def _finite(value, path: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
+    """A JSON number as a float; booleans, strings, NaN and infinities are
+    rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{path}: must be a finite number, got {value!r}")
-    return number
+    return float(value)
+
+
+def _finite_list(value, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _string(value, path: str) -> str:
@@ -142,20 +146,21 @@ def _parse_mechanism(value, path: str) -> MnarMechanism:
             )
         return factory()
     if isinstance(value, list):
-        return MnarMechanism(weights=tuple(_finite(w, f"{path}[{i}]")
-                                           for i, w in enumerate(value)))
+        return MnarMechanism(weights=_finite_list(value, path))
     raise ConfigError(f"{path}: mechanism must be a name or a weight vector")
 
 
 def _parse_election(block: dict) -> ElectionSettings:
     region = None
     if "plausible_region" in block:
-        bounds = block["plausible_region"]
-        if not (isinstance(bounds, list) and len(bounds) == 2):
+        bounds = _finite_list(block["plausible_region"],
+                              "election.plausible_region")
+        if len(bounds) != 2:
             raise ConfigError("election.plausible_region: must be a "
-                              f"[lower, upper] pair, got {bounds!r}")
-        region = _checked("election.plausible_region", lambda: PlausibleRegion(
-            *(_finite(b, "election.plausible_region") for b in bounds)))
+                              f"[lower, upper] pair, got "
+                              f"{block['plausible_region']!r}")
+        region = _checked("election.plausible_region",
+                          lambda: PlausibleRegion(*bounds))
     kind = block.get("interval_kind", MEAN_RESPONSE)
     if kind not in (MEAN_RESPONSE, NEW_OBSERVATION):
         raise ConfigError(f"election.interval_kind: unknown kind {kind!r}")
@@ -173,11 +178,11 @@ def _parse_election(block: dict) -> ElectionSettings:
 def _parse_lead(block: dict) -> LeadSettings:
     dist = None
     if "knob_distribution" in block:
-        d = _fields(block["knob_distribution"], "lead.knob_distribution.",
-                    KNOB_DISTRIBUTION_FIELDS)
-        support = _require(d, "support", "lead.knob_distribution.")
-        weights = _require(d, "weights", "lead.knob_distribution.")
-        dist = _checked("lead.knob_distribution",
+        path = "lead.knob_distribution."
+        d = _fields(block["knob_distribution"], path, KNOB_DISTRIBUTION_FIELDS)
+        support = _finite_list(_require(d, "support", path), path + "support")
+        weights = _finite_list(_require(d, "weights", path), path + "weights")
+        dist = _checked(path + "weights",
                         lambda: KnobDistribution.from_weights(support, weights))
     costs = {key: _finite(block.get(key, 1.0), f"lead.{key}")
              for key in ("a", "b")}
@@ -186,10 +191,6 @@ def _parse_lead(block: dict) -> LeadSettings:
             raise ConfigError(f"lead.{key}: must be nonnegative, got {cost}")
     if costs["a"] == costs["b"] == 0:
         raise ConfigError("lead.b: costs a and b must not both be zero")
-    snapshot_ts = block.get("snapshot_ts", [])
-    if not isinstance(snapshot_ts, list):
-        raise ConfigError(f"lead.snapshot_ts: must be a list of knob values, "
-                          f"got {snapshot_ts!r}")
     return LeadSettings(
         n_total=_integer(_require(block, "n_total", "lead."), "lead.n_total"),
         mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
@@ -200,8 +201,8 @@ def _parse_lead(block: dict) -> LeadSettings:
             _finite(block.get("threshold", 0.20), "lead.threshold")).threshold),
         a=costs["a"],
         b=costs["b"],
-        snapshot_ts=tuple(_finite(t, f"lead.snapshot_ts[{i}]")
-                          for i, t in enumerate(snapshot_ts)),
+        snapshot_ts=_finite_list(block.get("snapshot_ts", []),
+                                 "lead.snapshot_ts"),
         knob_distribution=dist,
     )
 
@@ -380,15 +381,12 @@ def run(config: AnalysisConfig) -> int:
         rule = ThresholdRule(threshold=s.threshold)
         theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
                                     pop.n_total)
-        if not s.threshold < theta_wc:
-            raise ConfigError(
-                f"lead.threshold: {s.threshold} is not below the worst-case "
-                f"proportion theta_wc = {theta_wc:.6g} of {config.dataset_path}"
-            )
-        costs = CostParams(a=s.a, b=s.b, theta_wc=theta_wc,
-                           threshold=s.threshold)
+        costs = _checked("lead.threshold", lambda: CostParams(
+            a=s.a, b=s.b, theta_wc=theta_wc, threshold=s.threshold))
         curve = sweep_lead(pop, mech, config.grid, cfg, rule, costs)
-        rows = ([curve.index_nearest(t) for t in s.snapshot_ts]
+        rows = ([_checked(f"lead.snapshot_ts[{i}]",
+                          lambda: curve.index_on_grid(t))
+                 for i, t in enumerate(s.snapshot_ts)]
                 or [len(curve.t) // 2])
         snapshots = [(float(curve.t[i]), CategoricalDistribution(
                           tuple(curve.completed_freqs[i].tolist())))
@@ -397,7 +395,8 @@ def run(config: AnalysisConfig) -> int:
                           title=f"CID under MNAR tilt ({mech.name})")
         svg = render_lead_figure(curve, snapshots, spec)
         summary = None
-        e_cid = (expected_cid(curve, s.knob_distribution)
+        e_cid = (_checked("lead.knob_distribution.support",
+                          lambda: expected_cid(curve, s.knob_distribution))
                  if s.knob_distribution is not None else None)
 
     _write_atomic(config.csv_path, curve_to_csv(curve))

@@ -42,39 +42,38 @@ class ThresholdRule:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
-def decide_election(interval: Interval, boundary: float = 50.0) -> ElectionDecision:
-    """Three-way call from a vote-share interval.
+# Vote share (%) that separates the two candidates.
+BOUNDARY = 50.0
+
+
+def decide_election(interval: Interval) -> ElectionDecision:
+    """Three-way call from a vote-share interval: decide_election_codes at
+    one interval."""
+    return ELECTION_DECISIONS[decide_election_codes(interval.lower,
+                                                    interval.upper)]
+
+
+def decide_election_codes(lower, upper) -> np.ndarray:
+    """Three-way call from vote-share interval bounds (numbers or arrays);
+    each code indexes ELECTION_DECISIONS.
 
     Ties at the boundary count as Unclear: an interval touching the boundary
     carries maximal uncertainty about the winner.
     """
-    if boundary < interval.lower:
-        return ElectionDecision.INCUMBENT_WINS
-    if interval.upper < boundary:
-        return ElectionDecision.CHALLENGER_WINS
-    return ElectionDecision.UNCLEAR
-
-
-def decide_election_codes(lower, upper, boundary: float = 50.0) -> np.ndarray:
-    """decide_election over arrays of interval bounds, with the same
-    comparisons; element i indexes ELECTION_DECISIONS."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    return np.where(boundary < lower, 2, np.where(upper < boundary, 0, 1))
+    return np.where(BOUNDARY < lower, 2, np.where(upper < BOUNDARY, 0, 1))
 
 
 def decide_intervention(theta_hat: float, rule: ThresholdRule) -> InterventionDecision:
-    """Two-way call from an estimated proportion; strict > at the threshold."""
-    if not (0.0 <= theta_hat <= 1.0):
-        raise ValueError(f"theta_hat must be in [0, 1], got {theta_hat}")
-    if theta_hat > rule.threshold:
-        return InterventionDecision.INTERVENE
-    return InterventionDecision.DONT_INTERVENE
+    """Two-way call from an estimated proportion: decide_intervention_codes
+    at one value."""
+    return INTERVENTION_DECISIONS[decide_intervention_codes(theta_hat, rule)]
 
 
 def decide_intervention_codes(thetas, rule: ThresholdRule) -> np.ndarray:
-    """decide_intervention over an array of estimated proportions, with the
-    same range check and strict > at the threshold; element i indexes
+    """Two-way call from estimated proportions (a number or an array), each
+    in [0, 1], with strict > at the threshold; each code indexes
     INTERVENTION_DECISIONS."""
     thetas = np.asarray(thetas, dtype=float)
     outside = ~((0.0 <= thetas) & (thetas <= 1.0))

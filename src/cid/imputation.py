@@ -38,10 +38,6 @@ class CategoricalDistribution:
     def k(self) -> int:
         return len(self.probs)
 
-    def mass_above(self, cutoff_level: int) -> float:
-        """Total probability on levels strictly above cutoff_level (1-based)."""
-        return float(self.as_array()[cutoff_level:].sum())
-
 
 @dataclass(frozen=True)
 class MnarMechanism:
@@ -122,34 +118,8 @@ class LeadPopulation:
     def observed_high_count(self) -> int:
         return int(sum(self.observed_counts[self.cutoff_level:]))
 
-    @property
-    def observed_fraction_high(self) -> float:
-        return self.observed_high_count / self.n_observed
-
     def counts_array(self) -> np.ndarray:
         return np.asarray(self.observed_counts, dtype=np.int64)
-
-    @classmethod
-    def from_probabilities(cls, probs, n_observed: int, n_total: int,
-                           cutoff_level: int = 3) -> "LeadPopulation":
-        """Synthesize integer counts from level probabilities.
-
-        Largest-remainder apportionment, so the counts sum to n_observed exactly.
-        """
-        p = np.asarray(probs, dtype=float)
-        p = p / p.sum()
-        raw = p * n_observed
-        counts = np.floor(raw).astype(np.int64)
-        short = n_observed - int(counts.sum())
-        if short > 0:
-            order = np.argsort(-(raw - counts), kind="stable")
-            counts[order[:short]] += 1
-        return cls(tuple(int(c) for c in counts), n_total, cutoff_level)
-
-    @classmethod
-    def from_csv(cls, path, n_total: int, cutoff_level: int = 3) -> "LeadPopulation":
-        """Read a `level,count` CSV file; rows must cover levels 1..K in order."""
-        return cls(read_level_counts(path), n_total, cutoff_level)
 
 
 def read_level_counts(path) -> tuple:
@@ -174,15 +144,13 @@ class ImputationConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
 
 
-def substream(seed: int, stream_index: int, m: int) -> np.random.Generator:
-    """Independent generator for imputation m of stream stream_index.
+def substream(seed: int, m: int) -> np.random.Generator:
+    """Independent generator for imputation m.
 
-    Derived from (seed, stream_index, m) so results do not depend on
-    evaluation order.
+    Derived from seed and m alone, so results do not depend on evaluation
+    order. The spawn key (0, m) keeps the streams of earlier versions.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(stream_index, m))
-    )
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, m)))
 
 
 def draw_dirichlet_posterior(pop: LeadPopulation,
@@ -230,14 +198,14 @@ def tilt_distribution(p: CategoricalDistribution, mech: MnarMechanism,
 
 
 def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
-                      cfg: ImputationConfig, stream_index: int = 0):
+                      cfg: ImputationConfig):
     """Multiply-imputed fraction above the cutoff at every knob value in ts.
 
     Each of the M rounds draws level probabilities from the Dirichlet
     posterior, tilts them, imputes all missing units with a single
     multinomial draw (missing units are exchangeable given the tilted
     probabilities), and computes the completed-population fraction above
-    the cutoff. Round m uses substream(seed, stream_index, m) at every t
+    the cutoff. Round m uses substream(seed, m) at every t
     (common random numbers): the posterior draw is shared by the whole grid,
     and each multinomial starts from the generator state that follows it.
     Row i therefore depends on ts[i] alone, not on the other knob values or
@@ -256,7 +224,7 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     freq_sum = np.zeros((len(ts), pop.k))
     imputed = np.empty((len(ts), pop.k), dtype=np.int64)
     for m in range(cfg.m):
-        rng = substream(cfg.seed, stream_index, m)
+        rng = substream(cfg.seed, m)
         p = draw_dirichlet_posterior(pop, rng)
         p_t = _tilt_rows(p.as_array(), w, ts)
         bit_generator = rng.bit_generator
@@ -272,11 +240,11 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
 
 
 def impute_theta(pop: LeadPopulation, mech: MnarMechanism, t: float,
-                 cfg: ImputationConfig, stream_index: int = 0):
+                 cfg: ImputationConfig):
     """impute_theta_grid at the single knob value t.
 
     Returns the mean fraction above the cutoff and the mean completed
     frequencies as a CategoricalDistribution.
     """
-    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg, stream_index)
+    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg)
     return thetas[0], CategoricalDistribution(tuple(float(v) for v in freqs[0]))

@@ -36,29 +36,26 @@ class CostParams:
             )
 
 
-def interval_overlap(first: Interval, second: Interval) -> float:
-    """Overlap statistic in [0, 1]: mean of the two intersection-length ratios.
+def _check(ok, values, message: str) -> None:
+    """Raise ValueError(message.format(v)) for the first entry v of values
+    where ok is False; ok and values broadcast together."""
+    ok, values = np.broadcast_arrays(ok, values)
+    if not ok.all():
+        raise ValueError(message.format(values[~ok][0]))
 
-    1 for identical intervals, 0 for disjoint ones. Zero-width inputs resolve
-    by continuity: identical point intervals give 1, anything else 0.
-    """
-    lo = max(first.lower, second.lower)
-    hi = min(first.upper, second.upper)
-    if hi < lo:
-        return 0.0
-    if first.width == 0.0 or second.width == 0.0:
-        same_point = (first.lower == first.upper == second.lower == second.upper)
-        return 1.0 if same_point else 0.0
-    overlap = hi - lo
-    j = 0.5 * (overlap / first.width + overlap / second.width)
-    return min(max(j, 0.0), 1.0)
+
+def interval_overlap(first: Interval, second: Interval) -> float:
+    """Overlap statistic in [0, 1]: interval_overlaps at one pair."""
+    return float(interval_overlaps(first.lower, first.upper,
+                                   second.lower, second.upper))
 
 
 def interval_overlaps(ref_lower: float, ref_upper: float, lower, upper) -> np.ndarray:
-    """interval_overlap(reference, interval i) for arrays of interval bounds.
+    """Overlap of the reference interval with each interval (bounds given as
+    numbers or arrays): the mean of the two intersection-length ratios.
 
-    Follows the scalar form step by step: the same max/min tie rules, the
-    same hi < lo and zero-width branches, and the same clamp.
+    1 for identical intervals, 0 for disjoint ones. Zero-width inputs resolve
+    by continuity: identical point intervals give 1, anything else 0.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -77,12 +74,13 @@ def interval_overlaps(ref_lower: float, ref_upper: float, lower, upper) -> np.nd
     return np.where(hi < lo, 0.0, j)
 
 
-def cid_general(d_t: int, j_t: float) -> float:
-    """D_t * (1 + J_t): 0 when the decision changed, else in [1, 2]."""
-    if d_t not in (0, 1):
-        raise ValueError(f"d_t must be 0 or 1, got {d_t}")
-    if not (0.0 <= j_t <= 1.0):
-        raise ValueError(f"j_t must be in [0, 1], got {j_t}")
+def cid_general(d_t, j_t):
+    """D_t * (1 + J_t) for numbers or arrays: 0 where the decision changed,
+    else in [1, 2]."""
+    d_t = np.asarray(d_t)
+    j_t = np.asarray(j_t, dtype=float)
+    _check(np.isin(d_t, (0, 1)), d_t, "d_t must be 0 or 1, got {}")
+    _check((0.0 <= j_t) & (j_t <= 1.0), j_t, "j_t must be in [0, 1], got {}")
     return d_t * (1.0 + j_t)
 
 
@@ -96,16 +94,18 @@ def worst_case_theta(observed_high_count: int, n_observed: int, n_total: int) ->
     return (observed_high_count + (n_total - n_observed)) / n_total
 
 
-def max_cost(theta_ref: float, params: CostParams) -> float:
-    """Largest attainable cost, used to normalize the metric to [0, 1]."""
-    return max(
+def max_cost(theta_ref, params: CostParams):
+    """Largest attainable cost (for a number or an array of reference
+    estimates), used to normalize the metric to [0, 1]."""
+    return np.maximum(
         (theta_ref - params.threshold) * params.a,
-        (params.theta_wc - max(theta_ref, params.threshold)) * params.b,
+        (params.theta_wc - np.maximum(theta_ref, params.threshold)) * params.b,
     )
 
 
-def cid_lead(theta_ref: float, theta_t: float, d_t: int, params: CostParams) -> float:
-    """Cost-based confidence metric in [0, 1] for a threshold intervention rule.
+def cid_lead(theta_ref, theta_t, d_t, params: CostParams):
+    """Cost-based confidence metric in [0, 1] for a threshold intervention
+    rule; each argument but params is a number or an array.
 
     theta_ref is the reference estimate; theta_t the estimate under departure t.
     When the reference says intervene, overestimation wastes resources (cost a
@@ -113,22 +113,21 @@ def cid_lead(theta_ref: float, theta_t: float, d_t: int, params: CostParams) -> 
     leaves the target unmet (cost b per 1%). When the reference says don't
     intervene, cost accrues only if the decision flips (d_t = 0).
     """
-    if not (0.0 <= theta_ref <= 1.0):
-        raise ValueError(f"theta_ref must be in [0, 1], got {theta_ref}")
-    if theta_t > params.theta_wc:
-        raise ValueError(
-            f"theta_t = {theta_t} exceeds worst case theta_wc = {params.theta_wc}"
-        )
-    if d_t not in (0, 1):
-        raise ValueError(f"d_t must be 0 or 1, got {d_t}")
+    theta_ref = np.asarray(theta_ref, dtype=float)
+    theta_t = np.asarray(theta_t, dtype=float)
+    d_t = np.asarray(d_t)
+    _check((0.0 <= theta_ref) & (theta_ref <= 1.0), theta_ref,
+           "theta_ref must be in [0, 1], got {}")
+    _check(~(theta_t > params.theta_wc), theta_t,
+           f"theta_t = {{}} exceeds worst case theta_wc = {params.theta_wc}")
+    _check(np.isin(d_t, (0, 1)), d_t, "d_t must be 0 or 1, got {}")
     c = max_cost(theta_ref, params)
-    if c == 0.0:
-        raise ValueError("degenerate scaling: maximum attainable cost is zero")
-    if theta_ref > params.threshold:
-        if theta_ref >= theta_t:
-            cost = min(theta_ref - params.threshold, theta_ref - theta_t) * params.a
-        else:
-            cost = (theta_t - theta_ref) * params.b
-    else:
-        cost = (1 - d_t) * (theta_t - params.threshold) * params.b
+    _check(c != 0.0, c, "degenerate scaling: maximum attainable cost is zero")
+    threshold = params.threshold
+    cost = np.where(
+        theta_ref > threshold,
+        np.where(theta_ref >= theta_t,
+                 np.minimum(theta_ref - threshold, theta_ref - theta_t) * params.a,
+                 (theta_t - theta_ref) * params.b),
+        (1 - d_t) * (theta_t - threshold) * params.b)
     return 1.0 - cost / c

@@ -12,16 +12,13 @@ from scipy import special
 
 @dataclass(frozen=True)
 class Interval:
-    """A two-sided interval around a center value, at a given confidence level."""
+    """A two-sided interval around a center value."""
 
     lower: float
     upper: float
-    level: float
     center: float
 
     def __post_init__(self):
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
         if not (self.lower <= self.center <= self.upper):
             raise ValueError(
                 f"interval must satisfy lower <= center <= upper, "
@@ -90,9 +87,6 @@ class FittedLine:
         if self.sigma2 < 0.0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
-    def predict(self, x0: float) -> float:
-        return self.intercept + self.slope * x0
-
 
 def fit_simple_ols(data: ElectionDataset) -> FittedLine:
     """Least-squares fit of vote share on growth, residual variance on n - 2 df."""
@@ -151,4 +145,4 @@ def predict_interval(fit: FittedLine, x0: float, level: float = 0.95,
     draw: predict_intervals at the single point x0."""
     center, lower, upper = predict_intervals(fit, [x0], level, kind)
     return Interval(lower=float(lower[0]), upper=float(upper[0]),
-                    level=level, center=float(center[0]))
+                    center=float(center[0]))

@@ -26,17 +26,16 @@ DEFAULT_COLORS = {
 }
 
 
+# Figure size in pixels.
+WIDTH_PX = 720
+HEIGHT_PX = 560
+
+
 @dataclass(frozen=True)
 class FigureSpec:
-    width_px: int = 720
-    height_px: int = 560
     reference_line: Optional[float] = 0.0
     region_lines: Optional[tuple] = None
     title: str = ""
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError("figure dimensions must be positive")
 
 
 def _fmt(v: float) -> str:
@@ -144,11 +143,11 @@ def _vline(out, frame, t, color, width=1.5, cls=None):
 
 def _document(spec, body) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{spec.width_px}" height="{spec.height_px}" '
-            f'viewBox="0 0 {spec.width_px} {spec.height_px}">')
+            f'width="{WIDTH_PX}" height="{HEIGHT_PX}" '
+            f'viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">')
     parts = [head]
     if spec.title:
-        parts.append(_text(spec.width_px / 2, 18, spec.title, size=14))
+        parts.append(_text(WIDTH_PX / 2, 18, spec.title, size=14))
     parts.extend(body)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -187,8 +186,8 @@ def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
         raise ValueError("election figure needs intervals and overlap values")
     ts = curve.t
     margin, gap = 56, 48
-    panel_h = (spec.height_px - 2 * margin - gap) / 2
-    panel_w = spec.width_px - 2 * margin
+    panel_h = (HEIGHT_PX - 2 * margin - gap) / 2
+    panel_w = WIDTH_PX - 2 * margin
     pad = curve.step if len(ts) > 1 else 1.0
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
@@ -229,9 +228,9 @@ def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
             raise ValueError(f"snapshot t = {t} is not on the sweep grid")
 
     margin, gap = 56, 56
-    panel_w = spec.width_px - 2 * margin
-    top_h = (spec.height_px - 2 * margin - gap) * 0.55
-    inset_h = (spec.height_px - 2 * margin - gap) * 0.45
+    panel_w = WIDTH_PX - 2 * margin
+    top_h = (HEIGHT_PX - 2 * margin - gap) * 0.55
+    inset_h = (HEIGHT_PX - 2 * margin - gap) * 0.45
     pad = curve.step if len(ts) > 1 else 1.0
     top = _Frame(margin, margin, panel_w, top_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 1.05)

@@ -14,7 +14,7 @@ from .decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
                         decide_intervention_codes)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
-from .metrics import CostParams, cid_lead, interval_overlaps
+from .metrics import CostParams, cid_general, cid_lead, interval_overlaps
 from .regression import MEAN_RESPONSE, FittedLine, predict_intervals
 
 
@@ -90,6 +90,15 @@ class CidCurve:
     def index_nearest(self, t: float) -> int:
         return int(np.argmin(np.abs(self.t - t)))
 
+    def index_on_grid(self, t: float) -> int:
+        """index_nearest(t), rejecting a t farther than half a grid step from
+        every grid point."""
+        i = self.index_nearest(t)
+        if abs(self.t[i] - t) > self.step / 2.0 + 1e-12:
+            raise ValueError(f"off grid: t = {t} is farther than step/2 from "
+                             f"any grid point")
+        return i
+
     @property
     def step(self) -> float:
         return float(np.min(np.diff(self.t))) if len(self.t) > 1 else 0.0
@@ -118,7 +127,6 @@ class PlausibleRegion:
 
     lower: float
     upper: float
-    rationale: str = ""
 
     def __post_init__(self):
         if not (self.lower < self.upper):
@@ -138,13 +146,18 @@ class KnobDistribution:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
     @classmethod
     def from_weights(cls, support, weights) -> "KnobDistribution":
+        """The distribution with weights scaled to sum to 1."""
         w = np.asarray(weights, dtype=float)
-        return cls(tuple(float(t) for t in support), tuple(w / w.sum()))
+        total = w.sum()
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"weights must sum to a positive finite number, "
+                             f"got {total!r}")
+        return cls(tuple(float(t) for t in support), tuple(w / total))
 
 
 def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
@@ -153,10 +166,9 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
     and decision against the reference at t0.
 
     The whole grid is evaluated as arrays: predict_intervals builds every
-    interval from one Student-t quantile, and the decisions, d_t, overlaps
-    and CID follow decide_election, decision_indicator, interval_overlap and
-    cid_general element by element. The grid contains t0 exactly, so the
-    reference is its row.
+    interval from one Student-t quantile, and decide_election_codes,
+    interval_overlaps and cid_general each take the whole grid. The grid
+    contains t0 exactly, so the reference is its row.
     """
     ts = grid.values()
     center, lower, upper = predict_intervals(fit, x0 + ts, level, kind)
@@ -164,7 +176,7 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
     codes = decide_election_codes(lower, upper)
     j_t = interval_overlaps(lower[i0], upper[i0], lower, upper)
     return _curve(ts, i0, center, codes, ELECTION_DECISIONS,
-                  lambda d_t: d_t * (1.0 + j_t),
+                  lambda d_t: cid_general(d_t, j_t),
                   lower=lower, upper=upper, j_t=j_t)
 
 
@@ -177,8 +189,9 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     (impute_theta_grid): every grid point reuses the same per-imputation
     substreams, so the estimate curve is smooth in t, and each point is
     byte-identical to imputing it alone, in any evaluation order. The grid
-    contains t0 exactly, so the reference estimate is its row. The curve
-    carries every point's mean completed frequencies.
+    contains t0 exactly, so the reference estimate is its row; the
+    decisions and cid_lead take the whole grid. The curve carries every
+    point's mean completed frequencies.
     """
     ts = grid.values()
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
@@ -186,8 +199,7 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     theta_ref = thetas[i0]
     codes = decide_intervention_codes(thetas, rule)
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
-                  lambda d_t: [cid_lead(theta_ref, theta_t, d, costs)
-                               for theta_t, d in zip(thetas, d_t.tolist())],
+                  lambda d_t: cid_lead(theta_ref, thetas, d_t, costs),
                   completed_freqs=freqs)
 
 
@@ -195,24 +207,17 @@ def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
     """Weighted average of the curve's CID over the distribution's support.
 
     Each support point snaps to the nearest grid point; points farther than
-    half a grid step from the grid are rejected.
+    half a grid step from the grid are rejected (CidCurve.index_on_grid).
     """
-    half_step = curve.step / 2.0
     total = 0.0
     for t, w in zip(dist.support, dist.weights):
-        i = curve.index_nearest(t)
-        if abs(curve.t[i] - t) > half_step + 1e-12:
-            raise ValueError(
-                f"support off grid: t = {t} is farther than step/2 from any grid point"
-            )
-        total += w * curve.cid[i]
+        total += w * curve.cid[curve.index_on_grid(t)]
     return float(total)
 
 
 @dataclass(frozen=True)
 class RegionSummary:
     min_cid: Optional[float]
-    max_cid: Optional[float]
     change_points_inside: tuple
     n_points: int
 
@@ -227,15 +232,14 @@ class RegionSummary:
 
 def annotate_plausible_region(curve: CidCurve,
                               region: PlausibleRegion) -> RegionSummary:
-    """Min/max CID over the grid points inside the region, and any decision
+    """Min CID over the grid points inside the region, and any decision
     change brackets overlapping it."""
     cids = curve.cid[(region.lower <= curve.t) & (curve.t <= region.upper)]
     if not len(cids):
         warnings.warn("plausible region contains no grid points", stacklevel=2)
-        return RegionSummary(None, None, (), 0)
+        return RegionSummary(None, (), 0)
     brackets = tuple(
         (lo, hi) for lo, hi in curve.change_points
         if hi >= region.lower and lo <= region.upper
     )
-    return RegionSummary(float(cids.min()), float(cids.max()), brackets,
-                         len(cids))
+    return RegionSummary(float(cids.min()), brackets, len(cids))

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from cid.imputation import LeadPopulation
+from cid.imputation import LeadPopulation, read_level_counts
 from cid.regression import ElectionDataset, fit_simple_ols
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -28,5 +28,6 @@ def hibbs_fit(hibbs_data):
 
 @pytest.fixture(scope="session")
 def lead_population():
-    return LeadPopulation.from_csv(os.path.join(DATA_DIR, "lead_counts.csv"),
-                                   n_total=400_000)
+    return LeadPopulation(
+        read_level_counts(os.path.join(DATA_DIR, "lead_counts.csv")),
+        n_total=400_000)

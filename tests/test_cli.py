@@ -208,15 +208,46 @@ class TestRun:
         ("lead_doc", "lead", "threshold", 0.9),  # not below theta_wc = 0.79
         ("lead_doc", "lead", "a", -1.0),
         ("lead_doc", "lead", "b", -1.0),
+        # JSON booleans and strings are not numbers
+        ("lead_doc", None, "seed", True),
+        ("lead_doc", "grid", "step", "0.5"),
+        ("lead_doc", "lead", "threshold", "0.2"),
+        ("lead_doc", "lead", "m", "5"),
+        ("election_doc", "election", "x0", False),
     ])
     def test_bad_field_exits_1_with_path(self, tmp_path, capsys, request,
                                          doc_name, block, key, value):
         doc = request.getfixturevalue(doc_name)
-        doc[block][key] = value
+        (doc[block] if block else doc)[key] = value
         path = write_config(tmp_path, doc)
         assert main(["run", str(path)]) == 1
-        assert f"config error: {block}.{key}:" in capsys.readouterr().err
+        field = f"{block}.{key}" if block else key
+        assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("knob_distribution", {"support": [0.0, 0.5], "weights": [0, 0]},
+         "lead.knob_distribution.weights"),
+        ("knob_distribution", {"support": [0.0], "weights": [math.nan]},
+         "lead.knob_distribution.weights[0]"),
+        ("knob_distribution", {"support": 1, "weights": [1]},
+         "lead.knob_distribution.support"),
+        ("knob_distribution", {"support": ["inf"], "weights": [1]},
+         "lead.knob_distribution.support[0]"),
+        # farther than step/2 = 0.125 from the grid -0.5, -0.25, ..., 1.0
+        ("knob_distribution", {"support": [0.0, 4.5], "weights": [1, 1]},
+         "lead.knob_distribution.support"),
+        ("snapshot_ts", [100], "lead.snapshot_ts[0]"),
+        ("snapshot_ts", [0.0, 1.2], "lead.snapshot_ts[1]"),
+    ])
+    def test_bad_lead_list_exits_1_with_path(self, tmp_path, lead_doc, capsys,
+                                             key, value, field):
+        lead_doc["lead"][key] = value
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
 
     @pytest.mark.parametrize("doc_name, path, key", [
         ("lead_doc", (), "sed"),

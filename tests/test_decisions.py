@@ -10,10 +10,11 @@ from cid.decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
                            decide_election_codes, decide_intervention,
                            decide_intervention_codes, decision_indicator)
 from cid.regression import Interval
+from tests import oracles
 
 
-def iv(lo, hi, level=0.95):
-    return Interval(lower=lo, upper=hi, level=level, center=(lo + hi) / 2)
+def iv(lo, hi):
+    return Interval(lower=lo, upper=hi, center=(lo + hi) / 2)
 
 
 class TestDecideElection:
@@ -49,7 +50,7 @@ class TestDecideElection:
         codes = decide_election_codes([i.lower for i in intervals],
                                       [i.upper for i in intervals])
         assert [ELECTION_DECISIONS[k] for k in codes.tolist()] == \
-            [decide_election(i) for i in intervals]
+            [oracles.decide_election(i) for i in intervals]
 
 
 class TestDecideIntervention:
@@ -89,7 +90,7 @@ class TestDecideIntervention:
         rule = ThresholdRule(threshold)
         codes = decide_intervention_codes(thetas, rule)
         assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == \
-            [decide_intervention(theta, rule) for theta in thetas]
+            [oracles.decide_intervention(theta, rule) for theta in thetas]
 
     def test_codes_tie_is_strict(self):
         codes = decide_intervention_codes([0.19, 0.20, 0.21], self.rule)

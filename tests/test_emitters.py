@@ -86,8 +86,8 @@ def ref_render_election_figure(curve, spec):
     """The election figure with one _line call per interval bar."""
     ts = curve.t
     margin, gap = 56, 48
-    panel_h = (spec.height_px - 2 * margin - gap) / 2
-    panel_w = spec.width_px - 2 * margin
+    panel_h = (svgfig.HEIGHT_PX - 2 * margin - gap) / 2
+    panel_w = svgfig.WIDTH_PX - 2 * margin
     pad = curve.step if len(ts) > 1 else 1.0
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)

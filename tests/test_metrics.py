@@ -1,16 +1,18 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
                          interval_overlaps, max_cost, worst_case_theta)
 from cid.regression import Interval
+from tests import oracles
 
 
 def iv(lo, hi):
-    return Interval(lower=lo, upper=hi, level=0.95, center=(lo + hi) / 2)
+    return Interval(lower=lo, upper=hi, center=(lo + hi) / 2)
 
 
 intervals = st.builds(
@@ -34,7 +36,7 @@ class TestIntervalOverlaps:
         got = interval_overlaps(ref.lower, ref.upper,
                                 [o.lower for o in others],
                                 [o.upper for o in others])
-        expected = [interval_overlap(ref, o) for o in others]
+        expected = [oracles.interval_overlap(ref, o) for o in others]
         # compare signs too: -0.0 == 0.0, but they print differently
         assert [(j, math.copysign(1.0, j)) for j in got.tolist()] == \
             [(j, math.copysign(1.0, j)) for j in expected]
@@ -177,6 +179,53 @@ class TestCidLead:
         vals_down = [cid_lead(0.25, t, 1, self.params)
                      for t in (0.25, 0.23, 0.21, 0.20)]
         assert all(x >= y for x, y in zip(vals_down, vals_down[1:]))
+
+
+class TestCidLeadArrays:
+    """cid_lead over an array of estimates equals the scalar oracle at
+    every entry."""
+
+    # ties: theta_t == theta_ref, theta_ref == threshold, theta_t == threshold
+    ties = st.sampled_from([0.0, 0.15, 0.20, 0.25, THETA_WC])
+
+    @given(theta_ref=ties | st.floats(0, THETA_WC),
+           entries=st.lists(st.tuples(ties | st.floats(0, THETA_WC),
+                                      st.sampled_from([0, 1])),
+                            min_size=1, max_size=8),
+           a=st.sampled_from([0.0, 1.0]) | st.floats(0.01, 10),
+           b=st.sampled_from([0.0, 2.0]) | st.floats(0.01, 10))
+    def test_equals_oracle_elementwise(self, theta_ref, entries, a, b):
+        assume(a > 0 or b > 0)
+        params = CostParams(a=a, b=b, theta_wc=THETA_WC)
+        theta_ts = [theta_t for theta_t, _ in entries]
+        d_ts = [d for _, d in entries]
+        try:
+            expected = [oracles.cid_lead(theta_ref, theta_t, d, params)
+                        for theta_t, d in entries]
+        except ValueError as err:  # degenerate scaling, for every entry
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                cid_lead(theta_ref, theta_ts, d_ts, params)
+            return
+        assert cid_lead(theta_ref, theta_ts, d_ts, params).tolist() == expected
+        assert cid_lead([theta_ref] * len(entries), theta_ts, d_ts,
+                        params).tolist() == expected
+
+    @pytest.mark.parametrize("theta_ref, theta_t, d_t", [
+        (0.25, 0.80, 1),  # above theta_wc
+        (0.25, 0.30, 2),
+        (0.25, 0.30, -1),
+        (1.5, 0.30, 1),
+    ])
+    def test_out_of_range_entry_raises_like_scalar(self, theta_ref, theta_t,
+                                                   d_t):
+        params = CostParams(a=1.0, b=1.0, theta_wc=THETA_WC)
+        with pytest.raises(ValueError) as scalar:
+            oracles.cid_lead(theta_ref, theta_t, d_t, params)
+        message = re.escape(str(scalar.value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cid_lead(theta_ref, [0.25, theta_t, 0.1], [1, d_t, 0], params)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cid_lead(theta_ref, theta_t, d_t, params)
 
 
 def test_cost_params_validation():

@@ -168,8 +168,3 @@ class TestLeadFigure:
         curve, snapshots = lead_curve_and_snapshots
         assert render_lead_figure(curve, snapshots, FigureSpec()) == \
             render_lead_figure(curve, snapshots, FigureSpec())
-
-
-def test_figure_spec_validation():
-    with pytest.raises(ValueError):
-        FigureSpec(width_px=0)

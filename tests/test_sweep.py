@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cid.decisions import (ElectionDecision, InterventionDecision,
-                           ThresholdRule, decide_election, decide_intervention,
-                           decision_indicator)
-from cid.imputation import (ImputationConfig, LeadPopulation,
-                            accordion_mechanism, impute_theta, mar_mechanism,
-                            parametric_mechanism)
-from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
-                         worst_case_theta)
+                           ThresholdRule, decision_indicator)
+from cid.imputation import (ImputationConfig, accordion_mechanism,
+                            impute_theta, mar_mechanism, parametric_mechanism)
+from cid.metrics import CostParams, worst_case_theta
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_interval)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
                        annotate_plausible_region, expected_cid,
                        sweep_election, sweep_lead)
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +99,18 @@ class TestSweepElection:
 
 
 def scalar_sweep_election(fit, x0, grid, level, kind):
-    """Per-point oracle: the scalar interval, decision and metric functions."""
+    """Per-point oracle: the interval at each point, then the scalar
+    decision and metric oracles."""
     ref = predict_interval(fit, x0 + grid.t0, level, kind)
-    ref_decision = decide_election(ref)
+    ref_decision = oracles.decide_election(ref)
     rows = []
     for t in grid.values():
         interval = predict_interval(fit, x0 + t, level, kind)
-        decision = decide_election(interval)
+        decision = oracles.decide_election(interval)
         d_t = decision_indicator(ref_decision, decision)
-        j_t = interval_overlap(ref, interval)
+        j_t = oracles.interval_overlap(ref, interval)
         rows.append((float(t), interval.center, interval.lower, interval.upper,
-                     decision, d_t, j_t, cid_general(d_t, j_t)))
+                     decision, d_t, j_t, oracles.cid_general(d_t, j_t)))
     return rows, ref_decision
 
 
@@ -247,16 +246,16 @@ class TestSweepLead:
 
 def scalar_sweep_lead(pop, mech, grid, cfg, rule, costs):
     """Per-point oracle: impute each knob value alone, then the scalar
-    decision and metric functions."""
+    decision and metric oracles."""
     theta_ref, _ = impute_theta(pop, mech, grid.t0, cfg)
-    ref_decision = decide_intervention(theta_ref, rule)
+    ref_decision = oracles.decide_intervention(theta_ref, rule)
     rows = []
     for t in grid.values():
         theta, _ = impute_theta(pop, mech, t, cfg)
-        decision = decide_intervention(theta, rule)
+        decision = oracles.decide_intervention(theta, rule)
         d_t = decision_indicator(ref_decision, decision)
         rows.append((float(t), theta, decision, d_t,
-                     cid_lead(theta_ref, theta, d_t, costs)))
+                     oracles.cid_lead(theta_ref, theta, d_t, costs)))
     return rows, ref_decision
 
 
@@ -313,7 +312,7 @@ class TestExpectedCid:
 
     def test_support_off_grid(self, election_curve):
         dist = KnobDistribution(support=(4.5,), weights=(1.0,))
-        with pytest.raises(ValueError, match="support off grid"):
+        with pytest.raises(ValueError, match="off grid"):
             expected_cid(election_curve, dist)
 
     def test_distribution_validation(self):
@@ -321,6 +320,12 @@ class TestExpectedCid:
             KnobDistribution(support=(0.0, 1.0), weights=(0.4, 0.4))
         with pytest.raises(ValueError):
             KnobDistribution(support=(0.0,), weights=(-1.0,))
+        with pytest.raises(ValueError):
+            KnobDistribution(support=(0.0,), weights=(math.nan,))
+        for weights in ((0.0, 0.0), (1.0, -1.0), (math.nan, 1.0),
+                        (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="positive finite"):
+                KnobDistribution.from_weights((0.0, 1.0), weights)
 
 
 class TestAnnotatePlausibleRegion:
