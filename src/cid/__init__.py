@@ -18,14 +18,14 @@ from .metrics import (CostParams, cid_general, cid_lead, interval_overlap,
                       max_cost, worst_case_theta)
 from .regression import (ElectionDataset, FittedLine, Interval, fit_simple_ols,
                          predict_interval)
-from .svgfig import FigureSpec, render_election_figure, render_lead_figure
+from .svgfig import render_election_figure, render_lead_figure
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
                     annotate_plausible_region, expected_cid, sweep_election,
                     sweep_lead)
 
 __all__ = [
     "CategoricalDistribution", "CidCurve", "CostParams", "ElectionDataset",
-    "ElectionDecision", "FigureSpec", "FittedLine", "ImputationConfig",
+    "ElectionDecision", "FittedLine", "ImputationConfig",
     "Interval", "InterventionDecision", "KnobDistribution", "KnobGrid",
     "LeadPopulation", "MnarMechanism", "PlausibleRegion", "ThresholdRule",
     "accordion_mechanism", "annotate_plausible_region", "cid_general",

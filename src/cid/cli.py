@@ -16,16 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .decisions import ThresholdRule
-from .imputation import (BUILTIN_MECHANISMS, CategoricalDistribution,
-                         ImputationConfig, LeadPopulation, MnarMechanism,
-                         mar_mechanism, read_level_counts)
+from .imputation import (BUILTIN_MECHANISMS, ImputationConfig,
+                         LeadPopulation, MnarMechanism, mar_mechanism,
+                         read_level_counts)
 from .metrics import CostParams, worst_case_theta
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
                     annotate_plausible_region, expected_cid, sweep_election,
                     sweep_lead)
-from .svgfig import FigureSpec, render_election_figure, render_lead_figure
+from .svgfig import render_election_figure, render_lead_figure
 
 DEFAULT_SEED = 20240101
 DEFAULT_STEP = {"election": 0.02, "lead": 0.05}
@@ -320,88 +320,85 @@ def _step_decimals(step: float) -> int:
     return decimals
 
 
-def _verdict(curve: CidCurve, region_summary=None, e_cid=None) -> str:
-    parts = [curve.reference_decision.value]
-    if curve.change_points:
-        d = _step_decimals(curve.step)
-        brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]"
-                             for lo, hi in curve.change_points)
-        parts.append(f"change points ≈ {brackets}")
-    else:
-        parts.append("no change points")
-    if region_summary is not None and not region_summary.empty:
-        parts.append(f"min CID in plausible region = {region_summary.min_cid:.3f}")
-    if e_cid is not None:
+def _verdict(curve: CidCurve) -> list:
+    """The reference decision and the change-point brackets, as verdict parts."""
+    if not curve.change_points:
+        return [curve.reference_decision.value, "no change points"]
+    d = _step_decimals(curve.step)
+    brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]"
+                         for lo, hi in curve.change_points)
+    return [curve.reference_decision.value, f"change points ≈ {brackets}"]
+
+
+def _election(config: AnalysisConfig) -> tuple:
+    """The election study's (curve, svg, verdict parts)."""
+    s = config.election
+    fit = fit_simple_ols(ElectionDataset.from_csv(config.dataset_path))
+    curve = sweep_election(fit, s.x0, config.grid,
+                           level=s.level, kind=s.interval_kind)
+    parts = []
+    if s.plausible_region is not None:
+        summary = _checked("election.plausible_region",
+                           lambda: annotate_plausible_region(
+                               curve, s.plausible_region))
+        parts.append(f"min CID in plausible region = {summary.min_cid:.3f}")
+    svg = render_election_figure(curve, "CID under additive measurement error",
+                                 s.plausible_region)
+    return curve, svg, parts
+
+
+def _lead(config: AnalysisConfig) -> tuple:
+    """The lead study's (curve, svg, verdict parts)."""
+    s = config.lead
+    counts = read_level_counts(config.dataset_path)
+    cutoff = LeadPopulation.cutoff_level
+    if len(counts) <= cutoff:
+        raise ConfigError(
+            f"dataset: {config.dataset_path} has {len(counts)} levels; the "
+            f"lead study needs levels above the cutoff level {cutoff}"
+        )
+    if sum(counts) > s.n_total:
+        raise ConfigError(
+            f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
+            f"observed in {config.dataset_path}"
+        )
+    mech = s.mechanism
+    if mech.name == "mar":  # no tilt at any level: fits every level count
+        mech = mar_mechanism(len(counts))
+    if len(mech.weights) != len(counts):
+        raise ConfigError(
+            f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
+            f"for the {len(counts)} levels of {config.dataset_path}"
+        )
+    pop = LeadPopulation(counts, n_total=s.n_total)
+    cfg = ImputationConfig(m=s.m, seed=config.seed)
+    rule = ThresholdRule(threshold=s.threshold)
+    theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
+                                pop.n_total)
+    costs = _checked("lead.threshold", lambda: CostParams(
+        a=s.a, b=s.b, theta_wc=theta_wc, threshold=s.threshold))
+    curve = sweep_lead(pop, mech, config.grid, cfg, rule, costs)
+    rows = ([_checked(f"lead.snapshot_ts[{i}]",
+                      lambda: curve.index_on_grid(t))
+             for i, t in enumerate(s.snapshot_ts)]
+            or [len(curve.t) // 2])
+    parts = []
+    if s.knob_distribution is not None:
+        e_cid = _checked("lead.knob_distribution.support",
+                         lambda: expected_cid(curve, s.knob_distribution))
         parts.append(f"expected CID = {e_cid:.3f}")
-    return "; ".join(parts)
+    svg = render_lead_figure(curve, rows, f"CID under MNAR tilt ({mech.name})")
+    return curve, svg, parts
 
 
 def run(config: AnalysisConfig) -> int:
-    """Execute the configured pipeline and write CSV + SVG outputs."""
-    if config.mode == "election":
-        data = ElectionDataset.from_csv(config.dataset_path)
-        fit = fit_simple_ols(data)
-        s = config.election
-        curve = sweep_election(fit, s.x0, config.grid,
-                               level=s.level, kind=s.interval_kind)
-        region_lines = None
-        summary = None
-        if s.plausible_region is not None:
-            summary = annotate_plausible_region(curve, s.plausible_region)
-            region_lines = (s.plausible_region.lower, s.plausible_region.upper)
-        spec = FigureSpec(reference_line=config.grid.t0,
-                          region_lines=region_lines,
-                          title="CID under additive measurement error")
-        svg = render_election_figure(curve, spec)
-        e_cid = None
-    else:
-        s = config.lead
-        counts = read_level_counts(config.dataset_path)
-        cutoff = LeadPopulation.cutoff_level
-        if len(counts) <= cutoff:
-            raise ConfigError(
-                f"dataset: {config.dataset_path} has {len(counts)} levels; the "
-                f"lead study needs levels above the cutoff level {cutoff}"
-            )
-        if sum(counts) > s.n_total:
-            raise ConfigError(
-                f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
-                f"observed in {config.dataset_path}"
-            )
-        mech = s.mechanism
-        if mech.name == "mar":  # no tilt at any level: fits every level count
-            mech = mar_mechanism(len(counts))
-        if len(mech.weights) != len(counts):
-            raise ConfigError(
-                f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
-                f"for the {len(counts)} levels of {config.dataset_path}"
-            )
-        pop = LeadPopulation(counts, n_total=s.n_total)
-        cfg = ImputationConfig(m=s.m, seed=config.seed)
-        rule = ThresholdRule(threshold=s.threshold)
-        theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
-                                    pop.n_total)
-        costs = _checked("lead.threshold", lambda: CostParams(
-            a=s.a, b=s.b, theta_wc=theta_wc, threshold=s.threshold))
-        curve = sweep_lead(pop, mech, config.grid, cfg, rule, costs)
-        rows = ([_checked(f"lead.snapshot_ts[{i}]",
-                          lambda: curve.index_on_grid(t))
-                 for i, t in enumerate(s.snapshot_ts)]
-                or [len(curve.t) // 2])
-        snapshots = [(float(curve.t[i]), CategoricalDistribution(
-                          tuple(curve.completed_freqs[i].tolist())))
-                     for i in rows]
-        spec = FigureSpec(reference_line=config.grid.t0,
-                          title=f"CID under MNAR tilt ({mech.name})")
-        svg = render_lead_figure(curve, snapshots, spec)
-        summary = None
-        e_cid = (_checked("lead.knob_distribution.support",
-                          lambda: expected_cid(curve, s.knob_distribution))
-                 if s.knob_distribution is not None else None)
-
+    """Execute the configured pipeline, write CSV + SVG outputs and print the
+    verdict."""
+    study = _election if config.mode == "election" else _lead
+    curve, svg, parts = study(config)
     _write_atomic(config.csv_path, curve_to_csv(curve))
     _write_atomic(config.svg_path, svg)
-    print(_verdict(curve, summary, e_cid))
+    print("; ".join(_verdict(curve) + parts))
     return 0
 
 

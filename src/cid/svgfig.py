@@ -7,13 +7,11 @@ coordinates can be parsed back and inverted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
-from .sweep import CidCurve
+from .sweep import CidCurve, PlausibleRegion
 
 DEFAULT_COLORS = {
     "curve": "#1a1a1a",
@@ -29,13 +27,6 @@ DEFAULT_COLORS = {
 # Figure size in pixels.
 WIDTH_PX = 720
 HEIGHT_PX = 560
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    reference_line: Optional[float] = 0.0
-    region_lines: Optional[tuple] = None
-    title: str = ""
 
 
 def _fmt(v: float) -> str:
@@ -91,14 +82,13 @@ def _line(x1, y1, x2, y2, stroke, width=1.0, cls=None) -> str:
             f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
 
-def _polyline(xs, ys, stroke, width=1.5, cls=None) -> str:
+def _polyline(xs, ys, stroke, cls) -> str:
     """A polyline through the points (xs[i], ys[i]); xs holds formatted
     coordinates and ys numbers."""
-    c = f' class="{cls}"' if cls else ""
     coords = " ".join(["%s,%.3f"] * len(xs)) % tuple(
         chain.from_iterable(zip(xs, ys.tolist())))
-    return (f'<polyline{c} points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>')
+    return (f'<polyline class="{cls}" points="{coords}" fill="none" '
+            f'stroke="{stroke}" stroke-width="{_fmt(1.5)}"/>')
 
 
 def _rect(x, y, w, h, fill, cls=None, extra="") -> str:
@@ -107,25 +97,21 @@ def _rect(x, y, w, h, fill, cls=None, extra="") -> str:
             f'height="{_fmt(h)}" fill="{fill}"{extra}/>')
 
 
-def _text(x, y, s, size=11, anchor="middle", fill="#333333") -> str:
+def _text(x, y, s, size=11, anchor="middle") -> str:
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{fill}">{_esc(s)}</text>')
+            f'fill="{DEFAULT_COLORS["axis"]}">{_esc(s)}</text>')
 
 
-def _ticks(lo, hi, n=5):
-    return np.linspace(lo, hi, n)
-
-
-def _axes(out, frame, spec, x_label, y_label):
+def _axes(out, frame, x_label, y_label):
     out.append(_rect(frame.left, frame.top, frame.width, frame.height,
                      "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
     bottom = frame.top + frame.height
-    for xv in _ticks(frame.xmin, frame.xmax):
+    for xv in np.linspace(frame.xmin, frame.xmax, 5):
         px = frame.px(xv)
         out.append(_line(px, bottom, px, bottom + 4, DEFAULT_COLORS["axis"]))
         out.append(_text(px, bottom + 16, f"{xv:g}"))
-    for yv in _ticks(frame.ymin, frame.ymax):
+    for yv in np.linspace(frame.ymin, frame.ymax, 5):
         py = frame.py(yv)
         out.append(_line(frame.left - 4, py, frame.left, py, DEFAULT_COLORS["axis"]))
         out.append(_text(frame.left - 8, py + 4, f"{yv:.3g}", anchor="end"))
@@ -134,36 +120,36 @@ def _axes(out, frame, spec, x_label, y_label):
                      anchor="middle"))
 
 
-def _vline(out, frame, t, color, width=1.5, cls=None):
+def _vline(out, frame, t, color, cls):
     if frame.xmin <= t <= frame.xmax:
         px = frame.px(t)
         out.append(_line(px, frame.top, px, frame.top + frame.height,
-                         color, width, cls=cls))
+                         color, 1.5, cls=cls))
 
 
-def _document(spec, body) -> str:
+def _document(title, body) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{WIDTH_PX}" height="{HEIGHT_PX}" '
             f'viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">')
     parts = [head]
-    if spec.title:
-        parts.append(_text(WIDTH_PX / 2, 18, spec.title, size=14))
+    if title:
+        parts.append(_text(WIDTH_PX / 2, 18, title, size=14))
     parts.extend(body)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _cid_panel(out, curve, spec, frame, y_label="CID"):
-    """Append the CID-vs-t panel to out; return the formatted pixel x of
-    every grid point."""
+def _cid_panel(out, curve, frame, region=None):
+    """Append the CID-vs-t panel, with lines at the reference t0 and at the
+    region's bounds, to out; return the formatted pixel x of every grid
+    point."""
     out.append(frame.open_group("cid-panel"))
-    _axes(out, frame, spec, "knob value t", y_label)
-    if spec.reference_line is not None:
-        _vline(out, frame, spec.reference_line, DEFAULT_COLORS["reference"],
-               cls="reference-line")
-    if spec.region_lines is not None:
-        for t in spec.region_lines:
-            _vline(out, frame, t, DEFAULT_COLORS["region"], cls="region-line")
+    _axes(out, frame, "knob value t", "CID")
+    _vline(out, frame, curve.t[curve.i0], DEFAULT_COLORS["reference"],
+           "reference-line")
+    if region is not None:
+        for t in (region.lower, region.upper):
+            _vline(out, frame, t, DEFAULT_COLORS["region"], "region-line")
     if len(curve.t) == 1:
         x, y = frame.px(curve.t[0]), frame.py(curve.cid[0])
         out.append(_rect(x - 2, y - 2, 4, 4, DEFAULT_COLORS["curve"],
@@ -172,14 +158,16 @@ def _cid_panel(out, curve, spec, frame, y_label="CID"):
     else:
         xs = _fmt_column(frame.px(curve.t))
         out.append(_polyline(xs, frame.py(curve.cid), DEFAULT_COLORS["curve"],
-                             cls="cid-polyline"))
+                             "cid-polyline"))
     out.append("</g>")
     return xs
 
 
-def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
-    """Two stacked panels: CID vs t, and the swept intervals with the
-    reference interval highlighted."""
+def render_election_figure(curve: CidCurve, title: str,
+                           region: PlausibleRegion | None = None) -> str:
+    """Two stacked panels: CID vs t, with the plausible region's bounds if
+    given, and the swept intervals with the reference interval
+    highlighted."""
     if not len(curve.t):
         raise ValueError("cannot render an empty curve")
     if curve.lower is None or curve.upper is None or curve.j_t is None:
@@ -192,40 +180,38 @@ def render_election_figure(curve: CidCurve, spec: FigureSpec) -> str:
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
     out = []
-    xs = _cid_panel(out, curve, spec, top)
+    xs = _cid_panel(out, curve, top, region)
 
     lows, highs = curve.lower, curve.upper
     lo, hi = float(lows.min()), float(highs.max())
     span = hi - lo
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
                     top.xmin, top.xmax, lo - 0.05 * span, hi + 0.05 * span)
-    ref_t = spec.reference_line if spec.reference_line is not None else 0.0
-    ref = curve.index_nearest(ref_t)
     out.append(bottom.open_group("interval-panel"))
-    _axes(out, bottom, spec, "knob value t", "interval")
+    _axes(out, bottom, "knob value t", "interval")
     # The two panels share left, width, xmin and xmax, so they share xs.
     bar = ('<line class="interval-bar" x1="%s" y1="%.3f" x2="%s" y2="%.3f" '
            f'stroke="{DEFAULT_COLORS["interval"]}" stroke-width="{_fmt(1.0)}"/>')
     out.append("\n".join([bar] * len(xs)) % tuple(chain.from_iterable(
         zip(xs, bottom.py(lows).tolist(), xs, bottom.py(highs).tolist()))))
+    ref = curve.i0
     px = bottom.px(ts[ref])
     out.append(_line(px, bottom.py(lows[ref]), px, bottom.py(highs[ref]),
                      DEFAULT_COLORS["reference_interval"], 2.5,
                      cls="reference-interval"))
     out.append("</g>")
-    return _document(spec, out)
+    return _document(title, out)
 
 
-def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
-    """CID-vs-t panel plus one completed-frequency bar chart per snapshot."""
+def render_lead_figure(curve: CidCurve, rows, title: str) -> str:
+    """CID-vs-t panel plus, for each grid row in rows, a bar chart of that
+    row's mean completed frequencies."""
     if not len(curve.t):
         raise ValueError("cannot render an empty curve")
-    if not snapshots:
+    if not len(rows):
         raise ValueError("need at least one snapshot")
     ts = curve.t
-    for t, _ in snapshots:
-        if np.min(np.abs(ts - t)) > 1e-6:
-            raise ValueError(f"snapshot t = {t} is not on the sweep grid")
+    freqs = curve.completed_freqs[rows]
 
     margin, gap = 56, 56
     panel_w = WIDTH_PX - 2 * margin
@@ -235,22 +221,22 @@ def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
     top = _Frame(margin, margin, panel_w, top_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 1.05)
     out = []
-    _cid_panel(out, curve, spec, top)
+    _cid_panel(out, curve, top)
 
-    n = len(snapshots)
+    n, k = freqs.shape
     inset_gap = 16
     inset_w = (panel_w - inset_gap * (n - 1)) / n
-    ymax = 1.05 * max(max(d.probs) for _, d in snapshots)
-    for i, (t, dist) in enumerate(snapshots):
+    ymax = 1.05 * float(freqs.max())
+    for i, (t, probs) in enumerate(zip(ts[rows].tolist(), freqs.tolist())):
         left = margin + i * (inset_w + inset_gap)
         frame = _Frame(left, margin + top_h + gap, inset_w, inset_h,
-                       0.5, dist.k + 0.5, 0.0, ymax)
+                       0.5, k + 0.5, 0.0, ymax)
         out.append(frame.open_group("freq-panel"))
         out.append(_rect(frame.left, frame.top, frame.width, frame.height,
                          "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
         base = frame.py(0.0)
-        bar_w = frame.width / dist.k * 0.8
-        for level, prob in enumerate(dist.probs, start=1):
+        bar_w = frame.width / k * 0.8
+        for level, prob in enumerate(probs, start=1):
             x = frame.px(level) - bar_w / 2
             y = frame.py(prob)
             out.append(_rect(x, y, bar_w, base - y, DEFAULT_COLORS["bar"],
@@ -259,4 +245,4 @@ def render_lead_figure(curve: CidCurve, snapshots, spec: FigureSpec) -> str:
         out.append(_text(frame.left + frame.width / 2, base + 16,
                          f"t = {t:g}"))
         out.append("</g>")
-    return _document(spec, out)
+    return _document(title, out)

@@ -3,7 +3,6 @@ summarize plausible regions, and average CID under a knob distribution."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,9 +36,8 @@ class KnobGrid:
 
     def _k_range(self) -> tuple:
         """(k_lo, k_hi) as floats: the grid is t0 + k*step, -k_lo <= k <= k_hi."""
-        eps = 1e-9 * self.step
-        return (np.floor((self.t0 - self.t_min) / self.step + eps),
-                np.floor((self.t_max - self.t0) / self.step + eps))
+        return (np.floor((self.t0 - self.t_min) / self.step + 1e-9),
+                np.floor((self.t_max - self.t0) / self.step + 1e-9))
 
     def values(self) -> np.ndarray:
         """Grid points t0 + k*step inside [t_min, t_max]; always contains t0."""
@@ -65,8 +63,8 @@ class CidCurve:
     decisions (ELECTION_DECISIONS or INTERVENTION_DECISIONS). An election
     curve also has the interval bounds lower and upper and the overlap j_t;
     a lead curve has the mean completed frequencies of every point, shape
-    (T, K). change_points are the grid-adjacent (t_low, t_high) pairs where
-    the decision differs.
+    (T, K). i0 is the row of the reference t0, and change_points are the
+    grid-adjacent (t_low, t_high) pairs where the decision differs.
     """
 
     t: np.ndarray
@@ -76,7 +74,7 @@ class CidCurve:
     d_t: np.ndarray
     cid: np.ndarray
     change_points: tuple
-    reference_decision: object
+    i0: int
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     j_t: Optional[np.ndarray] = None
@@ -86,6 +84,11 @@ class CidCurve:
     def decision(self) -> tuple:
         """Each point's decision, in grid order."""
         return tuple(self.family[k] for k in self.codes.tolist())
+
+    @property
+    def reference_decision(self):
+        """The decision at the reference t0."""
+        return self.family[self.codes[self.i0]]
 
     def index_nearest(self, t: float) -> int:
         return int(np.argmin(np.abs(self.t - t)))
@@ -117,8 +120,7 @@ def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,
     change_points = tuple(zip(ts[changed].tolist(), ts[changed + 1].tolist()))
     return CidCurve(t=ts, estimate=estimate, codes=codes, family=family,
                     d_t=d_t, cid=np.asarray(cid(d_t), dtype=float),
-                    change_points=change_points,
-                    reference_decision=family[codes[i0]], **columns)
+                    change_points=change_points, i0=i0, **columns)
 
 
 @dataclass(frozen=True)
@@ -217,13 +219,8 @@ def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
 
 @dataclass(frozen=True)
 class RegionSummary:
-    min_cid: Optional[float]
+    min_cid: float
     change_points_inside: tuple
-    n_points: int
-
-    @property
-    def empty(self) -> bool:
-        return self.n_points == 0
 
     @property
     def has_change_point(self) -> bool:
@@ -233,13 +230,14 @@ class RegionSummary:
 def annotate_plausible_region(curve: CidCurve,
                               region: PlausibleRegion) -> RegionSummary:
     """Min CID over the grid points inside the region, and any decision
-    change brackets overlapping it."""
+    change brackets overlapping it. A region holding no grid point is a
+    ValueError."""
     cids = curve.cid[(region.lower <= curve.t) & (curve.t <= region.upper)]
     if not len(cids):
-        warnings.warn("plausible region contains no grid points", stacklevel=2)
-        return RegionSummary(None, (), 0)
+        raise ValueError(f"[{region.lower}, {region.upper}] contains no grid "
+                         f"points")
     brackets = tuple(
         (lo, hi) for lo, hi in curve.change_points
         if hi >= region.lower and lo <= region.upper
     )
-    return RegionSummary(float(cids.min()), brackets, len(cids))
+    return RegionSummary(float(cids.min()), brackets)

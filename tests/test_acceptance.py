@@ -18,7 +18,7 @@ from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
                          max_cost, worst_case_theta)
 from cid.regression import MEAN_RESPONSE, Interval, fit_simple_ols, \
     predict_interval
-from cid.svgfig import FigureSpec, render_election_figure
+from cid.svgfig import render_election_figure
 from cid.sweep import KnobGrid, sweep_election, sweep_lead
 from tests.conftest import (ACCORDION_T05_FREQS, LEAD_PROBS,
                             PARAMETRIC_T1_FREQS)
@@ -225,7 +225,7 @@ class TestCriterion8Properties:
 
     def test_svg_parse_back_within_half_pixel(self, hibbs_fit):
         curve = sweep_election(hibbs_fit, -0.728, KnobGrid(-4, 4, 0.05))
-        svg = render_election_figure(curve, FigureSpec())
+        svg = render_election_figure(curve, "")
         root = ET.fromstring(svg)
         panel = next(el for el in root.iter()
                      if el.get("class") == "cid-panel")

@@ -16,8 +16,8 @@ from cid.imputation import (ImputationConfig, LeadPopulation, impute_theta,
                             read_level_counts)
 from cid.metrics import CostParams, worst_case_theta
 from cid.regression import MEAN_RESPONSE
-from cid.svgfig import FigureSpec, render_lead_figure
 from cid.sweep import sweep_lead
+from tests.test_emitters import ref_render_lead_figure
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -131,6 +131,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^grid\.step: 8e-06 implies "
                                               r"1000001 grid points"):
             parse_config(dict(doc, grid={"step": 8e-6}))
+        # 1e200 / 1e199 == 9.999999999999998: ten steps each side of t0
+        grid = parse_config(dict(doc, grid={"t_min": -1e200, "t_max": 1e200,
+                                            "step": 1e199})).grid
+        assert grid.n_points() == len(grid.values()) == 21
 
     def test_costs_not_both_zero(self):
         with pytest.raises(ConfigError, match="not both be zero"):
@@ -214,6 +218,8 @@ class TestRun:
         ("lead_doc", "lead", "threshold", "0.2"),
         ("lead_doc", "lead", "m", "5"),
         ("election_doc", "election", "x0", False),
+        # holds no grid point
+        ("election_doc", "election", "plausible_region", [10, 11]),
     ])
     def test_bad_field_exits_1_with_path(self, tmp_path, capsys, request,
                                          doc_name, block, key, value):
@@ -301,10 +307,9 @@ class TestRun:
                    if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
         snapshots = [(t, impute_theta(pop, s.mechanism, t, cfg)[1])
                      for t in snap_ts]
-        spec = FigureSpec(reference_line=config.grid.t0,
-                          title=f"CID under MNAR tilt ({s.mechanism.name})")
-        assert (tmp_path / "figure.svg").read_text() == \
-            render_lead_figure(curve, snapshots, spec)
+        assert (tmp_path / "figure.svg").read_text() == ref_render_lead_figure(
+            curve, config.grid.t0, snapshots,
+            f"CID under MNAR tilt ({s.mechanism.name})")
 
     @pytest.mark.parametrize("option, value, field", [
         ("--grid-step", "0", "grid.step"),

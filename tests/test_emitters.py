@@ -18,10 +18,11 @@ from cid.imputation import (CategoricalDistribution, ImputationConfig,
                             parametric_mechanism)
 from cid.metrics import CostParams, worst_case_theta
 from cid.regression import MEAN_RESPONSE, NEW_OBSERVATION
-from cid.svgfig import (DEFAULT_COLORS, FigureSpec, _axes, _document, _fmt,
-                        _fmt_column, _Frame, _line, _rect, _vline,
+from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _fmt_column,
+                        _Frame, _line, _rect, _text, _vline,
                         render_election_figure, render_lead_figure)
-from cid.sweep import CidCurve, KnobGrid, sweep_election, sweep_lead
+from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, sweep_election,
+                       sweep_lead)
 
 
 def assert_same_text(actual, expected):
@@ -60,16 +61,14 @@ def ref_polyline(pts, stroke, width=1.5, cls=None):
             f'stroke-width="{_fmt(width)}"/>')
 
 
-def ref_cid_panel(out, curve, spec, frame, y_label="CID"):
+def ref_cid_panel(out, curve, reference_line, region_lines, frame):
     """The CID panel mapped and formatted one point at a time."""
     out.append(frame.open_group("cid-panel"))
-    _axes(out, frame, spec, "knob value t", y_label)
-    if spec.reference_line is not None:
-        _vline(out, frame, spec.reference_line, DEFAULT_COLORS["reference"],
-               cls="reference-line")
-    if spec.region_lines is not None:
-        for t in spec.region_lines:
-            _vline(out, frame, t, DEFAULT_COLORS["region"], cls="region-line")
+    _axes(out, frame, "knob value t", "CID")
+    _vline(out, frame, reference_line, DEFAULT_COLORS["reference"],
+           "reference-line")
+    for t in region_lines:
+        _vline(out, frame, t, DEFAULT_COLORS["region"], "region-line")
     pts = [(frame.px(t), frame.py(cid))
            for t, cid in zip(curve.t.tolist(), curve.cid.tolist())]
     if len(pts) == 1:
@@ -82,8 +81,9 @@ def ref_cid_panel(out, curve, spec, frame, y_label="CID"):
     out.append("</g>")
 
 
-def ref_render_election_figure(curve, spec):
-    """The election figure with one _line call per interval bar."""
+def ref_render_election_figure(curve, reference_line, region_lines, title):
+    """The election figure with one _line call per interval bar, its
+    reference at the grid point nearest reference_line."""
     ts = curve.t
     margin, gap = 56, 48
     panel_h = (svgfig.HEIGHT_PX - 2 * margin - gap) / 2
@@ -92,7 +92,7 @@ def ref_render_election_figure(curve, spec):
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
     out = []
-    ref_cid_panel(out, curve, spec, top)
+    ref_cid_panel(out, curve, reference_line, region_lines, top)
 
     lows = curve.lower.tolist()
     highs = curve.upper.tolist()
@@ -100,10 +100,9 @@ def ref_render_election_figure(curve, spec):
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
                     top.xmin, top.xmax,
                     min(lows) - 0.05 * span, max(highs) + 0.05 * span)
-    ref_t = spec.reference_line if spec.reference_line is not None else 0.0
-    ref = curve.index_nearest(ref_t)
+    ref = curve.index_nearest(reference_line)
     out.append(bottom.open_group("interval-panel"))
-    _axes(out, bottom, spec, "knob value t", "interval")
+    _axes(out, bottom, "knob value t", "interval")
     for t, lo, hi in zip(ts.tolist(), lows, highs):
         px = bottom.px(t)
         out.append(_line(px, bottom.py(lo), px, bottom.py(hi),
@@ -113,14 +112,46 @@ def ref_render_election_figure(curve, spec):
                      DEFAULT_COLORS["reference_interval"], 2.5,
                      cls="reference-interval"))
     out.append("</g>")
-    return _document(spec, out)
+    return _document(title, out)
 
 
-def ref_render_lead_figure(curve, snapshots, spec, monkeypatch):
-    """The lead figure with the per-point CID panel."""
-    with monkeypatch.context() as patch:
-        patch.setattr(svgfig, "_cid_panel", ref_cid_panel)
-        return render_lead_figure(curve, snapshots, spec)
+def ref_render_lead_figure(curve, reference_line, snapshots, title):
+    """The lead figure with the per-point CID panel and one bar chart per
+    (t, CategoricalDistribution) snapshot, one _rect call per bar."""
+    ts = curve.t
+    margin, gap = 56, 56
+    panel_w = svgfig.WIDTH_PX - 2 * margin
+    top_h = (svgfig.HEIGHT_PX - 2 * margin - gap) * 0.55
+    inset_h = (svgfig.HEIGHT_PX - 2 * margin - gap) * 0.45
+    pad = curve.step if len(ts) > 1 else 1.0
+    top = _Frame(margin, margin, panel_w, top_h,
+                 float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 1.05)
+    out = []
+    ref_cid_panel(out, curve, reference_line, (), top)
+
+    n = len(snapshots)
+    inset_gap = 16
+    inset_w = (panel_w - inset_gap * (n - 1)) / n
+    ymax = 1.05 * max(max(d.probs) for _, d in snapshots)
+    for i, (t, dist) in enumerate(snapshots):
+        left = margin + i * (inset_w + inset_gap)
+        frame = _Frame(left, margin + top_h + gap, inset_w, inset_h,
+                       0.5, dist.k + 0.5, 0.0, ymax)
+        out.append(frame.open_group("freq-panel"))
+        out.append(_rect(frame.left, frame.top, frame.width, frame.height,
+                         "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
+        base = frame.py(0.0)
+        bar_w = frame.width / dist.k * 0.8
+        for level, prob in enumerate(dist.probs, start=1):
+            x = frame.px(level) - bar_w / 2
+            y = frame.py(prob)
+            out.append(_rect(x, y, bar_w, base - y, DEFAULT_COLORS["bar"],
+                             cls="freq-bar",
+                             extra=f' data-level="{level}"'))
+        out.append(_text(frame.left + frame.width / 2, base + 16,
+                         f"t = {t:g}"))
+        out.append("</g>")
+    return _document(title, out)
 
 
 @pytest.mark.parametrize("kind, level, grid", [
@@ -136,29 +167,32 @@ def ref_render_lead_figure(curve, snapshots, spec, monkeypatch):
 def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
     curve = sweep_election(hibbs_fit, -0.728, grid, level=level, kind=kind)
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
-    for spec in (FigureSpec(reference_line=grid.t0,
-                            region_lines=(-0.635, 0.728), title="election"),
-                 FigureSpec(reference_line=None)):
-        assert_same_text(render_election_figure(curve, spec),
-                         ref_render_election_figure(curve, spec))
+    assert_same_text(
+        render_election_figure(curve, "election",
+                               PlausibleRegion(-0.635, 0.728)),
+        ref_render_election_figure(curve, grid.t0, (-0.635, 0.728),
+                                   "election"))
+    assert_same_text(render_election_figure(curve, ""),
+                     ref_render_election_figure(curve, grid.t0, (), ""))
 
 
 @pytest.mark.parametrize("mech", [accordion_mechanism(),
                                   parametric_mechanism(),
                                   mar_mechanism(10)], ids=lambda m: m.name)
-def test_lead_outputs_equal_reference(lead_population, monkeypatch, mech):
+def test_lead_outputs_equal_reference(lead_population, mech):
     pop = lead_population
     costs = CostParams(a=1, b=1, theta_wc=worst_case_theta(
         pop.observed_high_count, pop.n_observed, pop.n_total))
     curve = sweep_lead(pop, mech, KnobGrid(-2, 4, 0.01),
                        ImputationConfig(m=3, seed=7), ThresholdRule(), costs)
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
+    rows = [0, curve.index_nearest(0.5)]
     snapshots = [(float(curve.t[i]), CategoricalDistribution(
                       tuple(curve.completed_freqs[i].tolist())))
-                 for i in (0, curve.index_nearest(0.5))]
-    spec = FigureSpec(reference_line=0.0, title=f"lead ({mech.name})")
-    assert_same_text(render_lead_figure(curve, snapshots, spec),
-                     ref_render_lead_figure(curve, snapshots, spec, monkeypatch))
+                 for i in rows]
+    title = f"lead ({mech.name})"
+    assert_same_text(render_lead_figure(curve, rows, title),
+                     ref_render_lead_figure(curve, 0.0, snapshots, title))
 
 
 # Finite floats, with exactly representable half-way cases at 3 decimals
@@ -187,10 +221,10 @@ def test_csv_equals_reference(rows, election):
     if election:
         curve = CidCurve(t=t, estimate=estimate, codes=codes,
                          family=ELECTION_DECISIONS, d_t=d_t, cid=cid,
-                         change_points=(), reference_decision=None,
+                         change_points=(), i0=0,
                          lower=lower, upper=upper, j_t=j_t)
     else:
         curve = CidCurve(t=t, estimate=estimate, codes=codes % 2,
                          family=INTERVENTION_DECISIONS, d_t=d_t, cid=cid,
-                         change_points=(), reference_decision=None)
+                         change_points=(), i0=0)
     assert curve_to_csv(curve) == ref_curve_to_csv(curve)

@@ -7,9 +7,8 @@ from cid.decisions import ELECTION_DECISIONS, ThresholdRule
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             impute_theta)
 from cid.metrics import CostParams, worst_case_theta
-from cid.svgfig import (FigureSpec, render_election_figure,
-                        render_lead_figure)
-from cid.sweep import KnobGrid, sweep_election, sweep_lead
+from cid.svgfig import render_election_figure, render_lead_figure
+from cid.sweep import KnobGrid, PlausibleRegion, sweep_election, sweep_lead
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -31,7 +30,8 @@ def lead_curve_and_snapshots(lead_population):
     for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
         _, freqs = impute_theta(lead_population, accordion_mechanism(), t, cfg)
         snapshots.append((t, freqs))
-    return curve, snapshots
+    rows = [curve.index_on_grid(t) for t, _ in snapshots]
+    return curve, rows, snapshots
 
 
 def panel_transform(group):
@@ -53,8 +53,8 @@ def find_by_class(root, cls):
 
 class TestElectionFigure:
     def test_well_formed_and_structure(self, election_curve):
-        svg = render_election_figure(election_curve, FigureSpec(
-            region_lines=(-0.635, 0.728)))
+        svg = render_election_figure(election_curve, "",
+                                     PlausibleRegion(-0.635, 0.728))
         root = ET.fromstring(svg)
         assert root.tag == f"{SVG_NS}svg"
         assert len(find_by_class(root, "cid-polyline")) == 1
@@ -62,7 +62,7 @@ class TestElectionFigure:
         assert len(find_by_class(root, "region-line")) == 2
 
     def test_polyline_parse_back(self, election_curve):
-        svg = render_election_figure(election_curve, FigureSpec())
+        svg = render_election_figure(election_curve, "")
         root = ET.fromstring(svg)
         panel = find_by_class(root, "cid-panel")[0]
         px, py = panel_transform(panel)
@@ -74,7 +74,7 @@ class TestElectionFigure:
             assert abs(y - py(cid)) <= 0.5
 
     def test_interval_bars_parse_back(self, election_curve):
-        svg = render_election_figure(election_curve, FigureSpec())
+        svg = render_election_figure(election_curve, "")
         root = ET.fromstring(svg)
         panel = find_by_class(root, "interval-panel")[0]
         px, py = panel_transform(panel)
@@ -88,7 +88,7 @@ class TestElectionFigure:
         assert len(find_by_class(root, "reference-interval")) == 1
 
     def test_curve_touches_zero_at_change_point(self, election_curve):
-        svg = render_election_figure(election_curve, FigureSpec())
+        svg = render_election_figure(election_curve, "")
         root = ET.fromstring(svg)
         panel = find_by_class(root, "cid-panel")[0]
         _, py = panel_transform(panel)
@@ -102,13 +102,13 @@ class TestElectionFigure:
             assert abs(ys[round(px(t), 3)] - py(0.0)) <= 0.5
 
     def test_deterministic(self, election_curve):
-        spec = FigureSpec(region_lines=(-0.635, 0.728), title="x")
-        assert render_election_figure(election_curve, spec) == \
-            render_election_figure(election_curve, spec)
+        region = PlausibleRegion(-0.635, 0.728)
+        assert render_election_figure(election_curve, "x", region) == \
+            render_election_figure(election_curve, "x", region)
 
     def test_single_point_curve(self, hibbs_fit):
         curve = sweep_election(hibbs_fit, -0.728, KnobGrid(0, 0, 0.1))
-        svg = render_election_figure(curve, FigureSpec())
+        svg = render_election_figure(curve, "")
         root = ET.fromstring(svg)
         assert len(find_by_class(root, "cid-polyline")) == 0
         assert len(find_by_class(root, "cid-marker")) == 1
@@ -119,15 +119,15 @@ class TestElectionFigure:
                          codes=np.empty(0, dtype=int),
                          family=ELECTION_DECISIONS,
                          d_t=np.empty(0, dtype=int), cid=np.empty(0),
-                         change_points=(), reference_decision=None)
+                         change_points=(), i0=0)
         with pytest.raises(ValueError, match="empty"):
-            render_election_figure(empty, FigureSpec())
+            render_election_figure(empty, "")
 
 
 class TestLeadFigure:
     def test_snapshot_bar_groups(self, lead_curve_and_snapshots):
-        curve, snapshots = lead_curve_and_snapshots
-        svg = render_lead_figure(curve, snapshots, FigureSpec())
+        curve, rows, _ = lead_curve_and_snapshots
+        svg = render_lead_figure(curve, rows, "")
         root = ET.fromstring(svg)
         groups = find_by_class(root, "freq-panel")
         assert len(groups) == 5
@@ -135,8 +135,8 @@ class TestLeadFigure:
             assert len(find_by_class(group, "freq-bar")) == 10
 
     def test_bars_parse_back(self, lead_curve_and_snapshots):
-        curve, snapshots = lead_curve_and_snapshots
-        svg = render_lead_figure(curve, snapshots, FigureSpec())
+        curve, rows, snapshots = lead_curve_and_snapshots
+        svg = render_lead_figure(curve, rows, "")
         root = ET.fromstring(svg)
         for group, (_, dist) in zip(find_by_class(root, "freq-panel"),
                                     snapshots):
@@ -148,23 +148,17 @@ class TestLeadFigure:
 
     def test_snapshot_at_reference_matches_observed(self, lead_curve_and_snapshots,
                                                     lead_population):
-        _, snapshots = lead_curve_and_snapshots
+        _, _, snapshots = lead_curve_and_snapshots
         at_ref = dict((t, d) for t, d in snapshots)[0.0]
         observed = lead_population.counts_array() / lead_population.n_observed
         assert np.asarray(at_ref.probs) == pytest.approx(observed, abs=0.01)
 
     def test_empty_snapshots_rejected(self, lead_curve_and_snapshots):
-        curve, _ = lead_curve_and_snapshots
+        curve, _, _ = lead_curve_and_snapshots
         with pytest.raises(ValueError, match="snapshot"):
-            render_lead_figure(curve, [], FigureSpec())
-
-    def test_off_grid_snapshot_rejected(self, lead_curve_and_snapshots):
-        curve, snapshots = lead_curve_and_snapshots
-        bad = [(0.123, snapshots[0][1])]
-        with pytest.raises(ValueError, match="grid"):
-            render_lead_figure(curve, bad, FigureSpec())
+            render_lead_figure(curve, [], "")
 
     def test_deterministic(self, lead_curve_and_snapshots):
-        curve, snapshots = lead_curve_and_snapshots
-        assert render_lead_figure(curve, snapshots, FigureSpec()) == \
-            render_lead_figure(curve, snapshots, FigureSpec())
+        curve, rows, _ = lead_curve_and_snapshots
+        assert render_lead_figure(curve, rows, "") == \
+            render_lead_figure(curve, rows, "")

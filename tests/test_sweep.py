@@ -50,6 +50,17 @@ class TestKnobGrid:
         grid = KnobGrid(lo, hi, step, t0=min(hi, lo + frac * (hi - lo)))
         assert grid.n_points() == len(grid.values())
 
+    @pytest.mark.parametrize("lo, hi, step, n", [
+        (-0.3, 0.3, 1e-4, 6001),  # 0.3 / 1e-4 == 2999.9999999999995
+        (-4e9, 4e9, 1e9, 9),
+    ])
+    def test_grid_keeps_to_its_range(self, lo, hi, step, n):
+        values = KnobGrid(lo, hi, step).values()
+        assert len(values) == n
+        assert values[0] == pytest.approx(lo) and values[-1] == pytest.approx(hi)
+        assert lo - 1e-9 * step <= values.min()
+        assert values.max() <= hi + 1e-9 * step
+
     def test_validation(self):
         with pytest.raises(ValueError):
             KnobGrid(-1, 1, 0.0)
@@ -341,12 +352,11 @@ class TestAnnotatePlausibleRegion:
         assert len(summary.change_points_inside) == 2
         assert summary.min_cid == 0.0
 
-    def test_empty_intersection_warns(self, election_curve):
-        with pytest.warns(UserWarning, match="no grid points"):
-            summary = annotate_plausible_region(
-                election_curve, PlausibleRegion(10.0, 11.0))
-        assert summary.empty
-        assert summary.min_cid is None
+    def test_empty_intersection_raises(self, election_curve):
+        with pytest.raises(ValueError, match=r"^\[10\.0, 11\.0\] contains no "
+                                             r"grid points"):
+            annotate_plausible_region(election_curve,
+                                      PlausibleRegion(10.0, 11.0))
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
