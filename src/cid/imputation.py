@@ -7,6 +7,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+# numpy.random is a package numpy loads lazily; importing it here keeps that
+# cost in import time rather than in the first lead run.
+from numpy.random import SeedSequence, default_rng
 
 N_LEVELS = 10
 
@@ -150,7 +153,7 @@ def substream(seed: int, m: int) -> np.random.Generator:
     Derived from seed and m alone, so results do not depend on evaluation
     order. The spawn key (0, m) keeps the streams of earlier versions.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, m)))
+    return default_rng(SeedSequence(seed, spawn_key=(0, m)))
 
 
 def draw_dirichlet_posterior(pop: LeadPopulation,

@@ -220,13 +220,18 @@ class TestRun:
         ("election_doc", "election", "x0", False),
         # holds no grid point
         ("election_doc", "election", "plausible_region", [10, 11]),
+        # the outputs cases run with --out-dir set to the config's directory;
+        # --out-dir keeps only file names, so both land on outputs.csv
+        ("election_doc", "outputs", "svg", "curve.csv"),
+        ("lead_doc", "outputs", "svg", "sub/curve.csv"),
     ])
     def test_bad_field_exits_1_with_path(self, tmp_path, capsys, request,
                                          doc_name, block, key, value):
         doc = request.getfixturevalue(doc_name)
         (doc[block] if block else doc)[key] = value
         path = write_config(tmp_path, doc)
-        assert main(["run", str(path)]) == 1
+        out_dir = ["--out-dir", str(tmp_path)] if block == "outputs" else []
+        assert main(["run", str(path)] + out_dir) == 1
         field = f"{block}.{key}" if block else key
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
@@ -410,19 +415,53 @@ def test_mechanisms_listing(capsys):
     assert "parametric" in out
 
 
-def test_cli_import_leaves_out_scipy_stats():
+BUNDLED_CONFIGS = ("election.json", "lead_accordion.json",
+                   "lead_parametric.json")
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports cid from the source tree."""
     src = str(REPO / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_scipy():
     code = "import sys, cid.cli; print(sorted(m for m in sys.modules " \
-           "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
+           "if m == 'scipy' or m.startswith('scipy.')))"
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
+def test_bundled_configs_run_without_scipy(tmp_path):
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from cid.cli import main\n"
+            "out, *configs = sys.argv[1:]\n"
+            "sys.exit(max(main(['run', c, '--out-dir', out]) for c in configs))")
+    result = run_python(code, tmp_path,
+                        *(REPO / "configs" / name for name in BUNDLED_CONFIGS))
+    assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.iterdir())) == 2 * len(BUNDLED_CONFIGS)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_run_loads_no_modules(tmp_path, name):
+    """Every module a run needs is loaded when cid.cli is imported, so the
+    run phase pays for no import."""
+    code = ("import sys\n"
+            "from cid.cli import main\n"
+            "before = set(sys.modules)\n"
+            "assert main(['run', sys.argv[1], '--out-dir', sys.argv[2]]) == 0\n"
+            "print(sorted(set(sys.modules) ^ before))")
+    result = run_python(code, REPO / "configs" / name, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_bundled_configs_parse():
-    for name in ("election.json", "lead_accordion.json",
-                 "lead_parametric.json"):
+    for name in BUNDLED_CONFIGS:
         config = load_config(REPO / "configs" / name)
         assert config.dataset_path.exists()

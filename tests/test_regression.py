@@ -6,8 +6,8 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
-                            FittedLine, fit_simple_ols, predict_interval,
-                            predict_intervals)
+                            FittedLine, _t_quantile, fit_simple_ols,
+                            predict_interval, predict_intervals)
 
 
 def normal_equations_fit(x, y):
@@ -163,11 +163,59 @@ def test_shift_y_shifts_intercept_only(hibbs_data, hibbs_fit):
 
 @pytest.mark.parametrize("df,p", [(5, 0.975), (14, 0.975), (30, 0.995)])
 def test_t_quantile_matches_quadrature_oracle(df, p):
-    assert stats.t.ppf(p, df) == pytest.approx(t_quantile_oracle(df, p), abs=1e-6)
+    oracle = t_quantile_oracle(df, p)
+    assert stats.t.ppf(p, df) == pytest.approx(oracle, abs=1e-6)
+    assert _t_quantile(df, 2 * p - 1) == pytest.approx(oracle, abs=1e-6)
+
+
+T_LEVELS = (1e-6, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9)
 
 
 @pytest.mark.parametrize("df", [1, 2, 3, 5, 14, 16, 30, 100, 1000])
 def test_stdtrit_equals_t_ppf(df):
-    for level in (1e-6, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
+    """The two scipy quantiles these tests use as oracles agree exactly."""
+    for level in T_LEVELS:
         p = 0.5 + level / 2.0
         assert special.stdtrit(df, p) == stats.t.ppf(p, df)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 14, 16, 30, 100, 1000, 10**6])
+def test_t_quantile_backward_error(df):
+    """At q, scipy's upper tail is within 1e-11 of 1 - level or its central
+    mass within 1e-11 of level, relative, whichever is closer. The central
+    mass comes from betainc, since 1 - tail loses digits at small levels."""
+    for level in T_LEVELS:
+        q = _t_quantile(df, level)
+        tail = 2.0 * special.stdtr(df, -q)
+        central = special.betainc(0.5, df / 2.0, q * q / (df + q * q))
+        assert min(abs(tail - (1.0 - level)) / (1.0 - level),
+                   abs(central - level) / level) <= 1e-11, level
+
+
+@pytest.mark.parametrize("level", [v for v in T_LEVELS if v <= 0.999])
+def test_t_quantile_closed_forms(level):
+    """df = 1 gives tan(pi level / 2) and df = 2 gives
+    level sqrt(2 / (1 - level^2)). Near level = 1 both are written so that
+    they lose no digits: tan as 1 / tan(pi (1 - level) / 2), where
+    1 - level is exact, and 1 - level^2 as (1 - level)(1 + level)."""
+    cauchy = (math.tan(math.pi * level / 2.0) if level <= 0.5
+              else 1.0 / math.tan(math.pi * (1.0 - level) / 2.0))
+    two = level * math.sqrt(2.0 / ((1.0 - level) * (1.0 + level)))
+    for df, expected in ((1, cauchy), (2, two)):
+        assert abs(_t_quantile(df, level) - expected) <= 4 * math.ulp(expected)
+
+
+def test_t_quantile_election_df_matches_stdtrit():
+    expected = special.stdtrit(14, 0.975)
+    assert abs(_t_quantile(14, 0.95) - expected) <= math.ulp(expected)
+
+
+def test_t_quantile_extremes_stay_finite_and_ordered():
+    levels = (1e-300, 1e-12, 0.3, 0.5, 0.95, 1 - 2**-53)
+    previous = [0.0] * len(levels)
+    for df in (10**8, 10**4, 512, 511, 14, 2, 1):  # q falls as df grows
+        qs = [_t_quantile(df, level) for level in levels]
+        assert all(math.isfinite(q) and q > 0 for q in qs), df
+        assert qs == sorted(qs), df
+        assert all(q >= p for q, p in zip(qs, previous)), df
+        previous = qs
