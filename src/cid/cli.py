@@ -55,21 +55,21 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ElectionSettings:
     x0: float
-    level: float = 0.95
-    interval_kind: str = MEAN_RESPONSE
-    plausible_region: Optional[PlausibleRegion] = None
+    level: float
+    interval_kind: str
+    plausible_region: Optional[PlausibleRegion]
 
 
 @dataclass(frozen=True)
 class LeadSettings:
     n_total: int
     mechanism: MnarMechanism
-    m: int = 5
-    threshold: float = 0.20
-    a: float = 1.0
-    b: float = 1.0
-    snapshot_ts: tuple = ()
-    knob_distribution: Optional[KnobDistribution] = None
+    m: int
+    threshold: float
+    a: float
+    b: float
+    snapshot_ts: tuple
+    knob_distribution: Optional[KnobDistribution]
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class AnalysisConfig:
     seed: int
     csv_path: Path
     svg_path: Path
-    election: Optional[ElectionSettings] = None
-    lead: Optional[LeadSettings] = None
+    election: Optional[ElectionSettings]
+    lead: Optional[LeadSettings]
 
 
 def _require(doc: dict, key: str, path: str):
@@ -336,7 +336,8 @@ def _verdict(curve: CidCurve) -> list:
 def _election(config: AnalysisConfig) -> tuple:
     """The election study's (curve, svg, verdict parts)."""
     s = config.election
-    fit = fit_simple_ols(ElectionDataset.from_csv(config.dataset_path))
+    fit = fit_simple_ols(_checked("dataset", lambda: ElectionDataset.from_csv(
+        config.dataset_path)))
     curve = sweep_election(fit, s.x0, config.grid,
                            level=s.level, kind=s.interval_kind)
     parts = []
@@ -353,18 +354,13 @@ def _election(config: AnalysisConfig) -> tuple:
 def _lead(config: AnalysisConfig) -> tuple:
     """The lead study's (curve, svg, verdict parts)."""
     s = config.lead
-    counts = read_level_counts(config.dataset_path)
-    cutoff = LeadPopulation.cutoff_level
-    if len(counts) <= cutoff:
-        raise ConfigError(
-            f"dataset: {config.dataset_path} has {len(counts)} levels; the "
-            f"lead study needs levels above the cutoff level {cutoff}"
-        )
+    counts = _checked("dataset", lambda: read_level_counts(config.dataset_path))
     if sum(counts) > s.n_total:
         raise ConfigError(
             f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
             f"observed in {config.dataset_path}"
         )
+    pop = _checked("dataset", lambda: LeadPopulation(counts, n_total=s.n_total))
     mech = s.mechanism
     if mech.name == "mar":  # no tilt at any level: fits every level count
         mech = mar_mechanism(len(counts))
@@ -373,14 +369,12 @@ def _lead(config: AnalysisConfig) -> tuple:
             f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
             f"for the {len(counts)} levels of {config.dataset_path}"
         )
-    pop = LeadPopulation(counts, n_total=s.n_total)
     cfg = ImputationConfig(m=s.m, seed=config.seed)
-    rule = ThresholdRule(threshold=s.threshold)
     theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
                                 pop.n_total)
     costs = _checked("lead.threshold", lambda: CostParams(
         a=s.a, b=s.b, theta_wc=theta_wc, threshold=s.threshold))
-    curve = sweep_lead(pop, mech, config.grid, cfg, rule, costs)
+    curve = sweep_lead(pop, mech, config.grid, cfg, costs)
     rows = ([_checked(f"lead.snapshot_ts[{i}]",
                       lambda: curve.index_on_grid(t))
              for i, t in enumerate(s.snapshot_ts)]

@@ -103,7 +103,9 @@ class LeadPopulation:
                 f"observed count {counts.sum()} exceeds n_total {self.n_total}"
             )
         if not (1 <= self.cutoff_level < len(counts)):
-            raise ValueError(f"cutoff_level out of range: {self.cutoff_level}")
+            raise ValueError(f"need 1 <= cutoff level < number of levels, got "
+                             f"cutoff level {self.cutoff_level} for "
+                             f"{len(counts)} levels")
 
     @property
     def k(self) -> int:
@@ -128,7 +130,10 @@ class LeadPopulation:
 def read_level_counts(path) -> tuple:
     """Per-level counts from a `level,count` CSV covering levels 1..K."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
+        for column in ("level", "count"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path} has no {column!r} column")
         rows = [(int(r["level"]), int(r["count"])) for r in reader]
     rows.sort()
     levels = [lvl for lvl, _ in rows]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +45,8 @@ class ElectionDataset:
             raise ValueError("years, growth and vote must have equal length")
         if n < 3:
             raise ValueError(f"insufficient data: need at least 3 records, got {n}")
+        if not np.all(np.isfinite([*self.growth, *self.vote])):
+            raise ValueError("growth and vote must be finite numbers")
         g = np.asarray(self.growth, dtype=float)
         if np.ptp(g) == 0.0:
             raise ValueError("singular design: growth values are all identical")
@@ -63,7 +66,10 @@ class ElectionDataset:
     def from_csv(cls, path) -> "ElectionDataset":
         """Read a `year,growth,vote` CSV file."""
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
+            for column in ("year", "growth", "vote"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path} has no {column!r} column")
             rows = [(r["year"], r["growth"], r["vote"]) for r in reader]
         return cls.from_records(rows)
 
@@ -144,6 +150,7 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
                           f"(a={a}, b={b}, x={x})")
 
 
+@functools.lru_cache(maxsize=64)
 def _t_quantile(df: int, level: float) -> float:
     """The q > 0 with P(|T| <= q) = level for T Student-t on df degrees of
     freedom; df is an integer >= 1 and 0 < level < 1.

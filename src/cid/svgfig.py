@@ -24,9 +24,10 @@ DEFAULT_COLORS = {
 }
 
 
-# Figure size in pixels.
+# Figure size and margin in pixels.
 WIDTH_PX = 720
 HEIGHT_PX = 560
+MARGIN = 56
 
 
 def _fmt(v: float) -> str:
@@ -103,7 +104,7 @@ def _text(x, y, s, size=11, anchor="middle") -> str:
             f'fill="{DEFAULT_COLORS["axis"]}">{_esc(s)}</text>')
 
 
-def _axes(out, frame, x_label, y_label):
+def _axes(out, frame, y_label):
     out.append(_rect(frame.left, frame.top, frame.width, frame.height,
                      "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
     bottom = frame.top + frame.height
@@ -115,7 +116,7 @@ def _axes(out, frame, x_label, y_label):
         py = frame.py(yv)
         out.append(_line(frame.left - 4, py, frame.left, py, DEFAULT_COLORS["axis"]))
         out.append(_text(frame.left - 8, py + 4, f"{yv:.3g}", anchor="end"))
-    out.append(_text(frame.left + frame.width / 2, bottom + 32, x_label))
+    out.append(_text(frame.left + frame.width / 2, bottom + 32, "knob value t"))
     out.append(_text(frame.left - 40, frame.top + frame.height / 2, y_label,
                      anchor="middle"))
 
@@ -139,12 +140,19 @@ def _document(title, body) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cid_panel(out, curve, frame, region=None):
-    """Append the CID-vs-t panel, with lines at the reference t0 and at the
-    region's bounds, to out; return the formatted pixel x of every grid
-    point."""
+def _cid_panel(out, curve, height, ymax, region=None):
+    """Append the CID-vs-t panel at the top of the figure, height pixels
+    tall with CID from 0 to ymax, and lines at the reference t0 and at the
+    region's bounds, to out. Return its frame and the formatted pixel x of
+    every grid point."""
+    if not len(curve.t):
+        raise ValueError("cannot render an empty curve")
+    pad = curve.step if len(curve.t) > 1 else 1.0
+    frame = _Frame(MARGIN, MARGIN, WIDTH_PX - 2 * MARGIN, height,
+                   float(curve.t.min()) - pad, float(curve.t.max()) + pad,
+                   0.0, ymax)
     out.append(frame.open_group("cid-panel"))
-    _axes(out, frame, "knob value t", "CID")
+    _axes(out, frame, "CID")
     _vline(out, frame, curve.t[curve.i0], DEFAULT_COLORS["reference"],
            "reference-line")
     if region is not None:
@@ -160,7 +168,7 @@ def _cid_panel(out, curve, frame, region=None):
         out.append(_polyline(xs, frame.py(curve.cid), DEFAULT_COLORS["curve"],
                              "cid-polyline"))
     out.append("</g>")
-    return xs
+    return frame, xs
 
 
 def render_election_figure(curve: CidCurve, title: str,
@@ -168,34 +176,27 @@ def render_election_figure(curve: CidCurve, title: str,
     """Two stacked panels: CID vs t, with the plausible region's bounds if
     given, and the swept intervals with the reference interval
     highlighted."""
-    if not len(curve.t):
-        raise ValueError("cannot render an empty curve")
+    gap = 48
+    panel_h = (HEIGHT_PX - 2 * MARGIN - gap) / 2
+    out = []
+    top, xs = _cid_panel(out, curve, panel_h, 2.05, region)
     if curve.lower is None or curve.upper is None or curve.j_t is None:
         raise ValueError("election figure needs intervals and overlap values")
-    ts = curve.t
-    margin, gap = 56, 48
-    panel_h = (HEIGHT_PX - 2 * margin - gap) / 2
-    panel_w = WIDTH_PX - 2 * margin
-    pad = curve.step if len(ts) > 1 else 1.0
-    top = _Frame(margin, margin, panel_w, panel_h,
-                 float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
-    out = []
-    xs = _cid_panel(out, curve, top, region)
 
     lows, highs = curve.lower, curve.upper
     lo, hi = float(lows.min()), float(highs.max())
     span = hi - lo
-    bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
+    bottom = _Frame(MARGIN, MARGIN + panel_h + gap, top.width, panel_h,
                     top.xmin, top.xmax, lo - 0.05 * span, hi + 0.05 * span)
     out.append(bottom.open_group("interval-panel"))
-    _axes(out, bottom, "knob value t", "interval")
+    _axes(out, bottom, "interval")
     # The two panels share left, width, xmin and xmax, so they share xs.
     bar = ('<line class="interval-bar" x1="%s" y1="%.3f" x2="%s" y2="%.3f" '
            f'stroke="{DEFAULT_COLORS["interval"]}" stroke-width="{_fmt(1.0)}"/>')
     out.append("\n".join([bar] * len(xs)) % tuple(chain.from_iterable(
         zip(xs, bottom.py(lows).tolist(), xs, bottom.py(highs).tolist()))))
     ref = curve.i0
-    px = bottom.px(ts[ref])
+    px = bottom.px(curve.t[ref])
     out.append(_line(px, bottom.py(lows[ref]), px, bottom.py(highs[ref]),
                      DEFAULT_COLORS["reference_interval"], 2.5,
                      cls="reference-interval"))
@@ -206,30 +207,22 @@ def render_election_figure(curve: CidCurve, title: str,
 def render_lead_figure(curve: CidCurve, rows, title: str) -> str:
     """CID-vs-t panel plus, for each grid row in rows, a bar chart of that
     row's mean completed frequencies."""
-    if not len(curve.t):
-        raise ValueError("cannot render an empty curve")
     if not len(rows):
         raise ValueError("need at least one snapshot")
-    ts = curve.t
-    freqs = curve.completed_freqs[rows]
-
-    margin, gap = 56, 56
-    panel_w = WIDTH_PX - 2 * margin
-    top_h = (HEIGHT_PX - 2 * margin - gap) * 0.55
-    inset_h = (HEIGHT_PX - 2 * margin - gap) * 0.45
-    pad = curve.step if len(ts) > 1 else 1.0
-    top = _Frame(margin, margin, panel_w, top_h,
-                 float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 1.05)
+    gap = 56
+    top_h = (HEIGHT_PX - 2 * MARGIN - gap) * 0.55
+    inset_h = (HEIGHT_PX - 2 * MARGIN - gap) * 0.45
     out = []
-    _cid_panel(out, curve, top)
+    top, _ = _cid_panel(out, curve, top_h, 1.05)
 
+    freqs = curve.completed_freqs[rows]
     n, k = freqs.shape
     inset_gap = 16
-    inset_w = (panel_w - inset_gap * (n - 1)) / n
+    inset_w = (top.width - inset_gap * (n - 1)) / n
     ymax = 1.05 * float(freqs.max())
-    for i, (t, probs) in enumerate(zip(ts[rows].tolist(), freqs.tolist())):
-        left = margin + i * (inset_w + inset_gap)
-        frame = _Frame(left, margin + top_h + gap, inset_w, inset_h,
+    for i, (t, probs) in enumerate(zip(curve.t[rows].tolist(), freqs.tolist())):
+        left = MARGIN + i * (inset_w + inset_gap)
+        frame = _Frame(left, MARGIN + top_h + gap, inset_w, inset_h,
                        0.5, k + 0.5, 0.0, ymax)
         out.append(frame.open_group("freq-panel"))
         out.append(_rect(frame.left, frame.top, frame.width, frame.height,

@@ -183,9 +183,9 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
 
 
 def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
-               cfg: ImputationConfig, rule: ThresholdRule,
-               costs: CostParams) -> CidCurve:
-    """Sweep MNAR tilt strength t against the MAR reference at t0.
+               cfg: ImputationConfig, costs: CostParams) -> CidCurve:
+    """Sweep MNAR tilt strength t against the MAR reference at t0, deciding
+    with the threshold rule at costs.threshold.
 
     The whole grid is imputed in one common-random-numbers pass
     (impute_theta_grid): every grid point reuses the same per-imputation
@@ -199,7 +199,7 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
     i0 = grid.index_of_t0()
     theta_ref = thetas[i0]
-    codes = decide_intervention_codes(thetas, rule)
+    codes = decide_intervention_codes(thetas, ThresholdRule(costs.threshold))
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
                   lambda d_t: cid_lead(theta_ref, thetas, d_t, costs),
                   completed_freqs=freqs)

@@ -51,15 +51,13 @@ def lead_cfg():
 @pytest.fixture(scope="module")
 def accordion_curve(lead_population, lead_cfg, lead_costs):
     return sweep_lead(lead_population, accordion_mechanism(),
-                      KnobGrid(-2, 4, 0.05), lead_cfg, ThresholdRule(),
-                      lead_costs)
+                      KnobGrid(-2, 4, 0.05), lead_cfg, lead_costs)
 
 
 @pytest.fixture(scope="module")
 def parametric_curve(lead_population, lead_cfg, lead_costs):
     return sweep_lead(lead_population, parametric_mechanism(),
-                      KnobGrid(-2, 4, 0.05), lead_cfg, ThresholdRule(),
-                      lead_costs)
+                      KnobGrid(-2, 4, 0.05), lead_cfg, lead_costs)
 
 
 def test_criterion_1_regression_reproduction(hibbs_fit):
@@ -220,7 +218,7 @@ class TestCriterion8Properties:
         cfg = ImputationConfig(m=25, seed=SEED)
         grid = KnobGrid(-0.5, 1.0, 0.25)
         runs = [sweep_lead(lead_population, accordion_mechanism(), grid, cfg,
-                           ThresholdRule(), lead_costs) for _ in range(2)]
+                           lead_costs) for _ in range(2)]
         assert curve_to_csv(runs[0]).encode() == curve_to_csv(runs[1]).encode()
 
     def test_svg_parse_back_within_half_pixel(self, hibbs_fit):

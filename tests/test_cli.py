@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from cid.cli import ConfigError, load_config, main, parse_config
-from cid.decisions import ThresholdRule
 from cid.imputation import (ImputationConfig, LeadPopulation, impute_theta,
                             read_level_counts)
 from cid.metrics import CostParams, worst_case_theta
@@ -195,6 +194,45 @@ class TestRun:
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
 
+    @pytest.mark.parametrize("doc_name, text", [
+        pytest.param("election_doc", "year,growth,vote\n1952,2.4,44.6\n"
+                     "1956,2.9,57.8\n", id="2-records"),
+        pytest.param("election_doc", "year,growth,vote\n1952,1.0,44.6\n"
+                     "1956,1.0,57.8\n1960,1.0,49.9\n", id="identical-growth"),
+        pytest.param("election_doc", "year,growth,vote\n1952,abc,44.6\n"
+                     "1956,2.9,57.8\n1960,0.9,49.9\n", id="growth-abc"),
+        pytest.param("election_doc", "year,growth,vote\n1952,2.4,44.6\n"
+                     "1956,2.9\n1960,0.9,49.9\n", id="short-row"),
+        pytest.param("election_doc", "year,growth,vote\n1952,nan,44.6\n"
+                     "1956,2.9,57.8\n1960,0.9,49.9\n", id="nan-growth"),
+        pytest.param("election_doc", "year,growth,vote\n1952,2.4,inf\n"
+                     "1956,2.9,57.8\n1960,0.9,49.9\n", id="inf-vote"),
+        pytest.param("election_doc", "year,growth,vote\n", id="header-only"),
+        pytest.param("election_doc", "year,vote\n1952,44.6\n1956,57.8\n"
+                     "1960,49.9\n", id="no-growth-column"),
+        pytest.param("lead_doc", "level,count\n", id="lead-header-only"),
+        pytest.param("lead_doc", "count\n100\n100\n100\n100\n100\n",
+                     id="no-level-column"),
+        pytest.param("lead_doc", "level,count\n1,100\n2,100\n3,100\n5,100\n"
+                     "6,100\n", id="level-gap"),
+        pytest.param("lead_doc", "level,count\n1,100\n2,-5\n3,100\n4,100\n"
+                     "5,100\n", id="negative-count"),
+        pytest.param("lead_doc", "level,count\n1,100\n2,1.5\n3,100\n4,100\n"
+                     "5,100\n", id="fractional-count"),
+    ])
+    def test_invalid_dataset_exits_1_without_outputs(
+            self, tmp_path, capsys, request, doc_name, text):
+        doc = request.getfixturevalue(doc_name)
+        (tmp_path / "data.csv").write_text(text)
+        doc["dataset"] = "data.csv"
+        if doc_name == "lead_doc":  # mar fits any level count
+            doc["lead"]["mechanism"] = "mar"
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path)]) == 1
+        assert "config error: dataset:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mode": "lead", "dataset": "d.csv",
                                        "lead": {"n_total": 1,
@@ -306,8 +344,7 @@ class TestRun:
         costs = CostParams(a=s.a, b=s.b, threshold=s.threshold, theta_wc=
                            worst_case_theta(pop.observed_high_count,
                                             pop.n_observed, pop.n_total))
-        curve = sweep_lead(pop, s.mechanism, config.grid, cfg,
-                           ThresholdRule(s.threshold), costs)
+        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, costs)
         snap_ts = ([float(curve.t[curve.index_nearest(t)]) for t in snapshot_ts]
                    if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
         snapshots = [(t, impute_theta(pop, s.mechanism, t, cfg)[1])

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from cid import svgfig
 from cid.cli import curve_to_csv
-from cid.decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
-                           ThresholdRule)
+from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
 from cid.imputation import (CategoricalDistribution, ImputationConfig,
                             accordion_mechanism, mar_mechanism,
                             parametric_mechanism)
@@ -64,7 +63,7 @@ def ref_polyline(pts, stroke, width=1.5, cls=None):
 def ref_cid_panel(out, curve, reference_line, region_lines, frame):
     """The CID panel mapped and formatted one point at a time."""
     out.append(frame.open_group("cid-panel"))
-    _axes(out, frame, "knob value t", "CID")
+    _axes(out, frame, "CID")
     _vline(out, frame, reference_line, DEFAULT_COLORS["reference"],
            "reference-line")
     for t in region_lines:
@@ -102,7 +101,7 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
                     min(lows) - 0.05 * span, max(highs) + 0.05 * span)
     ref = curve.index_nearest(reference_line)
     out.append(bottom.open_group("interval-panel"))
-    _axes(out, bottom, "knob value t", "interval")
+    _axes(out, bottom, "interval")
     for t, lo, hi in zip(ts.tolist(), lows, highs):
         px = bottom.px(t)
         out.append(_line(px, bottom.py(lo), px, bottom.py(hi),
@@ -184,7 +183,7 @@ def test_lead_outputs_equal_reference(lead_population, mech):
     costs = CostParams(a=1, b=1, theta_wc=worst_case_theta(
         pop.observed_high_count, pop.n_observed, pop.n_total))
     curve = sweep_lead(pop, mech, KnobGrid(-2, 4, 0.01),
-                       ImputationConfig(m=3, seed=7), ThresholdRule(), costs)
+                       ImputationConfig(m=3, seed=7), costs)
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
     rows = [0, curve.index_nearest(0.5)]
     snapshots = [(float(curve.t[i]), CategoricalDistribution(

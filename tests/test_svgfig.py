@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cid.decisions import ELECTION_DECISIONS, ThresholdRule
+from cid.decisions import ELECTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             impute_theta)
 from cid.metrics import CostParams, worst_case_theta
@@ -24,8 +24,7 @@ def lead_curve_and_snapshots(lead_population):
                           lead_population.n_observed, lead_population.n_total)
     cfg = ImputationConfig(m=10, seed=20240101)
     curve = sweep_lead(lead_population, accordion_mechanism(),
-                       KnobGrid(-2, 4, 0.5), cfg, ThresholdRule(),
-                       CostParams(a=1, b=1, theta_wc=wc))
+                       KnobGrid(-2, 4, 0.5), cfg, CostParams(a=1, b=1, theta_wc=wc))
     snapshots = []
     for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
         _, freqs = impute_theta(lead_population, accordion_mechanism(), t, cfg)

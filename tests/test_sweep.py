@@ -214,8 +214,7 @@ class TestSweepLead:
     def test_accordion_change_point(self, lead_population, lead_costs):
         cfg = ImputationConfig(m=200, seed=20240101)
         curve = sweep_lead(lead_population, accordion_mechanism(),
-                           KnobGrid(-2, 4, 0.05), cfg, ThresholdRule(),
-                           lead_costs)
+                           KnobGrid(-2, 4, 0.05), cfg, lead_costs)
         assert curve.reference_decision is InterventionDecision.INTERVENE
         assert curve.cid[curve.index_nearest(0.0)] == 1.0
         mids = [(lo + hi) / 2 for lo, hi in curve.change_points]
@@ -224,8 +223,7 @@ class TestSweepLead:
     def test_zero_weight_mechanism_is_flat(self, lead_population, lead_costs):
         cfg = ImputationConfig(m=500, seed=3)
         curve = sweep_lead(lead_population, mar_mechanism(),
-                           KnobGrid(-1, 1, 0.2), cfg, ThresholdRule(),
-                           lead_costs)
+                           KnobGrid(-1, 1, 0.2), cfg, lead_costs)
         assert curve.change_points == ()
         assert np.ptp(curve.estimate) == 0.0
         assert np.all(curve.cid == curve.cid[0])
@@ -234,9 +232,9 @@ class TestSweepLead:
         cfg = ImputationConfig(m=20, seed=99)
         grid = KnobGrid(-0.5, 1.0, 0.25)
         a = sweep_lead(lead_population, parametric_mechanism(), grid, cfg,
-                       ThresholdRule(), lead_costs)
+                       lead_costs)
         b = sweep_lead(lead_population, parametric_mechanism(), grid, cfg,
-                       ThresholdRule(), lead_costs)
+                       lead_costs)
         assert a.estimate.tolist() == b.estimate.tolist()
         assert a.cid.tolist() == b.cid.tolist()
 
@@ -245,7 +243,7 @@ class TestSweepLead:
         cfg = ImputationConfig(m=3, seed=7)
         mech = accordion_mechanism()
         curve = sweep_lead(lead_population, mech, KnobGrid(-1, 1, 0.25), cfg,
-                           ThresholdRule(), lead_costs)
+                           lead_costs)
         assert curve.completed_freqs.shape == (len(curve.t),
                                                lead_population.k)
         for t, estimate, row in zip(curve.t, curve.estimate,
@@ -255,9 +253,25 @@ class TestSweepLead:
             assert tuple(row.tolist()) == freqs.probs
 
 
-def scalar_sweep_lead(pop, mech, grid, cfg, rule, costs):
+    @pytest.mark.parametrize("threshold", [0.15, 0.2, 0.3])
+    def test_decides_at_the_cost_threshold(self, lead_population, threshold):
+        costs = CostParams(a=1.0, b=1.0, threshold=threshold,
+                           theta_wc=worst_case_theta(
+                               lead_population.observed_high_count,
+                               lead_population.n_observed,
+                               lead_population.n_total))
+        curve = sweep_lead(lead_population, accordion_mechanism(),
+                           KnobGrid(-4, 4, 0.1), ImputationConfig(m=3, seed=7),
+                           costs)
+        assert curve.codes.tolist() == (curve.estimate > threshold).tolist()
+        assert set(curve.codes.tolist()) == {0, 1}  # the grid crosses it
+        assert np.all((0.0 <= curve.cid) & (curve.cid <= 1.0))
+
+
+def scalar_sweep_lead(pop, mech, grid, cfg, costs):
     """Per-point oracle: impute each knob value alone, then the scalar
-    decision and metric oracles."""
+    decision and metric oracles, deciding at costs.threshold."""
+    rule = ThresholdRule(costs.threshold)
     theta_ref, _ = impute_theta(pop, mech, grid.t0, cfg)
     ref_decision = oracles.decide_intervention(theta_ref, rule)
     rows = []
@@ -280,13 +294,12 @@ class TestSweepLeadMatchesScalarOracle:
     ])
     def test_matches_per_point_loop(self, lead_population, mech, grid, seed):
         cfg = ImputationConfig(m=3, seed=seed)
-        rule = ThresholdRule()
         costs = CostParams(a=1.0, b=2.0, theta_wc=worst_case_theta(
             lead_population.observed_high_count, lead_population.n_observed,
             lead_population.n_total))
-        curve = sweep_lead(lead_population, mech, grid, cfg, rule, costs)
+        curve = sweep_lead(lead_population, mech, grid, cfg, costs)
         rows, ref_decision = scalar_sweep_lead(lead_population, mech, grid,
-                                               cfg, rule, costs)
+                                               cfg, costs)
         got = list(zip(curve.t.tolist(), curve.estimate.tolist(),
                        curve.decision, curve.d_t.tolist(), curve.cid.tolist()))
         assert got == rows
