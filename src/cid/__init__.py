@@ -6,35 +6,29 @@ regression inputs, and missing-not-at-random mechanisms in categorical
 outcome data.
 """
 
-from .decisions import (ElectionDecision, InterventionDecision, ThresholdRule,
-                        decide_election, decide_intervention,
-                        decision_indicator)
-from .imputation import (CategoricalDistribution, ImputationConfig,
-                         LeadPopulation, MnarMechanism, accordion_mechanism,
-                         draw_dirichlet_posterior, impute_theta,
+from .decisions import ElectionDecision, InterventionDecision, ThresholdRule
+from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
+                         accordion_mechanism, draw_dirichlet_posterior,
                          impute_theta_grid, mar_mechanism,
-                         parametric_mechanism, tilt_distribution)
-from .metrics import (CostParams, cid_general, cid_lead, interval_overlap,
-                      max_cost, worst_case_theta)
-from .regression import (ElectionDataset, FittedLine, Interval, fit_simple_ols,
-                         predict_interval)
+                         parametric_mechanism)
+from .metrics import (CostParams, cid_general, cid_lead, max_cost,
+                      worst_case_theta)
+from .regression import ElectionDataset, FittedLine, fit_simple_ols
 from .svgfig import render_election_figure, render_lead_figure
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
                     annotate_plausible_region, expected_cid, sweep_election,
                     sweep_lead)
 
 __all__ = [
-    "CategoricalDistribution", "CidCurve", "CostParams", "ElectionDataset",
-    "ElectionDecision", "FittedLine", "ImputationConfig",
-    "Interval", "InterventionDecision", "KnobDistribution", "KnobGrid",
-    "LeadPopulation", "MnarMechanism", "PlausibleRegion", "ThresholdRule",
-    "accordion_mechanism", "annotate_plausible_region", "cid_general",
-    "cid_lead", "decide_election", "decide_intervention", "decision_indicator",
+    "CidCurve", "CostParams", "ElectionDataset", "ElectionDecision",
+    "FittedLine", "ImputationConfig", "InterventionDecision",
+    "KnobDistribution", "KnobGrid", "LeadPopulation", "MnarMechanism",
+    "PlausibleRegion", "ThresholdRule", "accordion_mechanism",
+    "annotate_plausible_region", "cid_general", "cid_lead",
     "draw_dirichlet_posterior", "expected_cid", "fit_simple_ols",
-    "impute_theta", "impute_theta_grid", "interval_overlap", "mar_mechanism",
-    "max_cost", "parametric_mechanism", "predict_interval",
+    "impute_theta_grid", "mar_mechanism", "max_cost", "parametric_mechanism",
     "render_election_figure", "render_lead_figure", "sweep_election",
-    "sweep_lead", "tilt_distribution", "worst_case_theta",
+    "sweep_lead", "worst_case_theta",
 ]
 
 __version__ = "0.1.0"

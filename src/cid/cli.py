@@ -36,6 +36,8 @@ DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
 # Largest knob grid a config may ask for: 60,000 points is a fine lead grid
 # (step 1e-4), while a step of 1e-9 would need 8e9 points (60 GiB per column).
 MAX_GRID_POINTS = 1_000_000
+# Largest lead population: every count, observed or completed, is an int64.
+MAX_N_TOTAL = 2**63 - 1
 
 # Known fields of each config object; the document's top level also holds
 # the block named by its mode.
@@ -125,6 +127,9 @@ def _string(value, path: str) -> str:
 
 
 def _integer(value, path: str) -> int:
+    """A JSON integer as it stands, or an integral finite float as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     number = _finite(value, path)
     if number != int(number):
         raise ConfigError(f"{path}: must be an integer, got {value!r}")
@@ -194,8 +199,12 @@ def _parse_lead(block: dict) -> LeadSettings:
             raise ConfigError(f"lead.{key}: must be nonnegative, got {cost}")
     if costs["a"] == costs["b"] == 0:
         raise ConfigError("lead.b: costs a and b must not both be zero")
+    n_total = _integer(_require(block, "n_total", "lead."), "lead.n_total")
+    if not 1 <= n_total <= MAX_N_TOTAL:
+        raise ConfigError(f"lead.n_total: must be in [1, {MAX_N_TOTAL}], "
+                          f"got {n_total}")
     return LeadSettings(
-        n_total=_integer(_require(block, "n_total", "lead."), "lead.n_total"),
+        n_total=n_total,
         mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
                                    "lead.mechanism"),
         m=_checked("lead.m", lambda: ImputationConfig(

@@ -1,4 +1,5 @@
-"""Decision rules mapping estimates to discrete choices, plus a change indicator."""
+"""Decision rules mapping estimates (numbers or arrays) to discrete choices,
+returned as integer codes into each rule family's tuple of decisions."""
 
 from __future__ import annotations
 
@@ -6,8 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .regression import Interval
 
 
 class ElectionDecision(Enum):
@@ -46,13 +45,6 @@ class ThresholdRule:
 BOUNDARY = 50.0
 
 
-def decide_election(interval: Interval) -> ElectionDecision:
-    """Three-way call from a vote-share interval: decide_election_codes at
-    one interval."""
-    return ELECTION_DECISIONS[decide_election_codes(interval.lower,
-                                                    interval.upper)]
-
-
 def decide_election_codes(lower, upper) -> np.ndarray:
     """Three-way call from vote-share interval bounds (numbers or arrays);
     each code indexes ELECTION_DECISIONS.
@@ -65,12 +57,6 @@ def decide_election_codes(lower, upper) -> np.ndarray:
     return np.where(BOUNDARY < lower, 2, np.where(upper < BOUNDARY, 0, 1))
 
 
-def decide_intervention(theta_hat: float, rule: ThresholdRule) -> InterventionDecision:
-    """Two-way call from an estimated proportion: decide_intervention_codes
-    at one value."""
-    return INTERVENTION_DECISIONS[decide_intervention_codes(theta_hat, rule)]
-
-
 def decide_intervention_codes(thetas, rule: ThresholdRule) -> np.ndarray:
     """Two-way call from estimated proportions (a number or an array), each
     in [0, 1], with strict > at the threshold; each code indexes
@@ -81,16 +67,3 @@ def decide_intervention_codes(thetas, rule: ThresholdRule) -> np.ndarray:
         raise ValueError(f"theta_hat must be in [0, 1], "
                          f"got {thetas[outside][0]}")
     return (thetas > rule.threshold).astype(int)
-
-
-def decision_indicator(reference, candidate) -> int:
-    """1 if the candidate decision equals the reference, else 0.
-
-    Both decisions must come from the same rule family.
-    """
-    if type(reference) is not type(candidate):
-        raise TypeError(
-            f"cannot compare decisions from different rule families: "
-            f"{type(reference).__name__} vs {type(candidate).__name__}"
-        )
-    return 1 if reference == candidate else 0

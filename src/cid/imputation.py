@@ -15,34 +15,6 @@ N_LEVELS = 10
 
 
 @dataclass(frozen=True)
-class CategoricalDistribution:
-    """Probability vector over K ordered levels."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"probabilities must be finite, got {self.probs!r}")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-
-    @classmethod
-    def from_array(cls, p) -> "CategoricalDistribution":
-        p = np.asarray(p, dtype=float)
-        return cls(tuple(float(v) for v in p / p.sum()))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-    @property
-    def k(self) -> int:
-        return len(self.probs)
-
-
-@dataclass(frozen=True)
 class MnarMechanism:
     """Per-level log-odds weights w; the tilt at knob value t adds t*w."""
 
@@ -162,22 +134,23 @@ def substream(seed: int, m: int) -> np.random.Generator:
 
 
 def draw_dirichlet_posterior(pop: LeadPopulation,
-                             rng: np.random.Generator) -> CategoricalDistribution:
-    """One draw from Dirichlet(1 + n_1, ..., 1 + n_K).
+                             rng: np.random.Generator) -> np.ndarray:
+    """One draw from Dirichlet(1 + n_1, ..., 1 + n_K), as a probability array.
 
     Drawn as K independent gamma variates with shapes 1 + n_k, normalized;
     all shapes are >= 1 thanks to the flat prior.
     """
     g = rng.standard_gamma(1.0 + pop.counts_array())
-    return CategoricalDistribution.from_array(g)
+    return g / g.sum()
 
 
 def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Row i is p tilted by ts[i]: proportional to p * exp(ts[i] * w).
 
-    Computed as log p + t*w shifted by its row maximum before exponentiating,
-    so no entry overflows however large |t*w| grows; levels with p = 0 keep
-    zero mass.
+    This is the pattern-mixture tilt: it adds t*w on the log-odds scale with
+    level 1 as baseline, so level 1 needs positive mass. Computed as log p +
+    t*w shifted by its row maximum before exponentiating, so no entry
+    overflows however large |t*w| grows; levels with p = 0 keep zero mass.
     """
     if probs[0] == 0.0:
         raise ValueError("baseline category empty: p_1 must be positive")
@@ -192,17 +165,6 @@ def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     tilted = np.exp(z, out=z)
     tilted /= tilted.sum(axis=1, keepdims=True)
     return tilted
-
-
-def tilt_distribution(p: CategoricalDistribution, mech: MnarMechanism,
-                      t: float) -> CategoricalDistribution:
-    """Pattern-mixture tilt: p_t[k] proportional to p[k] * exp(t * w[k]).
-
-    Equivalent to adding t*w on the log-odds scale with level 1 as baseline;
-    category 1 must have positive mass for that representation to exist.
-    """
-    row = _tilt_rows(p.as_array(), mech.as_array(), np.array([t], dtype=float))[0]
-    return CategoricalDistribution(tuple(float(v) for v in row))
 
 
 def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
@@ -234,7 +196,7 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     for m in range(cfg.m):
         rng = substream(cfg.seed, m)
         p = draw_dirichlet_posterior(pop, rng)
-        p_t = _tilt_rows(p.as_array(), w, ts)
+        p_t = _tilt_rows(p, w, ts)
         bit_generator = rng.bit_generator
         after_posterior = bit_generator.state
         for i, row in enumerate(p_t):
@@ -245,14 +207,3 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
         freq_sum += completed / pop.n_total
     freqs = freq_sum / cfg.m
     return theta_sum / cfg.m, freqs / freqs.sum(axis=1, keepdims=True)
-
-
-def impute_theta(pop: LeadPopulation, mech: MnarMechanism, t: float,
-                 cfg: ImputationConfig):
-    """impute_theta_grid at the single knob value t.
-
-    Returns the mean fraction above the cutoff and the mean completed
-    frequencies as a CategoricalDistribution.
-    """
-    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg)
-    return thetas[0], CategoricalDistribution(tuple(float(v) for v in freqs[0]))

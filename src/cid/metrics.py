@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import Interval
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -42,12 +40,6 @@ def _check(ok, values, message: str) -> None:
     ok, values = np.broadcast_arrays(ok, values)
     if not ok.all():
         raise ValueError(message.format(values[~ok][0]))
-
-
-def interval_overlap(first: Interval, second: Interval) -> float:
-    """Overlap statistic in [0, 1]: interval_overlaps at one pair."""
-    return float(interval_overlaps(first.lower, first.upper,
-                                   second.lower, second.upper))
 
 
 def interval_overlaps(ref_lower: float, ref_upper: float, lower, upper) -> np.ndarray:

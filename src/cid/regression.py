@@ -12,26 +12,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Interval:
-    """A two-sided interval around a center value."""
-
-    lower: float
-    upper: float
-    center: float
-
-    def __post_init__(self):
-        if not (self.lower <= self.center <= self.upper):
-            raise ValueError(
-                f"interval must satisfy lower <= center <= upper, "
-                f"got ({self.lower}, {self.center}, {self.upper})"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
 class ElectionDataset:
     """Election records: (year, income growth %, incumbent-party vote share %)."""
 
@@ -232,11 +212,3 @@ def predict_intervals(fit: FittedLine, x0s, level: float = 0.95,
         )
     return center, lower, upper
 
-
-def predict_interval(fit: FittedLine, x0: float, level: float = 0.95,
-                     kind: str = MEAN_RESPONSE) -> Interval:
-    """Interval for the regression line at x0 (mean-response) or for a new
-    draw: predict_intervals at the single point x0."""
-    center, lower, upper = predict_intervals(fit, [x0], level, kind)
-    return Interval(lower=float(lower[0]), upper=float(upper[0]),
-                    center=float(center[0]))

@@ -5,7 +5,21 @@ per-value bodies it replaced, written with Python comparisons and
 branches, kept here as the oracle the array forms are tested against.
 """
 
+from dataclasses import dataclass
+
 from cid.decisions import ElectionDecision, InterventionDecision
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A closed interval, the input of the interval oracles below."""
+
+    lower: float
+    upper: float
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
 
 
 def decide_election(interval, boundary: float = 50.0) -> ElectionDecision:

@@ -9,15 +9,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cid.decisions import InterventionDecision, ThresholdRule
-from cid.imputation import (CategoricalDistribution, ImputationConfig,
-                            LeadPopulation, MnarMechanism,
-                            accordion_mechanism, parametric_mechanism,
-                            substream, tilt_distribution)
-from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
+from cid.decisions import (INTERVENTION_DECISIONS, InterventionDecision,
+                           ThresholdRule, decide_intervention_codes)
+from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
+                            _tilt_rows, accordion_mechanism,
+                            impute_theta_grid, mar_mechanism,
+                            parametric_mechanism, substream)
+from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
                          max_cost, worst_case_theta)
-from cid.regression import MEAN_RESPONSE, Interval, fit_simple_ols, \
-    predict_interval
+from cid.regression import MEAN_RESPONSE, predict_intervals
 from cid.svgfig import render_election_figure
 from cid.sweep import KnobGrid, sweep_election, sweep_lead
 from tests.conftest import (ACCORDION_T05_FREQS, LEAD_PROBS,
@@ -69,11 +69,12 @@ def test_criterion_1_regression_reproduction(hibbs_fit):
 
 
 def test_criterion_2_prediction_reproduction(hibbs_fit):
-    iv = predict_interval(hibbs_fit, -0.728, 0.95, MEAN_RESPONSE)
-    assert iv.center == pytest.approx(44.0, abs=0.1)
-    assert iv.lower == pytest.approx(39.6, abs=0.3)
-    assert iv.upper == pytest.approx(48.4, abs=0.3)
-    ok(2, f"center {iv.center:.1f}, interval ({iv.lower:.1f}, {iv.upper:.1f})")
+    (center,), (lower,), (upper,) = predict_intervals(hibbs_fit, [-0.728],
+                                                      0.95, MEAN_RESPONSE)
+    assert center == pytest.approx(44.0, abs=0.1)
+    assert lower == pytest.approx(39.6, abs=0.3)
+    assert upper == pytest.approx(48.4, abs=0.3)
+    ok(2, f"center {center:.1f}, interval ({lower:.1f}, {upper:.1f})")
 
 
 def test_criterion_3_election_change_points(election_curve):
@@ -88,12 +89,11 @@ def test_criterion_3_election_change_points(election_curve):
 
 
 def test_criterion_4_lead_mar_reference(lead_population, lead_cfg):
-    from cid.decisions import decide_intervention
-    from cid.imputation import impute_theta, mar_mechanism
-    theta, _ = impute_theta(lead_population, mar_mechanism(), 0.0, lead_cfg)
+    (theta,), _ = impute_theta_grid(lead_population, mar_mechanism(), [0.0],
+                                    lead_cfg)
     assert theta == pytest.approx(0.25, abs=0.005)
-    assert decide_intervention(theta, ThresholdRule()) is \
-        InterventionDecision.INTERVENE
+    assert INTERVENTION_DECISIONS[decide_intervention_codes(
+        theta, ThresholdRule())] is InterventionDecision.INTERVENE
     ok(4, f"MAR theta {theta:.4f}, decision intervene")
 
 
@@ -109,21 +109,20 @@ def test_criterion_5_worst_case_and_scaling(lead_population, lead_costs):
 
 def test_criterion_6_lead_change_points_and_frequencies(
         lead_population, lead_cfg, accordion_curve, parametric_curve):
-    from cid.imputation import impute_theta
     acc_mids = [(lo + hi) / 2 for lo, hi in accordion_curve.change_points]
     par_mids = [(lo + hi) / 2 for lo, hi in parametric_curve.change_points]
     assert any(abs(m - 0.4) <= 0.1 for m in acc_mids)
     assert any(abs(m - 0.8) <= 0.1 for m in par_mids)
 
-    theta_acc, freqs_acc = impute_theta(lead_population,
-                                        accordion_mechanism(), 0.5, lead_cfg)
+    (theta_acc,), (freqs_acc,) = impute_theta_grid(
+        lead_population, accordion_mechanism(), [0.5], lead_cfg)
     assert theta_acc == pytest.approx(0.19, abs=0.01)
-    assert freqs_acc.probs == pytest.approx(ACCORDION_T05_FREQS, abs=0.01)
+    assert freqs_acc == pytest.approx(ACCORDION_T05_FREQS, abs=0.01)
 
-    theta_par, freqs_par = impute_theta(lead_population,
-                                        parametric_mechanism(), 1.0, lead_cfg)
+    (theta_par,), (freqs_par,) = impute_theta_grid(
+        lead_population, parametric_mechanism(), [1.0], lead_cfg)
     assert theta_par == pytest.approx(0.19, abs=0.01)
-    assert freqs_par.probs == pytest.approx(PARAMETRIC_T1_FREQS, abs=0.01)
+    assert freqs_par == pytest.approx(PARAMETRIC_T1_FREQS, abs=0.01)
     ok(6, f"accordion bracket near {acc_mids}, parametric near {par_mids}; "
           f"theta(acc, 0.5) {theta_acc:.3f}, theta(par, 1) {theta_par:.3f}")
 
@@ -140,19 +139,16 @@ def test_criterion_7_cid_spot_values(lead_costs):
 class TestCriterion8Properties:
     """Property suite: all must pass for criterion 8."""
 
-    def _iv(self, lo, hi):
-        return Interval(lower=lo, upper=hi, center=(lo + hi) / 2)
-
     def test_overlap_symmetry_bounds_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             a_lo, b_lo = rng.uniform(-10, 10, 2)
-            a = self._iv(a_lo, a_lo + rng.uniform(0.1, 5))
-            b = self._iv(b_lo, b_lo + rng.uniform(0.1, 5))
-            j = interval_overlap(a, b)
+            a = (a_lo, a_lo + rng.uniform(0.1, 5))
+            b = (b_lo, b_lo + rng.uniform(0.1, 5))
+            j = interval_overlaps(*a, *b)
             assert 0.0 <= j <= 1.0
-            assert j == interval_overlap(b, a)
-            assert interval_overlap(a, a) == 1.0
+            assert j == interval_overlaps(*b, *a)
+            assert interval_overlaps(*a, *a) == 1.0
 
     def test_cid_general_range(self):
         rng = np.random.default_rng(1)
@@ -168,14 +164,15 @@ class TestCriterion8Properties:
             assert 0.0 <= cid_lead(theta_ref, theta_t, d, lead_costs) <= 1.0
 
     def test_softmax_shift_invariance_and_composition(self):
-        p = CategoricalDistribution.from_array(LEAD_PROBS)
-        mech = parametric_mechanism()
-        shifted = MnarMechanism(weights=tuple(w + 2.5 for w in mech.weights))
-        a = tilt_distribution(p, mech, 1.3)
-        b = tilt_distribution(p, shifted, 1.3)
-        assert b.probs == pytest.approx(a.probs, abs=1e-10)
-        twice = tilt_distribution(tilt_distribution(p, mech, 0.7), mech, 0.6)
-        assert twice.probs == pytest.approx(a.probs, abs=1e-10)
+        p = np.array(LEAD_PROBS) / sum(LEAD_PROBS)
+        w = parametric_mechanism().as_array()
+
+        def tilt(q, weights, t):
+            return _tilt_rows(q, weights, np.array([t]))[0]
+
+        a = tilt(p, w, 1.3)
+        assert tilt(p, w + 2.5, 1.3) == pytest.approx(a, abs=1e-10)
+        assert tilt(tilt(p, w, 0.7), w, 0.6) == pytest.approx(a, abs=1e-10)
 
     def test_count_based_vs_per_record_oracle(self):
         # K = 3, N = 20, n = 10; compare mean theta over 50,000 imputations
@@ -189,8 +186,7 @@ class TestCriterion8Properties:
         for m in range(reps):
             rng = substream(101, m)
             g = rng.standard_gamma(1.0 + pop.counts_array())
-            p_t = tilt_distribution(
-                CategoricalDistribution.from_array(g), mech, t).as_array()
+            p_t = _tilt_rows(g / g.sum(), mech.as_array(), np.array([t]))[0]
             imputed = rng.multinomial(pop.n_missing, p_t)
             completed = pop.counts_array() + imputed
             count_thetas[m] = completed[2] / pop.n_total

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,14 +12,27 @@ from pathlib import Path
 import pytest
 
 from cid.cli import ConfigError, load_config, main, parse_config
-from cid.imputation import (ImputationConfig, LeadPopulation, impute_theta,
-                            read_level_counts)
+from cid.imputation import (ImputationConfig, LeadPopulation,
+                            impute_theta_grid, read_level_counts)
 from cid.metrics import CostParams, worst_case_theta
 from cid.regression import MEAN_RESPONSE
 from cid.sweep import sweep_lead
 from tests.test_emitters import ref_render_lead_figure
 
 REPO = Path(__file__).resolve().parent.parent
+
+# SHA-256 of the bundled lead configs' outputs (numpy 2.4). A change to any
+# of them is a re-baseline of the lead study and must say why.
+LEAD_DIGESTS = {
+    "lead_accordion_curve.csv":
+        "d760f8f28e911986ee72fdb172bcf7ceda8c40a82afa3eb9694003760cdf08bb",
+    "lead_accordion_figure.svg":
+        "915fe98da7da80ee04cbac5c2b57bf33fc9e2fb34abd916718b11ac229de61b5",
+    "lead_parametric_curve.csv":
+        "19a98a08a6b22af389532c63439f2eaa25fa21c645cd7538c2e638836952c780",
+    "lead_parametric_figure.svg":
+        "61370c6c08ff464e770224cae162f3b30f911b4ec56b26f36659591fe921d2fc",
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -134,6 +148,13 @@ class TestParseConfig:
         grid = parse_config(dict(doc, grid={"t_min": -1e200, "t_max": 1e200,
                                             "step": 1e199})).grid
         assert grid.n_points() == len(grid.values()) == 21
+
+    def test_large_integers_keep_their_value(self, tmp_path, lead_doc):
+        # 2**53 + 1 is the first integer a float cannot hold
+        lead_doc["lead"]["n_total"] = 2**53 + 1
+        config = load_config(write_config(tmp_path, lead_doc), seed=2**53 + 1)
+        assert config.seed == 2**53 + 1
+        assert config.lead.n_total == 2**53 + 1
 
     def test_costs_not_both_zero(self):
         with pytest.raises(ConfigError, match="not both be zero"):
@@ -347,7 +368,8 @@ class TestRun:
         curve = sweep_lead(pop, s.mechanism, config.grid, cfg, costs)
         snap_ts = ([float(curve.t[curve.index_nearest(t)]) for t in snapshot_ts]
                    if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
-        snapshots = [(t, impute_theta(pop, s.mechanism, t, cfg)[1])
+        snapshots = [(t, impute_theta_grid(pop, s.mechanism, [t], cfg)[1][0]
+                          .tolist())
                      for t in snap_ts]
         assert (tmp_path / "figure.svg").read_text() == ref_render_lead_figure(
             curve, config.grid.t0, snapshots,
@@ -395,6 +417,24 @@ class TestRun:
             assert f"config error: {error}" in captured.err
             assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("counts, n_total", [
+        pytest.param((0,) * 10, 0, id="zero-total-zero-counts"),
+        pytest.param((110_000,) + (0,) * 9, 10**20, id="total-above-int64"),
+        pytest.param((10**23,) + (0,) * 9, 10**24, id="count-above-int64"),
+        pytest.param((10**23,) + (0,) * 9, 2**63 - 1, id="count-above-total"),
+    ])
+    def test_n_total_out_of_range_exits_1(self, tmp_path, lead_doc, capsys,
+                                          counts, n_total):
+        (tmp_path / "levels.csv").write_text("level,count\n" + "".join(
+            f"{level},{count}\n" for level, count in enumerate(counts, 1)))
+        lead_doc["dataset"] = "levels.csv"
+        lead_doc["lead"]["n_total"] = n_total
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert "config error: lead.n_total:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
     def test_too_fine_grid_exits_1_without_allocating(self, tmp_path,
                                                       election_doc, capsys):
         path = write_config(tmp_path, election_doc)
@@ -418,6 +458,15 @@ class TestRun:
         for name in ("election_curve.csv", "election_figure.svg"):
             assert (tmp_path / name).read_bytes() == \
                 (REPO / "out" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("stem", ["lead_accordion", "lead_parametric"])
+    def test_bundled_lead_outputs_keep_their_digests(self, tmp_path, capsys,
+                                                      stem):
+        assert main(["run", str(REPO / "configs" / f"{stem}.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+        for name in (f"{stem}_curve.csv", f"{stem}_figure.svg"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == LEAD_DIGESTS[name], name
 
     def test_extreme_tilt_stays_finite(self, tmp_path, lead_doc, capsys):
         # exp(t * w) alone overflows for t * w above about 709

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from cid import svgfig
 from cid.cli import curve_to_csv
 from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
-from cid.imputation import (CategoricalDistribution, ImputationConfig,
-                            accordion_mechanism, mar_mechanism,
-                            parametric_mechanism)
+from cid.imputation import (ImputationConfig, accordion_mechanism,
+                            mar_mechanism, parametric_mechanism)
 from cid.metrics import CostParams, worst_case_theta
 from cid.regression import MEAN_RESPONSE, NEW_OBSERVATION
 from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _fmt_column,
@@ -116,7 +115,7 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
 
 def ref_render_lead_figure(curve, reference_line, snapshots, title):
     """The lead figure with the per-point CID panel and one bar chart per
-    (t, CategoricalDistribution) snapshot, one _rect call per bar."""
+    (t, completed frequencies) snapshot, one _rect call per bar."""
     ts = curve.t
     margin, gap = 56, 56
     panel_w = svgfig.WIDTH_PX - 2 * margin
@@ -131,17 +130,17 @@ def ref_render_lead_figure(curve, reference_line, snapshots, title):
     n = len(snapshots)
     inset_gap = 16
     inset_w = (panel_w - inset_gap * (n - 1)) / n
-    ymax = 1.05 * max(max(d.probs) for _, d in snapshots)
-    for i, (t, dist) in enumerate(snapshots):
+    ymax = 1.05 * max(max(freqs) for _, freqs in snapshots)
+    for i, (t, freqs) in enumerate(snapshots):
         left = margin + i * (inset_w + inset_gap)
         frame = _Frame(left, margin + top_h + gap, inset_w, inset_h,
-                       0.5, dist.k + 0.5, 0.0, ymax)
+                       0.5, len(freqs) + 0.5, 0.0, ymax)
         out.append(frame.open_group("freq-panel"))
         out.append(_rect(frame.left, frame.top, frame.width, frame.height,
                          "none", extra=f' stroke="{DEFAULT_COLORS["axis"]}"'))
         base = frame.py(0.0)
-        bar_w = frame.width / dist.k * 0.8
-        for level, prob in enumerate(dist.probs, start=1):
+        bar_w = frame.width / len(freqs) * 0.8
+        for level, prob in enumerate(freqs, start=1):
             x = frame.px(level) - bar_w / 2
             y = frame.py(prob)
             out.append(_rect(x, y, bar_w, base - y, DEFAULT_COLORS["bar"],
@@ -186,8 +185,7 @@ def test_lead_outputs_equal_reference(lead_population, mech):
                        ImputationConfig(m=3, seed=7), costs)
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
     rows = [0, curve.index_nearest(0.5)]
-    snapshots = [(float(curve.t[i]), CategoricalDistribution(
-                      tuple(curve.completed_freqs[i].tolist())))
+    snapshots = [(float(curve.t[i]), curve.completed_freqs[i].tolist())
                  for i in rows]
     title = f"lead ({mech.name})"
     assert_same_text(render_lead_figure(curve, rows, title),

@@ -4,17 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cid.imputation import (CategoricalDistribution, ImputationConfig,
-                            LeadPopulation, MnarMechanism,
-                            accordion_mechanism, draw_dirichlet_posterior,
-                            impute_theta, impute_theta_grid, mar_mechanism,
-                            parametric_mechanism, substream,
-                            tilt_distribution)
+from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
+                            _tilt_rows, accordion_mechanism,
+                            draw_dirichlet_posterior, impute_theta_grid,
+                            mar_mechanism, parametric_mechanism, substream)
 from tests.conftest import LEAD_PROBS
 
 
 def dist(*probs):
-    return CategoricalDistribution.from_array(probs)
+    p = np.asarray(probs, dtype=float)
+    return p / p.sum()
+
+
+def tilt(p, mech, t):
+    """p tilted by mech at the single knob value t."""
+    return _tilt_rows(p, mech.as_array(), np.array([t]))[0]
+
+
+def impute_theta(pop, mech, t, cfg):
+    """impute_theta_grid at the single knob value t."""
+    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg)
+    return thetas[0], freqs[0]
 
 
 class TestMechanisms:
@@ -30,20 +40,20 @@ class TestMechanisms:
     def test_zero_tilt_is_identity(self):
         p = dist(*LEAD_PROBS)
         for mech in (accordion_mechanism(), parametric_mechanism()):
-            assert tilt_distribution(p, mech, 0.0).probs == pytest.approx(p.probs)
+            assert tilt(p, mech, 0.0) == pytest.approx(p)
 
 
 class TestDirichletPosterior:
     def test_flat_prior_is_uniform_on_simplex(self):
         pop = LeadPopulation(observed_counts=(0,) * 10, n_total=100)
         rng = np.random.default_rng(0)
-        draws = np.array([draw_dirichlet_posterior(pop, rng).probs
+        draws = np.array([draw_dirichlet_posterior(pop, rng)
                           for _ in range(10_000)])
         assert draws.mean(axis=0) == pytest.approx([0.1] * 10, abs=0.01)
 
     def test_posterior_mean_matches_observed_frequencies(self, lead_population):
         rng = np.random.default_rng(1)
-        draws = np.array([draw_dirichlet_posterior(lead_population, rng).probs
+        draws = np.array([draw_dirichlet_posterior(lead_population, rng)
                           for _ in range(2_000)])
         assert draws.mean(axis=0) == pytest.approx(LEAD_PROBS, abs=0.005)
 
@@ -52,7 +62,7 @@ class TestDirichletPosterior:
         pop = LeadPopulation(observed_counts=(1, 0, 0), n_total=1,
                              cutoff_level=1)
         rng = np.random.default_rng(2)
-        draws = np.array([draw_dirichlet_posterior(pop, rng).probs[0]
+        draws = np.array([draw_dirichlet_posterior(pop, rng)[0]
                           for _ in range(50_000)])
 
         # oracle: uniform simplex proposals accepted with probability x1
@@ -67,18 +77,18 @@ class TestDirichletPosterior:
 class TestTilt:
     def test_accordion_half_tilt_direct_softmax(self):
         p = dist(*LEAD_PROBS)
-        out = tilt_distribution(p, accordion_mechanism(), 0.5)
+        out = tilt(p, accordion_mechanism(), 0.5)
         w = np.exp(0.5 * np.array(accordion_mechanism().weights))
         expected = np.array(LEAD_PROBS) * w
         expected /= expected.sum()
-        assert out.probs == pytest.approx(tuple(expected), abs=1e-12)
-        assert out.probs[0] == pytest.approx(0.244, abs=0.001)
-        assert out.probs[1] == pytest.approx(0.344, abs=0.001)
-        assert out.probs[3] == pytest.approx(0.0875, abs=0.001)
+        assert out == pytest.approx(expected, abs=1e-12)
+        assert out[0] == pytest.approx(0.244, abs=0.001)
+        assert out[1] == pytest.approx(0.344, abs=0.001)
+        assert out[3] == pytest.approx(0.0875, abs=0.001)
 
     def test_parametric_full_tilt_blended_matches_published_row(self):
         p = dist(*LEAD_PROBS)
-        p_t = np.array(tilt_distribution(p, parametric_mechanism(), 1.0).probs)
+        p_t = tilt(p, parametric_mechanism(), 1.0)
         n, big_n = 110_000, 400_000
         blended = (n * np.array(LEAD_PROBS) + (big_n - n) * p_t) / big_n
         published = (0.26, 0.33, 0.22, 0.11, 0.03, 0.02, 0.01,
@@ -86,13 +96,13 @@ class TestTilt:
         assert blended == pytest.approx(published, abs=0.01)
 
     def test_baseline_category_empty(self):
-        p = CategoricalDistribution(probs=(0.0, 0.5, 0.5))
+        p = dist(0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="baseline category empty"):
-            tilt_distribution(p, MnarMechanism(weights=(1, 0, 0)), 1.0)
+            tilt(p, MnarMechanism(weights=(1, 0, 0)), 1.0)
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
-            tilt_distribution(dist(0.5, 0.5), accordion_mechanism(), 1.0)
+            tilt(dist(0.5, 0.5), accordion_mechanism(), 1.0)
 
     @given(probs=arrays(float, 10,
                         elements=st.floats(0.01, 1.0)),
@@ -100,23 +110,23 @@ class TestTilt:
     @settings(max_examples=50)
     def test_shift_invariance(self, probs, shift):
         # adding a constant to every log-odds component changes nothing
-        p = CategoricalDistribution.from_array(probs)
-        base = tilt_distribution(p, parametric_mechanism(), 1.0)
+        p = dist(*probs)
+        base = tilt(p, parametric_mechanism(), 1.0)
         shifted_mech = MnarMechanism(
             weights=tuple(w + shift for w in parametric_mechanism().weights))
-        shifted = tilt_distribution(p, shifted_mech, 1.0)
-        assert sum(base.probs) == pytest.approx(1.0, abs=1e-12)
-        assert shifted.probs == pytest.approx(base.probs, abs=1e-10)
+        shifted = tilt(p, shifted_mech, 1.0)
+        assert sum(base) == pytest.approx(1.0, abs=1e-12)
+        assert shifted == pytest.approx(base, abs=1e-10)
 
     @given(probs=arrays(float, 10, elements=st.floats(0.01, 1.0)),
            t1=st.floats(-2, 2), t2=st.floats(-2, 2))
     @settings(max_examples=50)
     def test_tilt_composition(self, probs, t1, t2):
-        p = CategoricalDistribution.from_array(probs)
+        p = dist(*probs)
         mech = parametric_mechanism()
-        twice = tilt_distribution(tilt_distribution(p, mech, t1), mech, t2)
-        once = tilt_distribution(p, mech, t1 + t2)
-        assert twice.probs == pytest.approx(once.probs, abs=1e-10)
+        twice = tilt(tilt(p, mech, t1), mech, t2)
+        once = tilt(p, mech, t1 + t2)
+        assert twice == pytest.approx(once, abs=1e-10)
 
     @given(probs=arrays(float, 6, elements=st.floats(0.01, 1.0)),
            weights=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
@@ -126,18 +136,17 @@ class TestTilt:
                                                         sign):
         # t -> +inf keeps only the levels with the largest w, t -> -inf the
         # smallest, in proportion to p; exp(t*w) alone overflows long before
-        p = CategoricalDistribution.from_array(probs)
+        p = dist(*probs)
         w = np.array(weights, dtype=float)
-        out = np.array(tilt_distribution(
-            p, MnarMechanism(weights=tuple(weights)), sign * 1e4).probs)
+        out = tilt(p, MnarMechanism(weights=tuple(weights)), sign * 1e4)
         extreme = w == (w.max() if sign > 0 else w.min())
-        expected = np.where(extreme, p.as_array(), 0.0)
+        expected = np.where(extreme, p, 0.0)
         assert np.all(np.isfinite(out))
         assert out == pytest.approx(expected / expected.sum(), abs=1e-12)
 
     def test_accordion_high_mass_decreasing_in_t(self):
         p = dist(*LEAD_PROBS)
-        masses = [sum(tilt_distribution(p, accordion_mechanism(), t).probs[3:])
+        masses = [sum(tilt(p, accordion_mechanism(), t)[3:])
                   for t in np.linspace(-2, 4, 25)]
         assert all(x > y for x, y in zip(masses, masses[1:]))
 
@@ -154,7 +163,7 @@ class TestImputeTheta:
         cfg = ImputationConfig(m=7, seed=42)
         theta, freqs = impute_theta(pop, mar_mechanism(4), 1.3, cfg)
         assert theta == pytest.approx(0.40, abs=1e-12)
-        assert freqs.probs == pytest.approx((0.3, 0.3, 0.2, 0.2), abs=1e-12)
+        assert freqs == pytest.approx((0.3, 0.3, 0.2, 0.2), abs=1e-12)
         # no Monte-Carlo variance: any seed gives the same answer
         other, _ = impute_theta(pop, mar_mechanism(4), 1.3,
                                 ImputationConfig(m=3, seed=9))
@@ -165,16 +174,16 @@ class TestImputeTheta:
         theta, freqs = impute_theta(lead_population, accordion_mechanism(),
                                     0.5, cfg)
         assert theta == pytest.approx(0.19, abs=0.005)
-        assert freqs.probs[0] == pytest.approx(0.24, abs=0.01)
-        assert freqs.probs[1] == pytest.approx(0.34, abs=0.01)
-        assert freqs.probs[3] == pytest.approx(0.10, abs=0.01)
+        assert freqs[0] == pytest.approx(0.24, abs=0.01)
+        assert freqs[1] == pytest.approx(0.34, abs=0.01)
+        assert freqs[3] == pytest.approx(0.10, abs=0.01)
 
     def test_seed_determinism(self, lead_population):
         cfg = ImputationConfig(m=20, seed=777)
         a = impute_theta(lead_population, accordion_mechanism(), 0.7, cfg)
         b = impute_theta(lead_population, accordion_mechanism(), 0.7, cfg)
         assert a[0] == b[0]
-        assert a[1].probs == b[1].probs
+        assert a[1].tolist() == b[1].tolist()
 
     def test_monte_carlo_consistency_under_mar(self, lead_population):
         cfg = ImputationConfig(m=2_000, seed=11)
@@ -211,9 +220,8 @@ def per_point_reference(pop, mech, ts, cfg):
         for m in range(cfg.m):
             rng = substream(cfg.seed, m)
             p = draw_dirichlet_posterior(pop, rng)
-            p_t = tilt_distribution(p, mech, float(t))
-            completed = pop.counts_array() + rng.multinomial(pop.n_missing,
-                                                             p_t.as_array())
+            p_t = tilt(p, mech, float(t))
+            completed = pop.counts_array() + rng.multinomial(pop.n_missing, p_t)
             theta_sum += completed[pop.cutoff_level:].sum() / pop.n_total
             freq_sum += completed / pop.n_total
         thetas.append(theta_sum / cfg.m)
@@ -251,13 +259,14 @@ class TestImputeThetaGrid:
             assert np.array_equal(freqs, ref_freqs[order])
 
     def test_single_point_is_impute_theta(self, lead_population):
+        """A one-point grid is the per-point imputation at that point."""
         cfg = ImputationConfig(m=4, seed=3)
         thetas, freqs = impute_theta_grid(lead_population,
                                           accordion_mechanism(), [0.7], cfg)
-        theta, dist = impute_theta(lead_population, accordion_mechanism(),
-                                   0.7, cfg)
-        assert thetas[0] == theta
-        assert tuple(freqs[0]) == dist.probs
+        ref_thetas, ref_freqs = per_point_reference(
+            lead_population, accordion_mechanism(), [0.7], cfg)
+        assert thetas.tolist() == ref_thetas.tolist()
+        assert freqs.tolist() == ref_freqs.tolist()
 
 
 def test_population_validation():
@@ -268,18 +277,3 @@ def test_population_validation():
     with pytest.raises(ValueError):
         LeadPopulation(observed_counts=(5,), n_total=10)
 
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        CategoricalDistribution(probs=(0.5, 0.6))
-    with pytest.raises(ValueError):
-        CategoricalDistribution(probs=(-0.1, 1.1))
-
-
-@pytest.mark.parametrize("probs", [(float("nan"), float("nan")),
-                                   (0.5, float("nan")),
-                                   (float("inf"), 0.0),
-                                   (1.0, float("-inf"))])
-def test_distribution_rejects_non_finite(probs):
-    with pytest.raises(ValueError, match="finite"):
-        CategoricalDistribution(probs=probs)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlap,
-                         interval_overlaps, max_cost, worst_case_theta)
-from cid.regression import Interval
+from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
+                         max_cost, worst_case_theta)
 from tests import oracles
+from tests.oracles import Interval as iv
 
 
-def iv(lo, hi):
-    return Interval(lower=lo, upper=hi, center=(lo + hi) / 2)
+def interval_overlap(a, b):
+    return float(interval_overlaps(a.lower, a.upper, b.lower, b.upper))
 
 
 intervals = st.builds(

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                             FittedLine, _t_quantile, fit_simple_ols,
-                            predict_interval, predict_intervals)
+                            predict_intervals)
 
 
 def normal_equations_fit(x, y):
@@ -80,61 +80,65 @@ class TestFit:
             ElectionDataset.from_records([(1, 2, 0), (2, 2, 1), (3, 2, 2)])
 
 
+def widths(fit, x0s, kind=MEAN_RESPONSE):
+    _, lower, upper = predict_intervals(fit, x0s, 0.95, kind)
+    return upper - lower
+
+
 class TestPredictInterval:
     def test_hibbs_2024_prediction(self, hibbs_fit):
-        iv = predict_interval(hibbs_fit, -0.728, 0.95, MEAN_RESPONSE)
-        assert iv.center == pytest.approx(44.0, abs=0.1)
-        assert iv.lower == pytest.approx(39.6, abs=0.3)
-        assert iv.upper == pytest.approx(48.4, abs=0.3)
+        center, lower, upper = predict_intervals(hibbs_fit, [-0.728], 0.95,
+                                                 MEAN_RESPONSE)
+        assert center[0] == pytest.approx(44.0, abs=0.1)
+        assert lower[0] == pytest.approx(39.6, abs=0.3)
+        assert upper[0] == pytest.approx(48.4, abs=0.3)
 
     def test_zero_variance_gives_point_interval(self):
         fit = FittedLine(intercept=1.0, slope=2.0, sigma2=0.0,
                          n=5, x_mean=0.0, sxx=10.0)
-        iv = predict_interval(fit, 3.7, 0.95, NEW_OBSERVATION)
-        assert iv.lower == iv.upper == iv.center == pytest.approx(8.4)
+        center, lower, upper = predict_intervals(fit, [3.7], 0.95,
+                                                 NEW_OBSERVATION)
+        assert lower[0] == upper[0] == center[0] == pytest.approx(8.4)
 
     def test_half_width_minimized_at_x_mean(self, hibbs_fit):
         grid = np.linspace(hibbs_fit.x_mean - 5, hibbs_fit.x_mean + 5, 201)
-        widths = [predict_interval(hibbs_fit, x0, 0.95).width for x0 in grid]
-        assert np.argmin(widths) == 100
-        at_mean = predict_interval(hibbs_fit, hibbs_fit.x_mean, 0.95)
-        from scipy import stats
+        assert np.argmin(widths(hibbs_fit, grid)) == 100
+        at_mean = widths(hibbs_fit, [hibbs_fit.x_mean])[0]
         q = stats.t.ppf(0.975, hibbs_fit.n - 2)
         expected = q * math.sqrt(hibbs_fit.sigma2 / hibbs_fit.n)
-        assert at_mean.width / 2 == pytest.approx(expected, rel=1e-12)
+        assert at_mean / 2 == pytest.approx(expected, rel=1e-12)
 
     def test_center_affine_in_x0(self, hibbs_fit):
-        base = predict_interval(hibbs_fit, -0.728, 0.95)
-        for t in (-3.0, -0.5, 0.25, 2.0):
-            shifted = predict_interval(hibbs_fit, -0.728 + t, 0.95)
-            assert shifted.center == base.center + hibbs_fit.slope * t
+        ts = (-3.0, -0.5, 0.25, 2.0)
+        base = predict_intervals(hibbs_fit, [-0.728], 0.95)[0][0]
+        shifted = predict_intervals(hibbs_fit, [-0.728 + t for t in ts], 0.95)[0]
+        for t, center in zip(ts, shifted):
+            assert center == base + hibbs_fit.slope * t
 
     def test_new_observation_wider_than_mean_response(self, hibbs_fit):
-        for x0 in (-2.0, 0.0, 1.9, 4.0):
-            mr = predict_interval(hibbs_fit, x0, 0.95, MEAN_RESPONSE)
-            no = predict_interval(hibbs_fit, x0, 0.95, NEW_OBSERVATION)
-            assert no.width > mr.width
+        x0s = (-2.0, 0.0, 1.9, 4.0)
+        assert np.all(widths(hibbs_fit, x0s, NEW_OBSERVATION)
+                      > widths(hibbs_fit, x0s, MEAN_RESPONSE))
 
     def test_mean_response_width_convex(self, hibbs_fit):
-        xs = np.linspace(-4, 8, 61)
-        w = np.array([predict_interval(hibbs_fit, x, 0.95).width for x in xs])
+        w = widths(hibbs_fit, np.linspace(-4, 8, 61))
         # strict convexity: every interior point below the chord of its neighbors
         assert np.all(w[1:-1] < (w[:-2] + w[2:]) / 2)
 
     def test_unknown_kind(self, hibbs_fit):
         with pytest.raises(ValueError, match="kind"):
-            predict_interval(hibbs_fit, 0.0, 0.95, "bootstrap")
+            predict_intervals(hibbs_fit, 0.0, 0.95, "bootstrap")
 
 
 class TestPredictIntervals:
     @pytest.mark.parametrize("kind", [MEAN_RESPONSE, NEW_OBSERVATION])
     def test_rows_equal_single_point_intervals(self, hibbs_fit, kind):
         x0s = -0.728 + np.linspace(-4, 4, 81)
-        center, lower, upper = predict_intervals(hibbs_fit, x0s, 0.9, kind)
+        rows = np.column_stack(predict_intervals(hibbs_fit, x0s, 0.9, kind))
         for i, x0 in enumerate(x0s):
-            iv = predict_interval(hibbs_fit, x0, 0.9, kind)
-            assert (iv.center, iv.lower, iv.upper) == (center[i], lower[i],
-                                                       upper[i])
+            single = np.column_stack(predict_intervals(hibbs_fit, [x0], 0.9,
+                                                       kind))
+            assert single.tolist() == [rows[i].tolist()]
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
     def test_level_outside_unit_interval(self, hibbs_fit, level):

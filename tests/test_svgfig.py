@@ -5,7 +5,7 @@ import pytest
 
 from cid.decisions import ELECTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
-                            impute_theta)
+                            impute_theta_grid)
 from cid.metrics import CostParams, worst_case_theta
 from cid.svgfig import render_election_figure, render_lead_figure
 from cid.sweep import KnobGrid, PlausibleRegion, sweep_election, sweep_lead
@@ -27,8 +27,9 @@ def lead_curve_and_snapshots(lead_population):
                        KnobGrid(-2, 4, 0.5), cfg, CostParams(a=1, b=1, theta_wc=wc))
     snapshots = []
     for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        _, freqs = impute_theta(lead_population, accordion_mechanism(), t, cfg)
-        snapshots.append((t, freqs))
+        _, freqs = impute_theta_grid(lead_population, accordion_mechanism(),
+                                     [t], cfg)
+        snapshots.append((t, freqs[0]))
     rows = [curve.index_on_grid(t) for t, _ in snapshots]
     return curve, rows, snapshots
 
@@ -137,11 +138,10 @@ class TestLeadFigure:
         curve, rows, snapshots = lead_curve_and_snapshots
         svg = render_lead_figure(curve, rows, "")
         root = ET.fromstring(svg)
-        for group, (_, dist) in zip(find_by_class(root, "freq-panel"),
-                                    snapshots):
+        for group, (_, freqs) in zip(find_by_class(root, "freq-panel"),
+                                     snapshots):
             _, py = panel_transform(group)
-            for bar, prob in zip(find_by_class(group, "freq-bar"),
-                                 dist.probs):
+            for bar, prob in zip(find_by_class(group, "freq-bar"), freqs):
                 top = float(bar.get("y"))
                 assert abs(top - py(prob)) <= 0.5
 
@@ -150,7 +150,7 @@ class TestLeadFigure:
         _, _, snapshots = lead_curve_and_snapshots
         at_ref = dict((t, d) for t, d in snapshots)[0.0]
         observed = lead_population.counts_array() / lead_population.n_observed
-        assert np.asarray(at_ref.probs) == pytest.approx(observed, abs=0.01)
+        assert at_ref == pytest.approx(observed, abs=0.01)
 
     def test_empty_snapshots_rejected(self, lead_curve_and_snapshots):
         curve, _, _ = lead_curve_and_snapshots

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cid.decisions import (ElectionDecision, InterventionDecision,
-                           ThresholdRule, decision_indicator)
+                           ThresholdRule)
 from cid.imputation import (ImputationConfig, accordion_mechanism,
-                            impute_theta, mar_mechanism, parametric_mechanism)
+                            impute_theta_grid, mar_mechanism,
+                            parametric_mechanism)
 from cid.metrics import CostParams, worst_case_theta
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
-                            predict_interval)
+                            predict_intervals)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
                        annotate_plausible_region, expected_cid,
                        sweep_election, sweep_lead)
@@ -109,18 +110,24 @@ class TestSweepElection:
                        for flo, fhi in fine.change_points)
 
 
+def interval_at(fit, x0, level, kind):
+    """The center and interval at the single point x0."""
+    center, lower, upper = predict_intervals(fit, [x0], level, kind)
+    return float(center[0]), oracles.Interval(float(lower[0]), float(upper[0]))
+
+
 def scalar_sweep_election(fit, x0, grid, level, kind):
     """Per-point oracle: the interval at each point, then the scalar
     decision and metric oracles."""
-    ref = predict_interval(fit, x0 + grid.t0, level, kind)
+    _, ref = interval_at(fit, x0 + grid.t0, level, kind)
     ref_decision = oracles.decide_election(ref)
     rows = []
     for t in grid.values():
-        interval = predict_interval(fit, x0 + t, level, kind)
+        center, interval = interval_at(fit, x0 + t, level, kind)
         decision = oracles.decide_election(interval)
-        d_t = decision_indicator(ref_decision, decision)
+        d_t = int(decision == ref_decision)
         j_t = oracles.interval_overlap(ref, interval)
-        rows.append((float(t), interval.center, interval.lower, interval.upper,
+        rows.append((float(t), center, interval.lower, interval.upper,
                      decision, d_t, j_t, oracles.cid_general(d_t, j_t)))
     return rows, ref_decision
 
@@ -248,9 +255,9 @@ class TestSweepLead:
                                                lead_population.k)
         for t, estimate, row in zip(curve.t, curve.estimate,
                                     curve.completed_freqs):
-            theta, freqs = impute_theta(lead_population, mech, t, cfg)
-            assert estimate == theta
-            assert tuple(row.tolist()) == freqs.probs
+            thetas, freqs = impute_theta_grid(lead_population, mech, [t], cfg)
+            assert estimate == thetas[0]
+            assert row.tolist() == freqs[0].tolist()
 
 
     @pytest.mark.parametrize("threshold", [0.15, 0.2, 0.3])
@@ -272,13 +279,13 @@ def scalar_sweep_lead(pop, mech, grid, cfg, costs):
     """Per-point oracle: impute each knob value alone, then the scalar
     decision and metric oracles, deciding at costs.threshold."""
     rule = ThresholdRule(costs.threshold)
-    theta_ref, _ = impute_theta(pop, mech, grid.t0, cfg)
+    theta_ref = float(impute_theta_grid(pop, mech, [grid.t0], cfg)[0][0])
     ref_decision = oracles.decide_intervention(theta_ref, rule)
     rows = []
     for t in grid.values():
-        theta, _ = impute_theta(pop, mech, t, cfg)
+        theta = float(impute_theta_grid(pop, mech, [t], cfg)[0][0])
         decision = oracles.decide_intervention(theta, rule)
-        d_t = decision_indicator(ref_decision, decision)
+        d_t = int(decision == ref_decision)
         rows.append((float(t), theta, decision, d_t,
                      oracles.cid_lead(theta_ref, theta, d_t, costs)))
     return rows, ref_decision
