@@ -11,8 +11,7 @@ from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          accordion_mechanism, draw_dirichlet_posterior,
                          impute_theta_grid, mar_mechanism,
                          parametric_mechanism)
-from .metrics import (CostParams, cid_general, cid_lead, max_cost,
-                      worst_case_theta)
+from .metrics import CostParams, cid_general, cid_lead, max_cost
 from .regression import ElectionDataset, FittedLine, fit_simple_ols
 from .svgfig import render_election_figure, render_lead_figure
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
@@ -28,7 +27,7 @@ __all__ = [
     "draw_dirichlet_posterior", "expected_cid", "fit_simple_ols",
     "impute_theta_grid", "mar_mechanism", "max_cost", "parametric_mechanism",
     "render_election_figure", "render_lead_figure", "sweep_election",
-    "sweep_lead", "worst_case_theta",
+    "sweep_lead",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .decisions import ThresholdRule
 from .imputation import (BUILTIN_MECHANISMS, ImputationConfig,
                          LeadPopulation, MnarMechanism, mar_mechanism,
                          read_level_counts)
-from .metrics import CostParams, worst_case_theta
+from .metrics import CostParams, max_cost
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
@@ -38,6 +38,9 @@ DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
 MAX_GRID_POINTS = 1_000_000
 # Largest lead population: every count, observed or completed, is an int64.
 MAX_N_TOTAL = 2**63 - 1
+# Most imputation rounds: multiple-imputation practice uses tens, and each
+# round draws one multinomial per grid point, so 10**9 rounds never finish.
+MAX_M = 1_000
 
 # Known fields of each config object; the document's top level also holds
 # the block named by its mode.
@@ -67,9 +70,7 @@ class LeadSettings:
     n_total: int
     mechanism: MnarMechanism
     m: int
-    threshold: float
-    a: float
-    b: float
+    costs: CostParams
     snapshot_ts: tuple
     knob_distribution: Optional[KnobDistribution]
 
@@ -203,16 +204,17 @@ def _parse_lead(block: dict) -> LeadSettings:
     if not 1 <= n_total <= MAX_N_TOTAL:
         raise ConfigError(f"lead.n_total: must be in [1, {MAX_N_TOTAL}], "
                           f"got {n_total}")
+    m = _integer(block.get("m", 5), "lead.m")
+    if not 1 <= m <= MAX_M:
+        raise ConfigError(f"lead.m: must be in [1, {MAX_M:,}], got {m}")
+    threshold = _checked("lead.threshold", lambda: ThresholdRule(
+        _finite(block.get("threshold", 0.20), "lead.threshold")).threshold)
     return LeadSettings(
         n_total=n_total,
         mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
                                    "lead.mechanism"),
-        m=_checked("lead.m", lambda: ImputationConfig(
-            m=_integer(block.get("m", 5), "lead.m")).m),
-        threshold=_checked("lead.threshold", lambda: ThresholdRule(
-            _finite(block.get("threshold", 0.20), "lead.threshold")).threshold),
-        a=costs["a"],
-        b=costs["b"],
+        m=m,
+        costs=CostParams(**costs, threshold=threshold),
         snapshot_ts=_finite_list(block.get("snapshot_ts", []),
                                  "lead.snapshot_ts"),
         knob_distribution=dist,
@@ -281,7 +283,7 @@ def load_config(path, seed: Optional[int] = None,
         doc = json.loads(path.read_text())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if isinstance(doc, dict):  # parse_config reports any other document
         if seed is not None:
@@ -347,8 +349,8 @@ def _election(config: AnalysisConfig) -> tuple:
     s = config.election
     fit = fit_simple_ols(_checked("dataset", lambda: ElectionDataset.from_csv(
         config.dataset_path)))
-    curve = sweep_election(fit, s.x0, config.grid,
-                           level=s.level, kind=s.interval_kind)
+    curve = _checked("election.x0", lambda: sweep_election(
+        fit, s.x0, config.grid, level=s.level, kind=s.interval_kind))
     parts = []
     if s.plausible_region is not None:
         summary = _checked("election.plausible_region",
@@ -378,12 +380,11 @@ def _lead(config: AnalysisConfig) -> tuple:
             f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
             f"for the {len(counts)} levels of {config.dataset_path}"
         )
+    # max_cost checks that the threshold is below the worst case theta_wc
+    _checked("lead.threshold",
+             lambda: max_cost(0.0, s.costs, pop.worst_case_theta))
     cfg = ImputationConfig(m=s.m, seed=config.seed)
-    theta_wc = worst_case_theta(pop.observed_high_count, pop.n_observed,
-                                pop.n_total)
-    costs = _checked("lead.threshold", lambda: CostParams(
-        a=s.a, b=s.b, theta_wc=theta_wc, threshold=s.threshold))
-    curve = sweep_lead(pop, mech, config.grid, cfg, costs)
+    curve = sweep_lead(pop, mech, config.grid, cfg, s.costs)
     rows = ([_checked(f"lead.snapshot_ts[{i}]",
                       lambda: curve.index_on_grid(t))
              for i, t in enumerate(s.snapshot_ts)]

@@ -70,6 +70,8 @@ class LeadPopulation:
             raise ValueError("need at least 2 levels")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        if self.n_total < 1:
+            raise ValueError(f"need n_total >= 1, got {self.n_total}")
         if counts.sum() > self.n_total:
             raise ValueError(
                 f"observed count {counts.sum()} exceeds n_total {self.n_total}"
@@ -94,6 +96,11 @@ class LeadPopulation:
     @property
     def observed_high_count(self) -> int:
         return int(sum(self.observed_counts[self.cutoff_level:]))
+
+    @property
+    def worst_case_theta(self) -> float:
+        """Fraction above the cutoff if every missing unit were above it."""
+        return (self.observed_high_count + self.n_missing) / self.n_total
 
     def counts_array(self) -> np.ndarray:
         return np.asarray(self.observed_counts, dtype=np.int64)
@@ -159,9 +166,10 @@ def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tw = np.multiply.outer(ts, w)
         z = np.log(probs) + tw
+        # entries of a row can span more than the float range: -inf, no mass
+        z -= z.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(tw)):
         raise ValueError(f"knob values and t*w must be finite, got t in {ts}")
-    z -= z.max(axis=1, keepdims=True)
     tilted = np.exp(z, out=z)
     tilted /= tilted.sum(axis=1, keepdims=True)
     return tilted
@@ -206,4 +214,6 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
         theta_sum += completed[:, pop.cutoff_level:].sum(axis=1) / pop.n_total
         freq_sum += completed / pop.n_total
     freqs = freq_sum / cfg.m
-    return theta_sum / cfg.m, freqs / freqs.sum(axis=1, keepdims=True)
+    # the float mean of m fractions at the worst case can exceed it by an ulp
+    thetas = np.minimum(theta_sum / cfg.m, pop.worst_case_theta)
+    return thetas, freqs / freqs.sum(axis=1, keepdims=True)

@@ -14,12 +14,11 @@ class CostParams:
 
     a: cost per 1% of resources spent unnecessarily on intervention.
     b: cost per 1% of the target population left above the threshold.
-    theta_wc: worst-case proportion if every unobserved unit were above the cutoff.
+    threshold: the proportion above which the rule says intervene.
     """
 
     a: float
     b: float
-    theta_wc: float
     threshold: float = 0.20
 
     def __post_init__(self):
@@ -27,11 +26,6 @@ class CostParams:
             raise ValueError("cost parameters a, b must be nonnegative")
         if self.a == 0 and self.b == 0:
             raise ValueError("cost parameters a and b must not both be zero")
-        if not (self.threshold < self.theta_wc <= 1.0):
-            raise ValueError(
-                f"need threshold < theta_wc <= 1, got "
-                f"threshold={self.threshold}, theta_wc={self.theta_wc}"
-            )
 
 
 def _check(ok, values, message: str) -> None:
@@ -76,28 +70,21 @@ def cid_general(d_t, j_t):
     return d_t * (1.0 + j_t)
 
 
-def worst_case_theta(observed_high_count: int, n_observed: int, n_total: int) -> float:
-    """Proportion above the cutoff if every unobserved unit were above it."""
-    if not (0 <= observed_high_count <= n_observed <= n_total) or n_total == 0:
-        raise ValueError(
-            f"need 0 <= observed_high_count <= n_observed <= n_total, got "
-            f"({observed_high_count}, {n_observed}, {n_total})"
-        )
-    return (observed_high_count + (n_total - n_observed)) / n_total
-
-
-def max_cost(theta_ref, params: CostParams):
+def max_cost(theta_ref, params: CostParams, theta_wc: float):
     """Largest attainable cost (for a number or an array of reference
-    estimates), used to normalize the metric to [0, 1]."""
+    estimates) up to the worst case theta_wc; it normalizes the metric."""
+    if not (params.threshold < theta_wc <= 1.0):
+        raise ValueError(f"need threshold < theta_wc <= 1, got "
+                         f"threshold={params.threshold}, theta_wc={theta_wc}")
     return np.maximum(
         (theta_ref - params.threshold) * params.a,
-        (params.theta_wc - np.maximum(theta_ref, params.threshold)) * params.b,
+        (theta_wc - np.maximum(theta_ref, params.threshold)) * params.b,
     )
 
 
-def cid_lead(theta_ref, theta_t, d_t, params: CostParams):
+def cid_lead(theta_ref, theta_t, d_t, params: CostParams, theta_wc: float):
     """Cost-based confidence metric in [0, 1] for a threshold intervention
-    rule; each argument but params is a number or an array.
+    rule; each argument but params and theta_wc is a number or an array.
 
     theta_ref is the reference estimate; theta_t the estimate under departure t.
     When the reference says intervene, overestimation wastes resources (cost a
@@ -110,10 +97,10 @@ def cid_lead(theta_ref, theta_t, d_t, params: CostParams):
     d_t = np.asarray(d_t)
     _check((0.0 <= theta_ref) & (theta_ref <= 1.0), theta_ref,
            "theta_ref must be in [0, 1], got {}")
-    _check(~(theta_t > params.theta_wc), theta_t,
-           f"theta_t = {{}} exceeds worst case theta_wc = {params.theta_wc}")
+    _check(~(theta_t > theta_wc), theta_t,
+           f"theta_t = {{}} exceeds worst case theta_wc = {theta_wc}")
     _check(np.isin(d_t, (0, 1)), d_t, "d_t must be 0 or 1, got {}")
-    c = max_cost(theta_ref, params)
+    c = max_cost(theta_ref, params, theta_wc)
     _check(c != 0.0, c, "degenerate scaling: maximum attainable cost is zero")
     threshold = params.threshold
     cost = np.where(

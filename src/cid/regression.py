@@ -196,19 +196,20 @@ def predict_intervals(fit: FittedLine, x0s, level: float = 0.95,
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level}")
     x = np.atleast_1d(np.asarray(x0s, dtype=float))
-    center = fit.intercept + fit.slope * x
     q = _t_quantile(fit.n - 2, level)
-    with np.errstate(invalid="ignore"):  # non-finite x fails the check below
+    # a non-finite x, or one far enough out to overflow, fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = fit.intercept + fit.slope * x
         half = q * np.sqrt(
             fit.sigma2 * (delta + 1.0 / fit.n + (x - fit.x_mean) ** 2 / fit.sxx))
         lower = center - half
         upper = center + half
-    ordered = (lower <= center) & (center <= upper)
-    if not np.all(ordered):
-        i = int(np.argmin(ordered))
+        ok = (lower <= center) & (center <= upper) & np.isfinite(upper - lower)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
         raise ValueError(
-            f"interval must satisfy lower <= center <= upper, "
-            f"got ({lower[i]}, {center[i]}, {upper[i]})"
+            f"interval at x0 = {x[i]} must have a finite width and lower "
+            f"<= center <= upper, got ({lower[i]}, {center[i]}, {upper[i]})"
         )
     return center, lower, upper
 

@@ -201,7 +201,8 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     theta_ref = thetas[i0]
     codes = decide_intervention_codes(thetas, ThresholdRule(costs.threshold))
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
-                  lambda d_t: cid_lead(theta_ref, thetas, d_t, costs),
+                  lambda d_t: cid_lead(theta_ref, thetas, d_t, costs,
+                                       pop.worst_case_theta),
                   completed_freqs=freqs)
 
 

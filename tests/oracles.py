@@ -71,15 +71,16 @@ def cid_general(d_t: int, j_t: float) -> float:
     return d_t * (1.0 + j_t)
 
 
-def max_cost(theta_ref: float, params) -> float:
+def max_cost(theta_ref: float, params, theta_wc: float) -> float:
     """Largest attainable cost, used to normalize the metric to [0, 1]."""
     return max(
         (theta_ref - params.threshold) * params.a,
-        (params.theta_wc - max(theta_ref, params.threshold)) * params.b,
+        (theta_wc - max(theta_ref, params.threshold)) * params.b,
     )
 
 
-def cid_lead(theta_ref: float, theta_t: float, d_t: int, params) -> float:
+def cid_lead(theta_ref: float, theta_t: float, d_t: int, params,
+             theta_wc: float) -> float:
     """Cost-based confidence metric in [0, 1] for a threshold intervention rule.
 
     theta_ref is the reference estimate; theta_t the estimate under departure t.
@@ -90,13 +91,13 @@ def cid_lead(theta_ref: float, theta_t: float, d_t: int, params) -> float:
     """
     if not (0.0 <= theta_ref <= 1.0):
         raise ValueError(f"theta_ref must be in [0, 1], got {theta_ref}")
-    if theta_t > params.theta_wc:
+    if theta_t > theta_wc:
         raise ValueError(
-            f"theta_t = {theta_t} exceeds worst case theta_wc = {params.theta_wc}"
+            f"theta_t = {theta_t} exceeds worst case theta_wc = {theta_wc}"
         )
     if d_t not in (0, 1):
         raise ValueError(f"d_t must be 0 or 1, got {d_t}")
-    c = max_cost(theta_ref, params)
+    c = max_cost(theta_ref, params, theta_wc)
     if c == 0.0:
         raise ValueError("degenerate scaling: maximum attainable cost is zero")
     if theta_ref > params.threshold:

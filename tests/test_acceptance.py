@@ -16,7 +16,7 @@ from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                             impute_theta_grid, mar_mechanism,
                             parametric_mechanism, substream)
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
-                         max_cost, worst_case_theta)
+                         max_cost)
 from cid.regression import MEAN_RESPONSE, predict_intervals
 from cid.svgfig import render_election_figure
 from cid.sweep import KnobGrid, sweep_election, sweep_lead
@@ -36,11 +36,13 @@ def election_curve(hibbs_fit):
 
 
 @pytest.fixture(scope="module")
-def lead_costs(lead_population):
-    wc = worst_case_theta(lead_population.observed_high_count,
-                          lead_population.n_observed,
-                          lead_population.n_total)
-    return CostParams(a=1.0, b=1.0, theta_wc=wc)
+def lead_costs():
+    return CostParams(a=1.0, b=1.0)
+
+
+@pytest.fixture(scope="module")
+def theta_wc(lead_population):
+    return lead_population.worst_case_theta
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +99,14 @@ def test_criterion_4_lead_mar_reference(lead_population, lead_cfg):
     ok(4, f"MAR theta {theta:.4f}, decision intervene")
 
 
-def test_criterion_5_worst_case_and_scaling(lead_population, lead_costs):
-    wc = lead_costs.theta_wc
-    assert wc == pytest.approx(0.79, abs=0.01)
+def test_criterion_5_worst_case_and_scaling(lead_population, lead_costs,
+                                            theta_wc):
+    assert theta_wc == pytest.approx(0.79, abs=0.01)
     observed_fraction_high = (lead_population.observed_high_count
                               / lead_population.n_observed)
-    c = max_cost(observed_fraction_high, lead_costs)
+    c = max_cost(observed_fraction_high, lead_costs, theta_wc)
     assert c == pytest.approx(0.54, abs=0.01)
-    ok(5, f"theta_wc {wc:.4f}, C {c:.4f}")
+    ok(5, f"theta_wc {theta_wc:.4f}, C {c:.4f}")
 
 
 def test_criterion_6_lead_change_points_and_frequencies(
@@ -127,9 +129,9 @@ def test_criterion_6_lead_change_points_and_frequencies(
           f"theta(acc, 0.5) {theta_acc:.3f}, theta(par, 1) {theta_par:.3f}")
 
 
-def test_criterion_7_cid_spot_values(lead_costs):
-    c = max_cost(0.25, lead_costs)
-    got = cid_lead(0.25, 0.15, 0, lead_costs)
+def test_criterion_7_cid_spot_values(lead_costs, theta_wc):
+    c = max_cost(0.25, lead_costs, theta_wc)
+    got = cid_lead(0.25, 0.15, 0, lead_costs, theta_wc)
     assert got == pytest.approx(1.0 - 0.05 / c, abs=1e-9)
     assert cid_general(1, 1.0) == 2.0
     ok(7, f"cid_lead(0.25, 0.15) = {got:.6f} = 1 - 0.05/{c:.4f}; "
@@ -156,12 +158,13 @@ class TestCriterion8Properties:
             v = cid_general(int(rng.integers(2)), float(rng.random()))
             assert v == 0.0 or 1.0 <= v <= 2.0
 
-    def test_cid_lead_bounds(self, lead_costs):
+    def test_cid_lead_bounds(self, lead_costs, theta_wc):
         rng = np.random.default_rng(2)
         for _ in range(500):
-            theta_ref, theta_t = rng.uniform(0, lead_costs.theta_wc, 2)
+            theta_ref, theta_t = rng.uniform(0, theta_wc, 2)
             d = int((theta_ref > 0.20) == (theta_t > 0.20))
-            assert 0.0 <= cid_lead(theta_ref, theta_t, d, lead_costs) <= 1.0
+            assert 0.0 <= cid_lead(theta_ref, theta_t, d, lead_costs,
+                                   theta_wc) <= 1.0
 
     def test_softmax_shift_invariance_and_composition(self):
         p = np.array(LEAD_PROBS) / sum(LEAD_PROBS)

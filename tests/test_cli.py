@@ -14,7 +14,7 @@ import pytest
 from cid.cli import ConfigError, load_config, main, parse_config
 from cid.imputation import (ImputationConfig, LeadPopulation,
                             impute_theta_grid, read_level_counts)
-from cid.metrics import CostParams, worst_case_theta
+from cid.metrics import CostParams
 from cid.regression import MEAN_RESPONSE
 from cid.sweep import sweep_lead
 from tests.test_emitters import ref_render_lead_figure
@@ -81,7 +81,7 @@ class TestParseConfig:
                                "lead": {"n_total": 400000,
                                         "mechanism": "parametric"}})
         assert config.lead.m == 5
-        assert config.lead.threshold == 0.20
+        assert config.lead.costs == CostParams(a=1.0, b=1.0, threshold=0.20)
         assert config.grid.step == 0.05
         assert config.lead.mechanism.weights == \
             (1, 0.9, 0.8, 0.6, 0.4, 0, 0, 0, -0.2, -0.25)
@@ -126,6 +126,7 @@ class TestParseConfig:
         ("lead", "a", -1.0),
         ("lead", "b", -0.5),
         ("lead", "m", 2.5),
+        ("lead", "m", 10**9),
         ("lead", "n_total", "many"),
     ])
     def test_range_checked_at_parse_time(self, block, key, value):
@@ -155,6 +156,16 @@ class TestParseConfig:
         config = load_config(write_config(tmp_path, lead_doc), seed=2**53 + 1)
         assert config.seed == 2**53 + 1
         assert config.lead.n_total == 2**53 + 1
+
+    def test_m_bounded(self):
+        doc = {"mode": "lead", "dataset": "d.csv",
+               "lead": {"n_total": 400000, "mechanism": "accordion"}}
+        doc["lead"]["m"] = 1000
+        assert parse_config(doc).lead.m == 1000
+        doc["lead"]["m"] = 1001
+        with pytest.raises(ConfigError, match=r"^lead\.m: must be in "
+                                              r"\[1, 1,000\], got 1001"):
+            parse_config(doc)
 
     def test_costs_not_both_zero(self):
         with pytest.raises(ConfigError, match="not both be zero"):
@@ -362,10 +373,7 @@ class TestRun:
         s = config.lead
         pop = LeadPopulation(read_level_counts(config.dataset_path), s.n_total)
         cfg = ImputationConfig(m=s.m, seed=config.seed)
-        costs = CostParams(a=s.a, b=s.b, threshold=s.threshold, theta_wc=
-                           worst_case_theta(pop.observed_high_count,
-                                            pop.n_observed, pop.n_total))
-        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, costs)
+        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, s.costs)
         snap_ts = ([float(curve.t[curve.index_nearest(t)]) for t in snapshot_ts]
                    if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
         snapshots = [(t, impute_theta_grid(pop, s.mechanism, [t], cfg)[1][0]
@@ -478,6 +486,63 @@ class TestRun:
         for row in rows:
             t, estimate, _, _, _, _, _, cid = row.split(",")
             assert math.isfinite(float(estimate)) and math.isfinite(float(cid))
+
+    @pytest.mark.parametrize("m, grid", [
+        (10, {"t_min": -20, "t_max": 4, "step": 0.05}),
+        (6, {"t_min": -800, "t_max": 4, "step": 4}),
+    ])
+    def test_estimate_at_worst_case_runs(self, tmp_path, lead_doc, capsys, m,
+                                         grid):
+        # at strong negative tilt every round imputes all missing children
+        # above the cutoff: the estimate is the worst case 0.79375 exactly
+        lead_doc["lead"]["m"] = m
+        lead_doc["grid"] = grid
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[1] == "0.793750"
+
+    def test_extreme_weights_stay_finite(self, tmp_path, lead_doc, capsys):
+        # log p + t*w spans more than the float range within one row
+        lead_doc["lead"]["mechanism"] = [1e308, 1, 1, 0, 0, 0, 0, 0, 0, -1e308]
+        lead_doc["grid"] = {"t_min": -1, "t_max": 1, "step": 0.5}
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            t, estimate, _, _, _, d_t, _, cid = row.split(",")
+            assert all(math.isfinite(float(v))
+                       for v in (t, estimate, d_t, cid))
+
+    @pytest.mark.parametrize("x0, grid, where", [
+        (1e155, None, "x0 = 1e+155"),
+        (1e308, None, "x0 = 1e+308"),
+        (-0.728, {"t_min": -1, "t_max": 1e300, "step": 1e299},
+         "x0 = 1e+299"),
+    ])
+    def test_overflowing_interval_exits_1(self, tmp_path, election_doc,
+                                          capsys, x0, grid, where):
+        election_doc["election"]["x0"] = x0
+        if grid is not None:
+            election_doc["grid"] = grid
+            del election_doc["election"]["plausible_region"]
+        path = write_config(tmp_path, election_doc)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: election.x0: interval at "
+                              f"{where} must have a finite width"), err
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
+    def test_overlong_json_integer_exits_1(self, tmp_path, lead_doc, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(lead_doc).replace("400000",
+                                                     "1" + "0" * 5000))
+        assert main(["run", str(path)]) == 1
+        assert f"config error: config {path} is not valid JSON: Exceeds the " \
+               f"limit" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_verdict_precision_follows_grid_step(self, tmp_path, lead_doc,
                                                  capsys):

@@ -14,7 +14,7 @@ from cid.cli import curve_to_csv
 from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             mar_mechanism, parametric_mechanism)
-from cid.metrics import CostParams, worst_case_theta
+from cid.metrics import CostParams
 from cid.regression import MEAN_RESPONSE, NEW_OBSERVATION
 from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _fmt_column,
                         _Frame, _line, _rect, _text, _vline,
@@ -179,10 +179,8 @@ def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
                                   mar_mechanism(10)], ids=lambda m: m.name)
 def test_lead_outputs_equal_reference(lead_population, mech):
     pop = lead_population
-    costs = CostParams(a=1, b=1, theta_wc=worst_case_theta(
-        pop.observed_high_count, pop.n_observed, pop.n_total))
     curve = sweep_lead(pop, mech, KnobGrid(-2, 4, 0.01),
-                       ImputationConfig(m=3, seed=7), costs)
+                       ImputationConfig(m=3, seed=7), CostParams(a=1, b=1))
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
     rows = [0, curve.index_nearest(0.5)]
     snapshots = [(float(curve.t[i]), curve.completed_freqs[i].tolist())

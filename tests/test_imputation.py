@@ -199,6 +199,14 @@ class TestImputeTheta:
                     / lead_population.n_observed)
         assert abs(theta - observed) <= 3 * sd_theta
 
+    def test_never_above_worst_case(self, lead_population):
+        # each round gives the worst case exactly at t = -800; the float mean
+        # of six such values would exceed it by an ulp
+        thetas, _ = impute_theta_grid(lead_population, accordion_mechanism(),
+                                      [-800.0], ImputationConfig(m=6, seed=7))
+        assert thetas.max() <= lead_population.worst_case_theta
+        assert thetas[0] == 0.79375
+
     def test_rejects_non_finite_knob(self, lead_population):
         with pytest.raises(ValueError, match="finite"):
             impute_theta(lead_population, accordion_mechanism(), float("nan"),

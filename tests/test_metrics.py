@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cid.imputation import LeadPopulation
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
-                         max_cost, worst_case_theta)
+                         max_cost)
 from tests import oracles
 from tests.oracles import Interval as iv
 
@@ -93,10 +94,23 @@ class TestCidGeneral:
         assert v == 0.0 or 1.0 <= v <= 2.0
 
 
+def worst_case_theta(observed_high_count, n_observed, n_total):
+    """LeadPopulation.worst_case_theta of a two-level population with these
+    counts, level 2 being the high one."""
+    return LeadPopulation((n_observed - observed_high_count,
+                           observed_high_count), n_total,
+                          cutoff_level=1).worst_case_theta
+
+
 class TestWorstCaseTheta:
-    def test_lead_case_study(self):
+    def test_lead_case_study(self, lead_population):
         assert worst_case_theta(27_500, 110_000, 400_000) == pytest.approx(
             0.79375)
+        assert lead_population.worst_case_theta == 0.79375
+        # (high observed + missing) / total, from the population's counts
+        assert lead_population.worst_case_theta == (
+            (sum(lead_population.observed_counts[3:]) + 400_000
+             - sum(lead_population.observed_counts)) / 400_000)
 
     def test_fully_observed_none_high(self):
         assert worst_case_theta(0, 1000, 1000) == 0.0
@@ -105,78 +119,83 @@ class TestWorstCaseTheta:
         assert worst_case_theta(1000, 1000, 1000) == 1.0
 
     def test_count_violations(self):
-        with pytest.raises(ValueError):
-            worst_case_theta(10, 5, 20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds n_total"):
             worst_case_theta(1, 5, 4)
+        with pytest.raises(ValueError, match="n_total >= 1"):
+            worst_case_theta(0, 0, 0)
 
 
 THETA_WC = 0.79375
 
 
 class TestCidLead:
-    params = CostParams(a=1.0, b=1.0, theta_wc=THETA_WC)
+    params = CostParams(a=1.0, b=1.0)
 
     def test_overestimate_capped_at_threshold_spend(self):
-        c = max_cost(0.25, self.params)
-        got = cid_lead(0.25, 0.15, 0, self.params)
+        c = max_cost(0.25, self.params, THETA_WC)
+        got = cid_lead(0.25, 0.15, 0, self.params, THETA_WC)
         assert got == pytest.approx(1.0 - 0.05 / c, abs=1e-12)
         assert got == pytest.approx(1.0 - 0.05 / 0.54, abs=0.01)
 
     def test_small_overestimate(self):
-        c = max_cost(0.25, self.params)
-        assert cid_lead(0.25, 0.22, 1, self.params) == pytest.approx(
+        c = max_cost(0.25, self.params, THETA_WC)
+        assert cid_lead(0.25, 0.22, 1, self.params,
+                        THETA_WC) == pytest.approx(
             1.0 - 0.03 / c, abs=1e-12)
 
     def test_no_cost_at_reference(self):
-        assert cid_lead(0.25, 0.25, 1, self.params) == 1.0
+        assert cid_lead(0.25, 0.25, 1, self.params, THETA_WC) == 1.0
 
     def test_reference_below_threshold(self):
-        c = max_cost(0.18, self.params)
+        c = max_cost(0.18, self.params, THETA_WC)
         assert c == pytest.approx((THETA_WC - 0.20) * 1.0)
-        assert cid_lead(0.18, 0.27, 0, self.params) == pytest.approx(
+        assert cid_lead(0.18, 0.27, 0, self.params,
+                        THETA_WC) == pytest.approx(
             1.0 - 0.07 / c, abs=1e-12)
         # decision unchanged: no cost
-        assert cid_lead(0.18, 0.19, 1, self.params) == 1.0
+        assert cid_lead(0.18, 0.19, 1, self.params, THETA_WC) == 1.0
 
     def test_degenerate_scaling(self):
-        params = CostParams(a=1.0, b=0.0, theta_wc=THETA_WC)
+        params = CostParams(a=1.0, b=0.0)
         with pytest.raises(ValueError, match="degenerate scaling"):
-            cid_lead(0.20, 0.15, 1, params)
+            cid_lead(0.20, 0.15, 1, params, THETA_WC)
 
     def test_theta_t_above_worst_case_rejected(self):
         with pytest.raises(ValueError, match="worst case"):
-            cid_lead(0.25, 0.80, 0, self.params)
+            cid_lead(0.25, 0.80, 0, self.params, THETA_WC)
 
     @given(theta_ref=st.floats(0, THETA_WC), theta_t=st.floats(0, THETA_WC),
            a=st.floats(0.01, 10), b=st.floats(0.01, 10))
     def test_bounded_in_unit_interval(self, theta_ref, theta_t, a, b):
         # d_t must be consistent with the threshold rule for inputs to be valid
         d = int((theta_ref > 0.20) == (theta_t > 0.20))
-        params = CostParams(a=a, b=b, theta_wc=THETA_WC)
-        v = cid_lead(theta_ref, theta_t, d, params)
+        params = CostParams(a=a, b=b)
+        v = cid_lead(theta_ref, theta_t, d, params, THETA_WC)
         assert 0.0 <= v <= 1.0 + 1e-12
 
     @given(theta_ref=st.floats(0, THETA_WC), theta_t=st.floats(0, THETA_WC),
            scale=st.floats(0.1, 100))
     def test_cost_scale_invariance(self, theta_ref, theta_t, scale):
         d = int((theta_ref > 0.20) == (theta_t > 0.20))
-        base = CostParams(a=1.0, b=2.0, theta_wc=THETA_WC)
-        scaled = CostParams(a=scale, b=2.0 * scale, theta_wc=THETA_WC)
-        assert cid_lead(theta_ref, theta_t, d, base) == pytest.approx(
-            cid_lead(theta_ref, theta_t, d, scaled), abs=1e-9)
+        base = CostParams(a=1.0, b=2.0)
+        scaled = CostParams(a=scale, b=2.0 * scale)
+        assert cid_lead(theta_ref, theta_t, d, base,
+                        THETA_WC) == pytest.approx(
+            cid_lead(theta_ref, theta_t, d, scaled, THETA_WC), abs=1e-9)
 
     def test_flat_once_below_threshold(self):
         # overestimation cost caps at the spend down to the threshold
-        capped = cid_lead(0.25, 0.20, 1, self.params)
-        assert cid_lead(0.25, 0.10, 0, self.params) == pytest.approx(capped)
-        assert cid_lead(0.25, 0.02, 0, self.params) == pytest.approx(capped)
+        capped = cid_lead(0.25, 0.20, 1, self.params, THETA_WC)
+        assert cid_lead(0.25, 0.10, 0, self.params,
+                        THETA_WC) == pytest.approx(capped)
+        assert cid_lead(0.25, 0.02, 0, self.params,
+                        THETA_WC) == pytest.approx(capped)
 
     def test_monotone_away_from_reference(self):
-        vals_up = [cid_lead(0.25, t, 1, self.params)
+        vals_up = [cid_lead(0.25, t, 1, self.params, THETA_WC)
                    for t in (0.25, 0.30, 0.40, 0.60)]
         assert all(x >= y for x, y in zip(vals_up, vals_up[1:]))
-        vals_down = [cid_lead(0.25, t, 1, self.params)
+        vals_down = [cid_lead(0.25, t, 1, self.params, THETA_WC)
                      for t in (0.25, 0.23, 0.21, 0.20)]
         assert all(x >= y for x, y in zip(vals_down, vals_down[1:]))
 
@@ -196,19 +215,21 @@ class TestCidLeadArrays:
            b=st.sampled_from([0.0, 2.0]) | st.floats(0.01, 10))
     def test_equals_oracle_elementwise(self, theta_ref, entries, a, b):
         assume(a > 0 or b > 0)
-        params = CostParams(a=a, b=b, theta_wc=THETA_WC)
+        params = CostParams(a=a, b=b)
         theta_ts = [theta_t for theta_t, _ in entries]
         d_ts = [d for _, d in entries]
         try:
-            expected = [oracles.cid_lead(theta_ref, theta_t, d, params)
+            expected = [oracles.cid_lead(theta_ref, theta_t, d, params,
+                                         THETA_WC)
                         for theta_t, d in entries]
         except ValueError as err:  # degenerate scaling, for every entry
             with pytest.raises(ValueError, match=re.escape(str(err))):
-                cid_lead(theta_ref, theta_ts, d_ts, params)
+                cid_lead(theta_ref, theta_ts, d_ts, params, THETA_WC)
             return
-        assert cid_lead(theta_ref, theta_ts, d_ts, params).tolist() == expected
+        assert cid_lead(theta_ref, theta_ts, d_ts, params,
+                        THETA_WC).tolist() == expected
         assert cid_lead([theta_ref] * len(entries), theta_ts, d_ts,
-                        params).tolist() == expected
+                        params, THETA_WC).tolist() == expected
 
     @pytest.mark.parametrize("theta_ref, theta_t, d_t", [
         (0.25, 0.80, 1),  # above theta_wc
@@ -218,18 +239,25 @@ class TestCidLeadArrays:
     ])
     def test_out_of_range_entry_raises_like_scalar(self, theta_ref, theta_t,
                                                    d_t):
-        params = CostParams(a=1.0, b=1.0, theta_wc=THETA_WC)
+        params = CostParams(a=1.0, b=1.0)
         with pytest.raises(ValueError) as scalar:
-            oracles.cid_lead(theta_ref, theta_t, d_t, params)
+            oracles.cid_lead(theta_ref, theta_t, d_t, params, THETA_WC)
         message = re.escape(str(scalar.value))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cid_lead(theta_ref, [0.25, theta_t, 0.1], [1, d_t, 0], params)
+            cid_lead(theta_ref, [0.25, theta_t, 0.1], [1, d_t, 0], params,
+                     THETA_WC)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cid_lead(theta_ref, theta_t, d_t, params)
+            cid_lead(theta_ref, theta_t, d_t, params, THETA_WC)
 
 
 def test_cost_params_validation():
     with pytest.raises(ValueError):
-        CostParams(a=0.0, b=0.0, theta_wc=0.5)
-    with pytest.raises(ValueError):
-        CostParams(a=1.0, b=1.0, theta_wc=0.1, threshold=0.2)
+        CostParams(a=0.0, b=0.0)
+    # a worst case theta_wc at or below the threshold, or above 1, is
+    # rejected where it is used
+    params = CostParams(a=1.0, b=1.0, threshold=0.2)
+    for theta_wc in (0.1, 0.2, 1.5):
+        with pytest.raises(ValueError, match="need threshold < theta_wc <= 1"):
+            max_cost(0.15, params, theta_wc)
+        with pytest.raises(ValueError, match="need threshold < theta_wc <= 1"):
+            cid_lead(0.15, 0.05, 1, params, theta_wc)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,13 @@ class TestPredictIntervals:
     def test_non_finite_input_rejected(self, hibbs_fit, bad):
         with pytest.raises(ValueError, match="lower <= center <= upper"):
             predict_intervals(hibbs_fit, [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("x0", [1e155, -1e155, 1e300, 1e308])
+    def test_overflowing_interval_rejected(self, hibbs_fit, x0):
+        # (x0 - x_mean)**2 or the slope term overflows: no bound is finite
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"interval at x0 = {x0} must have a finite width")):
+            predict_intervals(hibbs_fit, [0.0, x0, 1.0])
 
     def test_unknown_kind(self, hibbs_fit):
         with pytest.raises(ValueError, match="kind"):

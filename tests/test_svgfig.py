@@ -6,7 +6,7 @@ import pytest
 from cid.decisions import ELECTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             impute_theta_grid)
-from cid.metrics import CostParams, worst_case_theta
+from cid.metrics import CostParams
 from cid.svgfig import render_election_figure, render_lead_figure
 from cid.sweep import KnobGrid, PlausibleRegion, sweep_election, sweep_lead
 
@@ -20,11 +20,9 @@ def election_curve(hibbs_fit):
 
 @pytest.fixture(scope="module")
 def lead_curve_and_snapshots(lead_population):
-    wc = worst_case_theta(lead_population.observed_high_count,
-                          lead_population.n_observed, lead_population.n_total)
     cfg = ImputationConfig(m=10, seed=20240101)
     curve = sweep_lead(lead_population, accordion_mechanism(),
-                       KnobGrid(-2, 4, 0.5), cfg, CostParams(a=1, b=1, theta_wc=wc))
+                       KnobGrid(-2, 4, 0.5), cfg, CostParams(a=1, b=1))
     snapshots = []
     for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
         _, freqs = impute_theta_grid(lead_population, accordion_mechanism(),

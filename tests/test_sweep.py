@@ -11,7 +11,7 @@ from cid.decisions import (ElectionDecision, InterventionDecision,
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             impute_theta_grid, mar_mechanism,
                             parametric_mechanism)
-from cid.metrics import CostParams, worst_case_theta
+from cid.metrics import CostParams
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_intervals)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
@@ -26,11 +26,8 @@ def election_curve(hibbs_fit):
 
 
 @pytest.fixture(scope="module")
-def lead_costs(lead_population):
-    wc = worst_case_theta(lead_population.observed_high_count,
-                          lead_population.n_observed,
-                          lead_population.n_total)
-    return CostParams(a=1.0, b=1.0, theta_wc=wc)
+def lead_costs():
+    return CostParams(a=1.0, b=1.0)
 
 
 class TestKnobGrid:
@@ -262,11 +259,7 @@ class TestSweepLead:
 
     @pytest.mark.parametrize("threshold", [0.15, 0.2, 0.3])
     def test_decides_at_the_cost_threshold(self, lead_population, threshold):
-        costs = CostParams(a=1.0, b=1.0, threshold=threshold,
-                           theta_wc=worst_case_theta(
-                               lead_population.observed_high_count,
-                               lead_population.n_observed,
-                               lead_population.n_total))
+        costs = CostParams(a=1.0, b=1.0, threshold=threshold)
         curve = sweep_lead(lead_population, accordion_mechanism(),
                            KnobGrid(-4, 4, 0.1), ImputationConfig(m=3, seed=7),
                            costs)
@@ -287,7 +280,8 @@ def scalar_sweep_lead(pop, mech, grid, cfg, costs):
         decision = oracles.decide_intervention(theta, rule)
         d_t = int(decision == ref_decision)
         rows.append((float(t), theta, decision, d_t,
-                     oracles.cid_lead(theta_ref, theta, d_t, costs)))
+                     oracles.cid_lead(theta_ref, theta, d_t, costs,
+                                      pop.worst_case_theta)))
     return rows, ref_decision
 
 
@@ -301,9 +295,7 @@ class TestSweepLeadMatchesScalarOracle:
     ])
     def test_matches_per_point_loop(self, lead_population, mech, grid, seed):
         cfg = ImputationConfig(m=3, seed=seed)
-        costs = CostParams(a=1.0, b=2.0, theta_wc=worst_case_theta(
-            lead_population.observed_high_count, lead_population.n_observed,
-            lead_population.n_total))
+        costs = CostParams(a=1.0, b=2.0)
         curve = sweep_lead(lead_population, mech, grid, cfg, costs)
         rows, ref_decision = scalar_sweep_lead(lead_population, mech, grid,
                                                cfg, costs)
