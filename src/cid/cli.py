@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .decisions import ThresholdRule
-from .imputation import (BUILTIN_MECHANISMS, ImputationConfig,
+from .imputation import (BUILTIN_MECHANISMS, MAX_MISSING, ImputationConfig,
                          LeadPopulation, MnarMechanism, mar_mechanism,
                          read_level_counts)
 from .metrics import CostParams, max_cost
@@ -39,7 +39,8 @@ MAX_GRID_POINTS = 1_000_000
 # Largest lead population: every count, observed or completed, is an int64.
 MAX_N_TOTAL = 2**63 - 1
 # Most imputation rounds: multiple-imputation practice uses tens, and each
-# round draws one multinomial per grid point, so 10**9 rounds never finish.
+# round draws a posterior and inverts a binomial at every grid point, so
+# 10**9 rounds never finish.
 MAX_M = 1_000
 
 # Known fields of each config object; the document's top level also holds
@@ -372,6 +373,12 @@ def _lead(config: AnalysisConfig) -> tuple:
             f"observed in {config.dataset_path}"
         )
     pop = _checked("dataset", lambda: LeadPopulation(counts, n_total=s.n_total))
+    if pop.n_missing > MAX_MISSING:
+        raise ConfigError(
+            f"lead.n_total: {s.n_total} leaves {pop.n_missing:,} units "
+            f"missing beyond the {pop.n_observed:,} observed in "
+            f"{config.dataset_path} (at most {MAX_MISSING:,})"
+        )
     mech = s.mechanism
     if mech.name == "mar":  # no tilt at any level: fits every level count
         mech = mar_mechanism(len(counts))
@@ -383,18 +390,18 @@ def _lead(config: AnalysisConfig) -> tuple:
     # max_cost checks that the threshold is below the worst case theta_wc
     _checked("lead.threshold",
              lambda: max_cost(0.0, s.costs, pop.worst_case_theta))
-    cfg = ImputationConfig(m=s.m, seed=config.seed)
-    curve = sweep_lead(pop, mech, config.grid, cfg, s.costs)
-    rows = ([_checked(f"lead.snapshot_ts[{i}]",
-                      lambda: curve.index_on_grid(t))
+    grid = config.grid
+    rows = ([_checked(f"lead.snapshot_ts[{i}]", lambda: grid.index_on_grid(t))
              for i, t in enumerate(s.snapshot_ts)]
-            or [len(curve.t) // 2])
+            or [int(grid.n_points()) // 2])
+    cfg = ImputationConfig(m=s.m, seed=config.seed)
+    curve = sweep_lead(pop, mech, grid, cfg, s.costs, rows)
     parts = []
     if s.knob_distribution is not None:
         e_cid = _checked("lead.knob_distribution.support",
                          lambda: expected_cid(curve, s.knob_distribution))
         parts.append(f"expected CID = {e_cid:.3f}")
-    svg = render_lead_figure(curve, rows, f"CID under MNAR tilt ({mech.name})")
+    svg = render_lead_figure(curve, f"CID under MNAR tilt ({mech.name})")
     return curve, svg, parts
 
 

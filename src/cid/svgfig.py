@@ -204,10 +204,11 @@ def render_election_figure(curve: CidCurve, title: str,
     return _document(title, out)
 
 
-def render_lead_figure(curve: CidCurve, rows, title: str) -> str:
-    """CID-vs-t panel plus, for each grid row in rows, a bar chart of that
-    row's mean completed frequencies."""
-    if not len(rows):
+def render_lead_figure(curve: CidCurve, title: str) -> str:
+    """CID-vs-t panel plus, for each of the curve's snapshot rows, a bar
+    chart of that row's mean completed frequencies."""
+    rows = list(curve.snapshot_rows)
+    if not rows:
         raise ValueError("need at least one snapshot")
     gap = 56
     top_h = (HEIGHT_PX - 2 * MARGIN - gap) * 0.55
@@ -215,7 +216,7 @@ def render_lead_figure(curve: CidCurve, rows, title: str) -> str:
     out = []
     top, _ = _cid_panel(out, curve, top_h, 1.05)
 
-    freqs = curve.completed_freqs[rows]
+    freqs = curve.completed_freqs
     n, k = freqs.shape
     inset_gap = 16
     inset_w = (top.width - inset_gap * (n - 1)) / n

@@ -13,7 +13,8 @@ from .decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
                         decide_intervention_codes)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
-from .metrics import CostParams, cid_general, cid_lead, interval_overlaps
+from .metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
+                      max_cost)
 from .regression import MEAN_RESPONSE, FittedLine, predict_intervals
 
 
@@ -47,11 +48,33 @@ class KnobGrid:
     def index_of_t0(self) -> int:
         return int(self._k_range()[0])
 
+    def index_on_grid(self, t: float) -> int:
+        """The row of the grid point nearest t, rejecting a t farther than
+        half a step from every grid point (CidCurve.index_on_grid on the
+        swept curve)."""
+        return _row_on_grid(self.values(), t)
+
     def n_points(self) -> float:
         """len(values()), computed without building the grid. A float: it
         is inf when the step is so small that the count overflows."""
         k_lo, k_hi = self._k_range()
         return float(k_lo + k_hi + 1)
+
+
+def _spacing(ts: np.ndarray) -> float:
+    """The grid step of the grid points ts: their smallest spacing, 0 for a
+    single point."""
+    return float(np.min(np.diff(ts))) if len(ts) > 1 else 0.0
+
+
+def _row_on_grid(ts: np.ndarray, t: float) -> int:
+    """The row of ts nearest t; a t farther than half the grid step from
+    every grid point is a ValueError."""
+    i = int(np.argmin(np.abs(ts - t)))
+    if abs(ts[i] - t) > _spacing(ts) / 2.0 + 1e-12:
+        raise ValueError(f"off grid: t = {t} is farther than step/2 from "
+                         f"any grid point")
+    return i
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +85,10 @@ class CidCurve:
     index of point i's decision in family, the rule family's tuple of
     decisions (ELECTION_DECISIONS or INTERVENTION_DECISIONS). An election
     curve also has the interval bounds lower and upper and the overlap j_t;
-    a lead curve has the mean completed frequencies of every point, shape
-    (T, K). i0 is the row of the reference t0, and change_points are the
-    grid-adjacent (t_low, t_high) pairs where the decision differs.
+    a lead curve has the grid rows of its snapshots, snapshot_rows, and
+    their mean completed frequencies, shape (S, K). i0 is the row of the
+    reference t0, and change_points are the grid-adjacent (t_low, t_high)
+    pairs where the decision differs.
     """
 
     t: np.ndarray
@@ -78,6 +102,7 @@ class CidCurve:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     j_t: Optional[np.ndarray] = None
+    snapshot_rows: tuple = ()
     completed_freqs: Optional[np.ndarray] = None
 
     @property
@@ -96,15 +121,11 @@ class CidCurve:
     def index_on_grid(self, t: float) -> int:
         """index_nearest(t), rejecting a t farther than half a grid step from
         every grid point."""
-        i = self.index_nearest(t)
-        if abs(self.t[i] - t) > self.step / 2.0 + 1e-12:
-            raise ValueError(f"off grid: t = {t} is farther than step/2 from "
-                             f"any grid point")
-        return i
+        return _row_on_grid(self.t, t)
 
     @property
     def step(self) -> float:
-        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else 0.0
+        return _spacing(self.t)
 
 
 def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,
@@ -183,27 +204,32 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
 
 
 def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
-               cfg: ImputationConfig, costs: CostParams) -> CidCurve:
+               cfg: ImputationConfig, costs: CostParams,
+               snapshot_rows=()) -> CidCurve:
     """Sweep MNAR tilt strength t against the MAR reference at t0, deciding
     with the threshold rule at costs.threshold.
 
-    The whole grid is imputed in one common-random-numbers pass
-    (impute_theta_grid): every grid point reuses the same per-imputation
-    substreams, so the estimate curve is smooth in t, and each point is
-    byte-identical to imputing it alone, in any evaluation order. The grid
+    A threshold not below pop.worst_case_theta is a ValueError, raised
+    before any imputation. The whole grid is imputed in one
+    common-random-numbers pass (impute_theta_grid): every grid point reuses
+    the same per-imputation substreams, and each point is byte-identical to
+    imputing it alone, in any evaluation order; for the accordion and
+    parametric mechanisms the estimate is nonincreasing in t. The grid
     contains t0 exactly, so the reference estimate is its row; the
-    decisions and cid_lead take the whole grid. The curve carries every
-    point's mean completed frequencies.
+    decisions and cid_lead take the whole grid. The curve carries the mean
+    completed frequencies of the grid rows in snapshot_rows.
     """
+    max_cost(0.0, costs, pop.worst_case_theta)  # checks the threshold
     ts = grid.values()
-    thetas, freqs = impute_theta_grid(pop, mech, ts, cfg)
+    snapshot_rows = tuple(snapshot_rows)
+    thetas, freqs = impute_theta_grid(pop, mech, ts, cfg, snapshot_rows)
     i0 = grid.index_of_t0()
     theta_ref = thetas[i0]
     codes = decide_intervention_codes(thetas, ThresholdRule(costs.threshold))
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
                   lambda d_t: cid_lead(theta_ref, thetas, d_t, costs,
                                        pop.worst_case_theta),
-                  completed_freqs=freqs)
+                  snapshot_rows=snapshot_rows, completed_freqs=freqs)
 
 
 def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:

@@ -1,13 +1,19 @@
-"""Independent scalar forms of the decision and metric rules.
+"""Independent scalar forms of the decision, metric and imputation rules.
 
-The library implements each rule once, over arrays; these are the
-per-value bodies it replaced, written with Python comparisons and
-branches, kept here as the oracle the array forms are tested against.
+The library implements each rule once, over arrays; these are per-value
+forms written with Python comparisons, branches and loops, kept here as
+the oracle the array forms are tested against.
 """
 
+import bisect
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from cid.decisions import ElectionDecision, InterventionDecision
+from cid.imputation import _tilt_rows, draw_dirichlet_posterior, substream
 
 
 @dataclass(frozen=True)
@@ -108,3 +114,63 @@ def cid_lead(theta_ref: float, theta_t: float, d_t: int, params,
     else:
         cost = (1 - d_t) * (theta_t - params.threshold) * params.b
     return 1.0 - cost / c
+
+
+def binomial_quantile(n: int, r: float, u: float) -> int:
+    """The smallest k with P(Bin(n, r) <= k) >= u, summing the pmf
+    comb(n, k) r^k (1 - r)^(n - k) from k = 0; n when rounding keeps the
+    sum below u."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * r**k * (1.0 - r)**(n - k)
+        if cdf >= u:
+            return k
+    return n
+
+
+def impute_one_point(pop, mech, t: float, cfg, cell: int = 64) -> tuple:
+    """The imputed fraction above the cutoff and the mean completed
+    frequencies at the single knob value t, one round and one cell at a
+    time: the reference for impute_theta_grid's order-statistic coupling.
+
+    Round m draws, from substream(seed, m) after the Dirichlet posterior,
+    n // cell gamma spacings of shape cell and a last one of shape
+    n + 1 - cell * (n // cell), whose normalized partial sums are every
+    cell-th order statistic of the n missing units' uniforms, then one
+    uniform per cell. The units at or below the cutoff are those below the
+    cell holding q = P_t(level <= cutoff), plus a binomial quantile of that
+    cell's uniform for the units inside it. From the generator state after
+    the cells, the units below and above the cutoff are spread over the
+    levels by one multinomial each; a side with no units draws nothing.
+    """
+    n, c = pop.n_missing, pop.cutoff_level
+    observed = pop.counts_array()
+    theta_sum = 0.0
+    freq_sum = np.zeros(pop.k)
+    for m in range(cfg.m):
+        rng = substream(cfg.seed, m)
+        p = draw_dirichlet_posterior(pop, rng)
+        p_t = _tilt_rows(p, mech.as_array(), np.array([float(t)]))[0]
+        low = math.fsum(p_t[:c].tolist())
+        q = low / (low + math.fsum(p_t[c:].tolist()))
+        b = n // cell
+        shapes = np.array([cell] * b + [n + 1 - cell * b], dtype=float)
+        sums = list(accumulate(rng.standard_gamma(shapes).tolist()))
+        edges = [0.0] + [s / sums[-1] for s in sums[:-1]] + [1.0]
+        u = rng.random(b + 1).tolist()
+        j = bisect.bisect_right(edges, q) - 1
+        if j == b + 1:  # q == 1 on the top edge
+            j = b
+        lo, hi = edges[j], edges[j + 1]
+        r = (q - lo) / (hi - lo) if q < hi else 1.0
+        inside = cell - 1 if j < b else n - cell * b
+        below = cell * j + binomial_quantile(inside, r, u[j])
+        theta_sum += (pop.observed_high_count + n - below) / pop.n_total
+        imputed = []
+        for count, probs in ((below, p_t[:c]), (n - below, p_t[c:])):
+            imputed.extend(rng.multinomial(count, probs / probs.sum())
+                           if count else [0] * len(probs))
+        freq_sum += (observed + np.array(imputed, dtype=np.int64)) / pop.n_total
+    freq = freq_sum / cfg.m
+    return (min(theta_sum / cfg.m, pop.worst_case_theta),
+            freq / freq.sum())

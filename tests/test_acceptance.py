@@ -14,7 +14,7 @@ from cid.decisions import (INTERVENTION_DECISIONS, InterventionDecision,
 from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                             _tilt_rows, accordion_mechanism,
                             impute_theta_grid, mar_mechanism,
-                            parametric_mechanism, substream)
+                            parametric_mechanism)
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
                          max_cost)
 from cid.regression import MEAN_RESPONSE, predict_intervals
@@ -117,12 +117,12 @@ def test_criterion_6_lead_change_points_and_frequencies(
     assert any(abs(m - 0.8) <= 0.1 for m in par_mids)
 
     (theta_acc,), (freqs_acc,) = impute_theta_grid(
-        lead_population, accordion_mechanism(), [0.5], lead_cfg)
+        lead_population, accordion_mechanism(), [0.5], lead_cfg, rows=[0])
     assert theta_acc == pytest.approx(0.19, abs=0.01)
     assert freqs_acc == pytest.approx(ACCORDION_T05_FREQS, abs=0.01)
 
     (theta_par,), (freqs_par,) = impute_theta_grid(
-        lead_population, parametric_mechanism(), [1.0], lead_cfg)
+        lead_population, parametric_mechanism(), [1.0], lead_cfg, rows=[0])
     assert theta_par == pytest.approx(0.19, abs=0.01)
     assert freqs_par == pytest.approx(PARAMETRIC_T1_FREQS, abs=0.01)
     ok(6, f"accordion bracket near {acc_mids}, parametric near {par_mids}; "
@@ -178,21 +178,16 @@ class TestCriterion8Properties:
         assert tilt(tilt(p, w, 0.7), w, 0.6) == pytest.approx(a, abs=1e-10)
 
     def test_count_based_vs_per_record_oracle(self):
-        # K = 3, N = 20, n = 10; compare mean theta over 50,000 imputations
+        # K = 3, N = 20, n = 10; compare the mean theta of 5,000 rounds of
+        # impute_theta_grid with 50,000 imputations one record at a time
         pop = LeadPopulation(observed_counts=(4, 3, 3), n_total=20,
                              cutoff_level=2)
         mech = MnarMechanism(weights=(1.0, 0.5, 0.0))
         t = 0.7
         reps = 50_000
 
-        count_thetas = np.empty(reps)
-        for m in range(reps):
-            rng = substream(101, m)
-            g = rng.standard_gamma(1.0 + pop.counts_array())
-            p_t = _tilt_rows(g / g.sum(), mech.as_array(), np.array([t]))[0]
-            imputed = rng.multinomial(pop.n_missing, p_t)
-            completed = pop.counts_array() + imputed
-            count_thetas[m] = completed[2] / pop.n_total
+        (count_theta,), _ = impute_theta_grid(
+            pop, mech, [t], ImputationConfig(m=5_000, seed=101))
 
         # oracle: impute the 10 missing records one categorical draw at a time
         oracle_rng = np.random.default_rng(202)
@@ -209,8 +204,7 @@ class TestCriterion8Properties:
             high += draw == 2
         oracle_thetas = (pop.observed_high_count + high) / pop.n_total
 
-        assert count_thetas.mean() == pytest.approx(oracle_thetas.mean(),
-                                                    abs=0.005)
+        assert count_theta == pytest.approx(oracle_thetas.mean(), abs=0.005)
 
     def test_seed_determinism_byte_identical(self, lead_population, lead_costs):
         from cid.cli import curve_to_csv

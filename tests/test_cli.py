@@ -9,14 +9,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cid import sweep
 from cid.cli import ConfigError, load_config, main, parse_config
-from cid.imputation import (ImputationConfig, LeadPopulation,
-                            impute_theta_grid, read_level_counts)
+from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
 from cid.metrics import CostParams
 from cid.regression import MEAN_RESPONSE
 from cid.sweep import sweep_lead
+from tests import oracles
 from tests.test_emitters import ref_render_lead_figure
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,13 +27,13 @@ REPO = Path(__file__).resolve().parent.parent
 # of them is a re-baseline of the lead study and must say why.
 LEAD_DIGESTS = {
     "lead_accordion_curve.csv":
-        "d760f8f28e911986ee72fdb172bcf7ceda8c40a82afa3eb9694003760cdf08bb",
+        "a67d9056092037dae7c05a04aa55797bb7531c5499da64120d9b381fdae56dad",
     "lead_accordion_figure.svg":
-        "915fe98da7da80ee04cbac5c2b57bf33fc9e2fb34abd916718b11ac229de61b5",
+        "a29f78f803e433ca13ad609e175120a14e02a979218da7d9c924c76a83e6c386",
     "lead_parametric_curve.csv":
-        "19a98a08a6b22af389532c63439f2eaa25fa21c645cd7538c2e638836952c780",
+        "7ce36298410282479c0b68ebffb6c60b1f9da09ec44da6a6a88d88e8e233c632",
     "lead_parametric_figure.svg":
-        "61370c6c08ff464e770224cae162f3b30f911b4ec56b26f36659591fe921d2fc",
+        "180f2540bc737fbc59fd29937f4ebf79f5f0ababd85580854675bcf416be7a70",
 }
 
 
@@ -354,6 +356,25 @@ class TestRun:
         assert f"config error: {field}: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("snapshot_ts, field, t", [
+        ([100], "lead.snapshot_ts[0]", "100.0"),
+        ([0.0, 1.2], "lead.snapshot_ts[1]", "1.2"),
+    ])
+    def test_off_grid_snapshot_exits_1_before_imputing(
+            self, tmp_path, lead_doc, capsys, monkeypatch, snapshot_ts, field,
+            t):
+        def fail(*args):
+            raise AssertionError("imputed before checking the snapshots")
+
+        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        lead_doc["lead"]["snapshot_ts"] = snapshot_ts
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {field}: off grid: t = {t} is farther than "
+            f"step/2 from any grid point\n")
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_other_mode_block_exits_1(self, tmp_path, capsys, election_doc):
         election_doc["lead"] = {"n_total": 400000, "mechanism": "accordion"}
         path = write_config(tmp_path, election_doc)
@@ -373,12 +394,13 @@ class TestRun:
         s = config.lead
         pop = LeadPopulation(read_level_counts(config.dataset_path), s.n_total)
         cfg = ImputationConfig(m=s.m, seed=config.seed)
-        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, s.costs)
-        snap_ts = ([float(curve.t[curve.index_nearest(t)]) for t in snapshot_ts]
-                   if snapshot_ts else [float(curve.t[len(curve.t) // 2])])
-        snapshots = [(t, impute_theta_grid(pop, s.mechanism, [t], cfg)[1][0]
-                          .tolist())
-                     for t in snap_ts]
+        ts = config.grid.values()
+        rows = ([int(np.argmin(np.abs(ts - t))) for t in snapshot_ts]
+                if snapshot_ts else [len(ts) // 2])
+        curve = sweep_lead(pop, s.mechanism, config.grid, cfg, s.costs, rows)
+        snapshots = [(float(ts[i]), oracles.impute_one_point(
+                          pop, s.mechanism, ts[i], cfg)[1].tolist())
+                     for i in rows]
         assert (tmp_path / "figure.svg").read_text() == ref_render_lead_figure(
             curve, config.grid.t0, snapshots,
             f"CID under MNAR tilt ({s.mechanism.name})")
@@ -458,6 +480,45 @@ class TestRun:
         assert peak < 2**20
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("n_total", [110_000 + 2**26 + 1, 2**63 - 1])
+    def test_too_many_missing_units_exits_1_without_allocating(
+            self, tmp_path, lead_doc, capsys, monkeypatch, n_total):
+        def fail(*args):
+            raise AssertionError("imputed beyond the missing-unit bound")
+
+        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        lead_doc["lead"]["n_total"] = n_total
+        path = write_config(tmp_path, lead_doc)
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: lead.n_total: {n_total} leaves "
+            f"{n_total - 110_000:,} units missing beyond the 110,000 observed "
+            f"in ")
+        assert peak < 2**20
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
+    def test_missing_units_at_the_bound_run(self, tmp_path, lead_doc, capsys):
+        lead_doc["lead"].update(n_total=110_000 + 2**26, m=1)
+        lead_doc["grid"] = {"t_min": 0.0, "t_max": 0.5, "step": 0.5}
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 0
+
+    def test_seed_15_has_one_change_point(self, tmp_path, capsys):
+        # before the order-statistic coupling, sampler jitter made this run
+        # cross the threshold three times
+        assert main(["run", str(REPO / "configs" / "lead_parametric.json"),
+                     "--seed", "15", "--grid-step", "0.001",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == \
+            "intervene; change points ≈ [0.796, 0.797]\n"
 
     def test_bundled_election_reproduces_committed_outputs(self, tmp_path,
                                                            capsys):

@@ -21,6 +21,7 @@ from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _fmt_column,
                         render_election_figure, render_lead_figure)
 from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, sweep_election,
                        sweep_lead)
+from tests import oracles
 
 
 def assert_same_text(actual, expected):
@@ -179,14 +180,17 @@ def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
                                   mar_mechanism(10)], ids=lambda m: m.name)
 def test_lead_outputs_equal_reference(lead_population, mech):
     pop = lead_population
-    curve = sweep_lead(pop, mech, KnobGrid(-2, 4, 0.01),
-                       ImputationConfig(m=3, seed=7), CostParams(a=1, b=1))
+    grid = KnobGrid(-2, 4, 0.01)
+    cfg = ImputationConfig(m=3, seed=7)
+    rows = [0, grid.index_on_grid(0.5)]
+    curve = sweep_lead(pop, mech, grid, cfg, CostParams(a=1, b=1), rows)
     assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
-    rows = [0, curve.index_nearest(0.5)]
-    snapshots = [(float(curve.t[i]), curve.completed_freqs[i].tolist())
+    snapshots = [(float(curve.t[i]),
+                  oracles.impute_one_point(pop, mech, curve.t[i], cfg)[1]
+                  .tolist())
                  for i in rows]
     title = f"lead ({mech.name})"
-    assert_same_text(render_lead_figure(curve, rows, title),
+    assert_same_text(render_lead_figure(curve, title),
                      ref_render_lead_figure(curve, 0.0, snapshots, title))
 
 

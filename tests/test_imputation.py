@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
-from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
+from cid.imputation import (CELL, MAX_MISSING, TABLE_POINTS,
+                            ImputationConfig, LeadPopulation, MnarMechanism,
+                            _count_below, _draw_cells, _quantile_binomial,
                             _tilt_rows, accordion_mechanism,
                             draw_dirichlet_posterior, impute_theta_grid,
                             mar_mechanism, parametric_mechanism, substream)
+from tests import oracles
 from tests.conftest import LEAD_PROBS
 
 
@@ -23,7 +27,7 @@ def tilt(p, mech, t):
 
 def impute_theta(pop, mech, t, cfg):
     """impute_theta_grid at the single knob value t."""
-    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg)
+    thetas, freqs = impute_theta_grid(pop, mech, [t], cfg, rows=[0])
     return thetas[0], freqs[0]
 
 
@@ -220,26 +224,15 @@ class TestImputeTheta:
 
 
 def per_point_reference(pop, mech, ts, cfg):
-    """One knob value at a time: substream -> Dirichlet -> tilt -> multinomial."""
-    thetas, freqs = [], []
-    for t in ts:
-        theta_sum = 0.0
-        freq_sum = np.zeros(pop.k)
-        for m in range(cfg.m):
-            rng = substream(cfg.seed, m)
-            p = draw_dirichlet_posterior(pop, rng)
-            p_t = tilt(p, mech, float(t))
-            completed = pop.counts_array() + rng.multinomial(pop.n_missing, p_t)
-            theta_sum += completed[pop.cutoff_level:].sum() / pop.n_total
-            freq_sum += completed / pop.n_total
-        thetas.append(theta_sum / cfg.m)
-        freq = freq_sum / cfg.m
-        freqs.append(freq / freq.sum())
-    return np.array(thetas), np.array(freqs)
+    """One knob value at a time, through the scalar oracle of the coupling."""
+    points = [oracles.impute_one_point(pop, mech, t, cfg) for t in ts]
+    return (np.array([theta for theta, _ in points]),
+            np.array([freqs for _, freqs in points]))
 
 
 class TestImputeThetaGrid:
     TS = np.round(np.arange(-2.0, 4.0 + 1e-9, 0.25), 10)
+    ALL_ROWS = range(len(TS))
 
     @pytest.mark.parametrize("mech", [accordion_mechanism(),
                                       parametric_mechanism(), mar_mechanism()],
@@ -247,7 +240,8 @@ class TestImputeThetaGrid:
     @pytest.mark.parametrize("seed", [20240101, 7, 99])
     def test_equals_per_point_loop(self, lead_population, mech, seed):
         cfg = ImputationConfig(m=3, seed=seed)
-        thetas, freqs = impute_theta_grid(lead_population, mech, self.TS, cfg)
+        thetas, freqs = impute_theta_grid(lead_population, mech, self.TS, cfg,
+                                          self.ALL_ROWS)
         ref_thetas, ref_freqs = per_point_reference(lead_population, mech,
                                                     self.TS, cfg)
         assert np.array_equal(thetas, ref_thetas)
@@ -262,7 +256,8 @@ class TestImputeThetaGrid:
         shuffled = np.random.default_rng(0).permutation(len(self.TS))
         for order in (reversed_order, shuffled):
             thetas, freqs = impute_theta_grid(lead_population, mech,
-                                              self.TS[order], cfg)
+                                              self.TS[order], cfg,
+                                              self.ALL_ROWS)
             assert np.array_equal(thetas, ref_thetas[order])
             assert np.array_equal(freqs, ref_freqs[order])
 
@@ -270,11 +265,127 @@ class TestImputeThetaGrid:
         """A one-point grid is the per-point imputation at that point."""
         cfg = ImputationConfig(m=4, seed=3)
         thetas, freqs = impute_theta_grid(lead_population,
-                                          accordion_mechanism(), [0.7], cfg)
+                                          accordion_mechanism(), [0.7], cfg,
+                                          rows=[0])
         ref_thetas, ref_freqs = per_point_reference(
             lead_population, accordion_mechanism(), [0.7], cfg)
         assert thetas.tolist() == ref_thetas.tolist()
         assert freqs.tolist() == ref_freqs.tolist()
+
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism()],
+                             ids=lambda mech: mech.name)
+    def test_rows_equal_one_point_runs(self, lead_population, mech):
+        cfg = ImputationConfig(m=3, seed=11)
+        rows = [0, 9, 9, 24, 13]
+        thetas, freqs = impute_theta_grid(lead_population, mech, self.TS, cfg,
+                                          rows)
+        assert freqs.shape == (len(rows), lead_population.k)
+        for i, t in enumerate(self.TS):
+            (theta,), _ = impute_theta_grid(lead_population, mech, [t], cfg)
+            assert theta == thetas[i]
+        for s, i in enumerate(rows):
+            _, (row,) = impute_theta_grid(lead_population, mech, [self.TS[i]],
+                                          cfg, rows=[0])
+            assert row.tolist() == freqs[s].tolist()
+
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism(), mar_mechanism()],
+                             ids=lambda mech: mech.name)
+    def test_snapshot_high_share_is_theta(self, lead_population, mech):
+        cfg = ImputationConfig(m=4, seed=2)
+        thetas, freqs = impute_theta_grid(lead_population, mech, self.TS, cfg,
+                                          self.ALL_ROWS)
+        high = freqs[:, lead_population.cutoff_level:].sum(axis=1)
+        assert high == pytest.approx(thetas, abs=1e-12)
+
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism()],
+                             ids=lambda mech: mech.name)
+    @given(ts=st.lists(st.floats(-6, 6), min_size=2, max_size=40),
+           seed=st.integers(0, 2**32), m=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_theta_nonincreasing(self, lead_population, mech, ts, seed, m):
+        ts = np.sort(ts)
+        thetas, _ = impute_theta_grid(lead_population, mech, ts,
+                                      ImputationConfig(m=m, seed=seed))
+        assert np.all(np.diff(thetas) <= 0.0)
+
+    @pytest.mark.parametrize("rows", [[25], [-1], [0, 30]])
+    def test_rows_out_of_range_rejected(self, lead_population, rows):
+        with pytest.raises(ValueError, match="rows must index the 25 knob "
+                                             "values"):
+            impute_theta_grid(lead_population, mar_mechanism(), self.TS,
+                              ImputationConfig(m=1), rows)
+
+    def test_missing_units_bounded(self):
+        pop = LeadPopulation(observed_counts=(1, 1), n_total=MAX_MISSING + 3,
+                             cutoff_level=1)
+        with pytest.raises(ValueError, match="67,108,865 missing units "
+                                             "exceed the 67,108,864"):
+            impute_theta_grid(pop, mar_mechanism(2), [0.0], ImputationConfig())
+        at_bound = LeadPopulation(observed_counts=(1, 1),
+                                  n_total=MAX_MISSING + 2, cutoff_level=1)
+        thetas, _ = impute_theta_grid(at_bound, mar_mechanism(2), [0.0],
+                                      ImputationConfig(m=1))
+        assert 0.0 < thetas[0] < 1.0
+
+
+class TestCoupling:
+    @pytest.mark.parametrize("chunk", [TABLE_POINTS, 20_000],
+                             ids=["table", "loop"])
+    def test_quantile_binomial_equals_scipy(self, chunk):
+        def quantiles(n, r, u):
+            return np.concatenate([
+                _quantile_binomial(n[i:i + chunk], r[i:i + chunk],
+                                   u[i:i + chunk])
+                for i in range(0, len(r), chunk)])
+
+        rng = np.random.default_rng(0)
+        u = rng.random(64 * 5 * 20)
+        n = np.repeat(np.arange(64), 5 * 20)
+        r = np.tile(np.repeat([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], 20), 64)
+        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
+        n, r, u = rng.integers(0, CELL, 20_000), rng.random(20_000), \
+            rng.random(20_000)
+        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
+
+    def test_quantile_binomial_equals_scalar_oracle(self):
+        rng = np.random.default_rng(1)
+        n, r, u = rng.integers(0, CELL, 2_000), rng.random(2_000), \
+            rng.random(2_000)
+        assert _quantile_binomial(n, r, u).tolist() == [
+            oracles.binomial_quantile(*args) for args in zip(n.tolist(),
+                                                             r.tolist(),
+                                                             u.tolist())]
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 290_000])
+    def test_cells_are_order_statistics(self, n):
+        bounds, u = _draw_cells(np.random.default_rng(4), n)
+        assert len(bounds) == n // CELL + 2 and len(u) == n // CELL + 1
+        assert bounds[0] == 0.0 and bounds[-1] == 1.0
+        assert np.all(np.diff(bounds) > 0)
+        q = np.array([0.0, 1.0])
+        assert _count_below(q, bounds, u, n).tolist() == [0, n]
+
+    def test_count_below_is_binomial(self):
+        """Chi-squared test of the count at six probabilities against
+        Bin(290,000, q), over 4,000 cell draws."""
+        n = 290_000
+        qs = np.array([1e-5, 0.01, 0.3, 0.5, 0.97, 1.0 - 1e-5])
+        rng = np.random.default_rng(20240101)
+        counts = np.array([_count_below(qs, *_draw_cells(rng, n), n)
+                           for _ in range(4_000)])
+        for q, sample in zip(qs, counts.T):
+            # bins between the deciles of Bin(n, q): bin i holds the counts
+            # in [cuts[i - 1], cuts[i])
+            cuts = np.unique(stats.binom.ppf(np.linspace(0.1, 0.9, 9), n, q))
+            observed = np.bincount(np.searchsorted(cuts, sample, side="right"),
+                                   minlength=len(cuts) + 1)
+            expected = np.diff(np.concatenate(
+                ([0.0], stats.binom.cdf(cuts - 1, n, q), [1.0])))
+            p_value = stats.chisquare(observed, expected * len(sample)).pvalue
+            assert p_value > 1e-3, (q, p_value)
 
 
 def test_population_validation():

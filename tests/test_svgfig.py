@@ -1,14 +1,15 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cid.decisions import ELECTION_DECISIONS
-from cid.imputation import (ImputationConfig, accordion_mechanism,
-                            impute_theta_grid)
+from cid.imputation import ImputationConfig, accordion_mechanism
 from cid.metrics import CostParams
 from cid.svgfig import render_election_figure, render_lead_figure
 from cid.sweep import KnobGrid, PlausibleRegion, sweep_election, sweep_lead
+from tests import oracles
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -21,15 +22,15 @@ def election_curve(hibbs_fit):
 @pytest.fixture(scope="module")
 def lead_curve_and_snapshots(lead_population):
     cfg = ImputationConfig(m=10, seed=20240101)
-    curve = sweep_lead(lead_population, accordion_mechanism(),
-                       KnobGrid(-2, 4, 0.5), cfg, CostParams(a=1, b=1))
-    snapshots = []
-    for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        _, freqs = impute_theta_grid(lead_population, accordion_mechanism(),
-                                     [t], cfg)
-        snapshots.append((t, freqs[0]))
-    rows = [curve.index_on_grid(t) for t, _ in snapshots]
-    return curve, rows, snapshots
+    grid = KnobGrid(-2, 4, 0.5)
+    snapshot_ts = (-1.0, 0.0, 0.5, 1.0, 2.0)
+    curve = sweep_lead(lead_population, accordion_mechanism(), grid, cfg,
+                       CostParams(a=1, b=1),
+                       [grid.index_on_grid(t) for t in snapshot_ts])
+    snapshots = [(t, oracles.impute_one_point(
+                      lead_population, accordion_mechanism(), t, cfg)[1])
+                 for t in snapshot_ts]
+    return curve, snapshots
 
 
 def panel_transform(group):
@@ -124,8 +125,8 @@ class TestElectionFigure:
 
 class TestLeadFigure:
     def test_snapshot_bar_groups(self, lead_curve_and_snapshots):
-        curve, rows, _ = lead_curve_and_snapshots
-        svg = render_lead_figure(curve, rows, "")
+        curve, _ = lead_curve_and_snapshots
+        svg = render_lead_figure(curve, "")
         root = ET.fromstring(svg)
         groups = find_by_class(root, "freq-panel")
         assert len(groups) == 5
@@ -133,8 +134,8 @@ class TestLeadFigure:
             assert len(find_by_class(group, "freq-bar")) == 10
 
     def test_bars_parse_back(self, lead_curve_and_snapshots):
-        curve, rows, snapshots = lead_curve_and_snapshots
-        svg = render_lead_figure(curve, rows, "")
+        curve, snapshots = lead_curve_and_snapshots
+        svg = render_lead_figure(curve, "")
         root = ET.fromstring(svg)
         for group, (_, freqs) in zip(find_by_class(root, "freq-panel"),
                                      snapshots):
@@ -145,17 +146,16 @@ class TestLeadFigure:
 
     def test_snapshot_at_reference_matches_observed(self, lead_curve_and_snapshots,
                                                     lead_population):
-        _, _, snapshots = lead_curve_and_snapshots
+        _, snapshots = lead_curve_and_snapshots
         at_ref = dict((t, d) for t, d in snapshots)[0.0]
         observed = lead_population.counts_array() / lead_population.n_observed
         assert at_ref == pytest.approx(observed, abs=0.01)
 
     def test_empty_snapshots_rejected(self, lead_curve_and_snapshots):
-        curve, _, _ = lead_curve_and_snapshots
+        curve, _ = lead_curve_and_snapshots
         with pytest.raises(ValueError, match="snapshot"):
-            render_lead_figure(curve, [], "")
+            render_lead_figure(replace(curve, snapshot_rows=()), "")
 
     def test_deterministic(self, lead_curve_and_snapshots):
-        curve, rows, _ = lead_curve_and_snapshots
-        assert render_lead_figure(curve, rows, "") == \
-            render_lead_figure(curve, rows, "")
+        curve, _ = lead_curve_and_snapshots
+        assert render_lead_figure(curve, "") == render_lead_figure(curve, "")

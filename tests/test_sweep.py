@@ -8,9 +8,9 @@ from scipy import stats
 
 from cid.decisions import (ElectionDecision, InterventionDecision,
                            ThresholdRule)
+from cid import sweep
 from cid.imputation import (ImputationConfig, accordion_mechanism,
-                            impute_theta_grid, mar_mechanism,
-                            parametric_mechanism)
+                            mar_mechanism, parametric_mechanism)
 from cid.metrics import CostParams
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_intervals)
@@ -58,6 +58,15 @@ class TestKnobGrid:
         assert values[0] == pytest.approx(lo) and values[-1] == pytest.approx(hi)
         assert lo - 1e-9 * step <= values.min()
         assert values.max() <= hi + 1e-9 * step
+
+    def test_index_on_grid_is_the_nearest_row(self):
+        grid = KnobGrid(-0.45, 1.3, 0.1, t0=-0.25)  # -0.45, -0.35, ..., 1.25
+        ts = grid.values()
+        for t in (-0.45, -0.25, 0.04, 0.06, 1.25, 1.29):
+            assert grid.index_on_grid(t) == int(np.argmin(np.abs(ts - t)))
+        for t in (-0.51, 1.31, 100.0):
+            with pytest.raises(ValueError, match=r"^off grid: t = "):
+                grid.index_on_grid(t)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,15 +255,31 @@ class TestSweepLead:
             self, lead_population, lead_costs):
         cfg = ImputationConfig(m=3, seed=7)
         mech = accordion_mechanism()
-        curve = sweep_lead(lead_population, mech, KnobGrid(-1, 1, 0.25), cfg,
-                           lead_costs)
-        assert curve.completed_freqs.shape == (len(curve.t),
-                                               lead_population.k)
-        for t, estimate, row in zip(curve.t, curve.estimate,
-                                    curve.completed_freqs):
-            thetas, freqs = impute_theta_grid(lead_population, mech, [t], cfg)
-            assert estimate == thetas[0]
-            assert row.tolist() == freqs[0].tolist()
+        grid = KnobGrid(-1, 1, 0.25)
+        rows = (8, 0, 3, 3)
+        curve = sweep_lead(lead_population, mech, grid, cfg, lead_costs, rows)
+        assert curve.snapshot_rows == rows
+        assert curve.completed_freqs.shape == (len(rows), lead_population.k)
+        for t, estimate in zip(curve.t, curve.estimate):
+            theta, _ = oracles.impute_one_point(lead_population, mech, t, cfg)
+            assert estimate == theta
+        for i, row in zip(rows, curve.completed_freqs):
+            _, freqs = oracles.impute_one_point(lead_population, mech,
+                                                curve.t[i], cfg)
+            assert row.tolist() == freqs.tolist()
+
+    def test_threshold_checked_before_imputing(self, lead_population,
+                                               monkeypatch):
+        def fail(*args):
+            raise AssertionError("imputed before checking the threshold")
+
+        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        with pytest.raises(ValueError, match=r"^need threshold < theta_wc "
+                                             r"<= 1, got threshold=0\.9, "
+                                             r"theta_wc=0\.79375$"):
+            sweep_lead(lead_population, accordion_mechanism(),
+                       KnobGrid(-2, 4, 0.001), ImputationConfig(m=5, seed=1),
+                       CostParams(a=1, b=1, threshold=0.9))
 
 
     @pytest.mark.parametrize("threshold", [0.15, 0.2, 0.3])
@@ -269,14 +294,15 @@ class TestSweepLead:
 
 
 def scalar_sweep_lead(pop, mech, grid, cfg, costs):
-    """Per-point oracle: impute each knob value alone, then the scalar
-    decision and metric oracles, deciding at costs.threshold."""
+    """Per-point oracle: impute each knob value alone with the scalar
+    imputation oracle, then the scalar decision and metric oracles,
+    deciding at costs.threshold."""
     rule = ThresholdRule(costs.threshold)
-    theta_ref = float(impute_theta_grid(pop, mech, [grid.t0], cfg)[0][0])
+    theta_ref = oracles.impute_one_point(pop, mech, grid.t0, cfg)[0]
     ref_decision = oracles.decide_intervention(theta_ref, rule)
     rows = []
     for t in grid.values():
-        theta = float(impute_theta_grid(pop, mech, [t], cfg)[0][0])
+        theta = oracles.impute_one_point(pop, mech, t, cfg)[0]
         decision = oracles.decide_intervention(theta, rule)
         d_t = int(decision == ref_decision)
         rows.append((float(t), theta, decision, d_t,
