@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 # argparse's gettext imports locale the first time main builds a parser;
 # importing it here keeps that cost in import time rather than in the run.
 import locale  # noqa: F401
@@ -18,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from . import textcols
-from .decisions import ThresholdRule
 from .imputation import (BUILTIN_MECHANISMS, MAX_MISSING, ImputationConfig,
                          LeadPopulation, MnarMechanism, mar_mechanism,
                          read_level_counts)
@@ -26,9 +26,9 @@ from .metrics import CostParams, max_cost
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
-                    annotate_plausible_region, expected_cid, sweep_election,
+                    expected_cid, min_cid_in_region, sweep_election,
                     sweep_lead)
-from .svgfig import render_election_figure, render_lead_figure
+from .svgfig import MAX_SNAPSHOTS, render_election_figure, render_lead_figure
 
 DEFAULT_SEED = 20240101
 DEFAULT_STEP = {"election": 0.02, "lead": 0.05}
@@ -193,7 +193,7 @@ def _parse_lead(block: dict) -> LeadSettings:
         support = _finite_list(_require(d, "support", path), path + "support")
         weights = _finite_list(_require(d, "weights", path), path + "weights")
         dist = _checked(path + "weights",
-                        lambda: KnobDistribution.from_weights(support, weights))
+                        lambda: KnobDistribution(support, weights))
     costs = {key: _finite(block.get(key, 1.0), f"lead.{key}")
              for key in ("a", "b")}
     for key, cost in costs.items():
@@ -208,16 +208,21 @@ def _parse_lead(block: dict) -> LeadSettings:
     m = _integer(block.get("m", 5), "lead.m")
     if not 1 <= m <= MAX_M:
         raise ConfigError(f"lead.m: must be in [1, {MAX_M:,}], got {m}")
-    threshold = _checked("lead.threshold", lambda: ThresholdRule(
-        _finite(block.get("threshold", 0.20), "lead.threshold")).threshold)
+    threshold = _finite(block.get("threshold", 0.20), "lead.threshold")
+    params = _checked("lead.threshold",
+                      lambda: CostParams(**costs, threshold=threshold))
+    snapshot_ts = _finite_list(block.get("snapshot_ts", []),
+                               "lead.snapshot_ts")
+    if len(snapshot_ts) > MAX_SNAPSHOTS:
+        raise ConfigError(f"lead.snapshot_ts: {len(snapshot_ts)} snapshots "
+                          f"do not fit the figure (at most {MAX_SNAPSHOTS})")
     return LeadSettings(
         n_total=n_total,
         mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
                                    "lead.mechanism"),
         m=m,
-        costs=CostParams(**costs, threshold=threshold),
-        snapshot_ts=_finite_list(block.get("snapshot_ts", []),
-                                 "lead.snapshot_ts"),
+        costs=params,
+        snapshot_ts=snapshot_ts,
         knob_distribution=dist,
     )
 
@@ -368,10 +373,9 @@ def _election(config: AnalysisConfig) -> tuple:
         fit, s.x0, config.grid, level=s.level, kind=s.interval_kind))
     parts = []
     if s.plausible_region is not None:
-        summary = _checked("election.plausible_region",
-                           lambda: annotate_plausible_region(
-                               curve, s.plausible_region))
-        parts.append(f"min CID in plausible region = {summary.min_cid:.3f}")
+        min_cid = _checked("election.plausible_region",
+                           lambda: min_cid_in_region(curve, s.plausible_region))
+        parts.append(f"min CID in plausible region = {min_cid:.3f}")
     svg = render_election_figure(curve, "CID under additive measurement error",
                                  s.plausible_region)
     return curve, svg, parts
@@ -401,15 +405,31 @@ def _lead(config: AnalysisConfig) -> tuple:
             f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
             f"for the {len(counts)} levels of {config.dataset_path}"
         )
+    grid = config.grid
+    # the largest |t * w| is max|t| * max|w|, and rounding is monotone, so
+    # this one product overflows exactly when some t * w does
+    t_far = max(grid.values()[[0, -1]].tolist(), key=abs)
+    w_far = max(mech.weights, key=abs)
+    if math.isinf(t_far * w_far):
+        raise ConfigError(f"lead.mechanism: weight {w_far!r} times knob "
+                          f"value t = {t_far!r} overflows")
     # max_cost checks that the threshold is below the worst case theta_wc
     _checked("lead.threshold",
              lambda: max_cost(0.0, s.costs, pop.worst_case_theta))
-    grid = config.grid
     rows = ([_checked(f"lead.snapshot_ts[{i}]", lambda: grid.index_on_grid(t))
              for i, t in enumerate(s.snapshot_ts)]
             or [int(grid.n_points()) // 2])
     cfg = ImputationConfig(m=s.m, seed=config.seed)
-    curve = sweep_lead(pop, mech, grid, cfg, s.costs, rows)
+
+    def sweep() -> CidCurve:
+        return sweep_lead(pop, mech, grid, cfg, s.costs, rows)
+
+    # With a zero cost, no outcome may have a cost, and the CID's scale (the
+    # largest attainable cost) is zero: when a = 0 and the reference
+    # estimate is theta_wc, or when b = 0 and it is at most the threshold.
+    zero_cost = ("lead.a" if s.costs.a == 0 else
+                 "lead.b" if s.costs.b == 0 else None)
+    curve = _checked(zero_cost, sweep) if zero_cost else sweep()
     parts = []
     if s.knob_distribution is not None:
         e_cid = _checked("lead.knob_distribution.support",

@@ -3,7 +3,6 @@ returned as integer codes into each rule family's tuple of decisions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,17 +29,6 @@ INTERVENTION_DECISIONS = (InterventionDecision.DONT_INTERVENE,
                           InterventionDecision.INTERVENE)
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Intervene when the estimated proportion strictly exceeds the threshold."""
-
-    threshold: float = 0.20
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-
-
 # Vote share (%) that separates the two candidates.
 BOUNDARY = 50.0
 
@@ -57,13 +45,15 @@ def decide_election_codes(lower, upper) -> np.ndarray:
     return np.where(BOUNDARY < lower, 2, np.where(upper < BOUNDARY, 0, 1))
 
 
-def decide_intervention_codes(thetas, rule: ThresholdRule) -> np.ndarray:
+def decide_intervention_codes(thetas, threshold: float) -> np.ndarray:
     """Two-way call from estimated proportions (a number or an array), each
-    in [0, 1], with strict > at the threshold; each code indexes
-    INTERVENTION_DECISIONS."""
+    in [0, 1]: intervene where one strictly exceeds the threshold, itself in
+    (0, 1). Each code indexes INTERVENTION_DECISIONS."""
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     thetas = np.asarray(thetas, dtype=float)
     outside = ~((0.0 <= thetas) & (thetas <= 1.0))
     if outside.any():
         raise ValueError(f"theta_hat must be in [0, 1], "
                          f"got {thetas[outside][0]}")
-    return (thetas > rule.threshold).astype(int)
+    return (thetas > threshold).astype(int)

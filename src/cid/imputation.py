@@ -180,7 +180,9 @@ def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
         # entries of a row can span more than the float range: -inf, no mass
         z -= z.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(tw)):
-        raise ValueError(f"knob values and t*w must be finite, got t in {ts}")
+        bad = ~np.isfinite(tw).all(axis=1)
+        raise ValueError(f"knob values and t*w must be finite, got "
+                         f"t = {ts[bad][0]}")
     tilted = np.exp(z, out=z)
     tilted /= tilted.sum(axis=1, keepdims=True)
     return tilted

@@ -26,6 +26,8 @@ class CostParams:
             raise ValueError("cost parameters a, b must be nonnegative")
         if self.a == 0 and self.b == 0:
             raise ValueError("cost parameters a and b must not both be zero")
+        if not (0.0 < self.threshold < 1.0):
+            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
 def _check(ok, values, message: str) -> None:

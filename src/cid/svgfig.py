@@ -27,6 +27,13 @@ DEFAULT_COLORS = {
 WIDTH_PX = 720
 HEIGHT_PX = 560
 MARGIN = 56
+# Gap in pixels between a lead figure's snapshot bar charts.
+INSET_GAP = 16
+# Most snapshots a lead figure holds: n insets and n - 1 gaps share the
+# panel width W = WIDTH_PX - 2 * MARGIN = 608, so each inset is
+# (W - INSET_GAP * (n - 1)) / n wide, which is positive only while
+# INSET_GAP * n < W + INSET_GAP, that is for n <= 38.
+MAX_SNAPSHOTS = (WIDTH_PX - 2 * MARGIN + INSET_GAP - 1) // INSET_GAP
 
 
 def _fmt(v: float) -> str:
@@ -218,11 +225,13 @@ def render_lead_figure(curve: CidCurve, title: str) -> bytes:
 
     freqs = curve.completed_freqs
     n, k = freqs.shape
-    inset_gap = 16
-    inset_w = (top.width - inset_gap * (n - 1)) / n
+    inset_w = (top.width - INSET_GAP * (n - 1)) / n
+    if not inset_w > 0:
+        raise ValueError(f"{n} snapshots leave no width for each bar chart "
+                         f"(at most {MAX_SNAPSHOTS})")
     ymax = 1.05 * float(freqs.max())
     for i, (t, probs) in enumerate(zip(curve.t[rows].tolist(), freqs.tolist())):
-        left = MARGIN + i * (inset_w + inset_gap)
+        left = MARGIN + i * (inset_w + INSET_GAP)
         frame = _Frame(left, MARGIN + top_h + gap, inset_w, inset_h,
                        0.5, k + 0.5, 0.0, ymax)
         out.append(frame.open_group("freq-panel"))

@@ -1,5 +1,6 @@
 """Knob sweeps over t: build CID curves, detect decision change points,
-summarize plausible regions, and average CID under a knob distribution."""
+find the lowest CID in a plausible region, and average CID under a knob
+distribution."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
-                        ThresholdRule, decide_election_codes,
-                        decide_intervention_codes)
+                        decide_election_codes, decide_intervention_codes)
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
 from .metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
@@ -115,12 +115,9 @@ class CidCurve:
         """The decision at the reference t0."""
         return self.family[self.codes[self.i0]]
 
-    def index_nearest(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.t - t)))
-
     def index_on_grid(self, t: float) -> int:
-        """index_nearest(t), rejecting a t farther than half a grid step from
-        every grid point."""
+        """The row of the grid point nearest t, rejecting a t farther than
+        half a grid step from every grid point."""
         return _row_on_grid(self.t, t)
 
     @property
@@ -158,29 +155,23 @@ class PlausibleRegion:
 
 @dataclass(frozen=True)
 class KnobDistribution:
-    """Discrete distribution on knob values for expected-CID summaries."""
+    """Discrete distribution on knob values for expected-CID summaries: the
+    probability of support[i] is weights[i] / sum(weights)."""
 
     support: tuple
     weights: tuple
 
     def __post_init__(self):
-        if len(self.support) != len(self.weights):
-            raise ValueError("support and weights must have equal length")
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-
-    @classmethod
-    def from_weights(cls, support, weights) -> "KnobDistribution":
-        """The distribution with weights scaled to sum to 1."""
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
+        with np.errstate(over="ignore"):  # an infinite sum is rejected below
+            total = w.sum()
         if not 0.0 < total < np.inf:
             raise ValueError(f"weights must sum to a positive finite number, "
-                             f"got {total!r}")
-        return cls(tuple(float(t) for t in support), tuple(w / total))
+                             f"got {float(total)!r}")
+        if len(self.support) != len(self.weights):
+            raise ValueError("support and weights must have equal length")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
 
 
 def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
@@ -225,7 +216,7 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg, snapshot_rows)
     i0 = grid.index_of_t0()
     theta_ref = thetas[i0]
-    codes = decide_intervention_codes(thetas, ThresholdRule(costs.threshold))
+    codes = decide_intervention_codes(thetas, costs.threshold)
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
                   lambda d_t: cid_lead(theta_ref, thetas, d_t, costs,
                                        pop.worst_case_theta),
@@ -233,38 +224,25 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
 
 
 def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
-    """Weighted average of the curve's CID over the distribution's support.
+    """Average of the curve's CID over the distribution's support, weighted
+    by its probabilities.
 
     Each support point snaps to the nearest grid point; points farther than
     half a grid step from the grid are rejected (CidCurve.index_on_grid).
     """
+    # scaling each weight first keeps w * cid finite near the float maximum
+    scale = np.sum(dist.weights)
     total = 0.0
     for t, w in zip(dist.support, dist.weights):
-        total += w * curve.cid[curve.index_on_grid(t)]
+        total += w / scale * curve.cid[curve.index_on_grid(t)]
     return float(total)
 
 
-@dataclass(frozen=True)
-class RegionSummary:
-    min_cid: float
-    change_points_inside: tuple
-
-    @property
-    def has_change_point(self) -> bool:
-        return len(self.change_points_inside) > 0
-
-
-def annotate_plausible_region(curve: CidCurve,
-                              region: PlausibleRegion) -> RegionSummary:
-    """Min CID over the grid points inside the region, and any decision
-    change brackets overlapping it. A region holding no grid point is a
-    ValueError."""
+def min_cid_in_region(curve: CidCurve, region: PlausibleRegion) -> float:
+    """The lowest CID over the grid points inside the region. A region
+    holding no grid point is a ValueError."""
     cids = curve.cid[(region.lower <= curve.t) & (curve.t <= region.upper)]
     if not len(cids):
         raise ValueError(f"[{region.lower}, {region.upper}] contains no grid "
                          f"points")
-    brackets = tuple(
-        (lo, hi) for lo, hi in curve.change_points
-        if hi >= region.lower and lo <= region.upper
-    )
-    return RegionSummary(float(cids.min()), brackets)
+    return float(cids.min())

@@ -41,11 +41,12 @@ def decide_election(interval, boundary: float = 50.0) -> ElectionDecision:
     return ElectionDecision.UNCLEAR
 
 
-def decide_intervention(theta_hat: float, rule) -> InterventionDecision:
+def decide_intervention(theta_hat: float,
+                        threshold: float) -> InterventionDecision:
     """Two-way call from an estimated proportion; strict > at the threshold."""
     if not (0.0 <= theta_hat <= 1.0):
         raise ValueError(f"theta_hat must be in [0, 1], got {theta_hat}")
-    if theta_hat > rule.threshold:
+    if theta_hat > threshold:
         return InterventionDecision.INTERVENE
     return InterventionDecision.DONT_INTERVENE
 

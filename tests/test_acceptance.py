@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cid.decisions import (INTERVENTION_DECISIONS, InterventionDecision,
-                           ThresholdRule, decide_intervention_codes)
+                           decide_intervention_codes)
 from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                             _tilt_rows, accordion_mechanism,
                             impute_theta_grid, mar_mechanism,
@@ -95,7 +95,7 @@ def test_criterion_4_lead_mar_reference(lead_population, lead_cfg):
                                     lead_cfg)
     assert theta == pytest.approx(0.25, abs=0.005)
     assert INTERVENTION_DECISIONS[decide_intervention_codes(
-        theta, ThresholdRule())] is InterventionDecision.INTERVENE
+        theta, 0.20)] is InterventionDecision.INTERVENE
     ok(4, f"MAR theta {theta:.4f}, decision intervene")
 
 

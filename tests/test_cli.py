@@ -130,6 +130,7 @@ class TestParseConfig:
         ("lead", "m", 2.5),
         ("lead", "m", 10**9),
         ("lead", "n_total", "many"),
+        ("lead", "snapshot_ts", [0.0] * 39),  # more than the figure holds
     ])
     def test_range_checked_at_parse_time(self, block, key, value):
         settings = ({"x0": -0.728} if block == "election"
@@ -337,6 +338,12 @@ class TestRun:
          "lead.knob_distribution.support"),
         ("snapshot_ts", [100], "lead.snapshot_ts[0]"),
         ("snapshot_ts", [0.0, 1.2], "lead.snapshot_ts[1]"),
+        # 60 bar charts would each have a negative width
+        ("snapshot_ts", [0.0] * 60, "lead.snapshot_ts"),
+        # each weight is finite, their sum is not
+        ("knob_distribution", {"support": [0.0, 0.5],
+                               "weights": [1e308, 1e308]},
+         "lead.knob_distribution.weights"),
     ])
     def test_bad_lead_list_exits_1_with_path(self, tmp_path, lead_doc, capsys,
                                              key, value, field):
@@ -590,6 +597,45 @@ class TestRun:
             t, estimate, _, _, _, d_t, _, cid = row.split(",")
             assert all(math.isfinite(float(v))
                        for v in (t, estimate, d_t, cid))
+
+    def test_overflowing_tilt_exits_1_before_imputing(
+            self, tmp_path, lead_doc, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("imputed before checking the tilt")
+
+        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        lead_doc["lead"]["mechanism"] = [1e308, 1, 1, 0, 0, 0, 0, 0, 0, -1e308]
+        lead_doc["grid"] = {"t_min": -2, "t_max": 4, "step": 0.05}
+        del lead_doc["lead"]["snapshot_ts"]
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: lead.mechanism: weight 1e+308 times knob value "
+            "t = 4.0 overflows\n")
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("costs, grid, field", [
+        # the reference estimate, about 0.25, is below the threshold 0.3
+        ({"b": 0, "threshold": 0.3}, None, "lead.b"),
+        # the reference estimate is theta_wc
+        ({"a": 0}, {"t_min": -900, "t_max": 4, "t0": -800, "step": 50},
+         "lead.a"),
+    ])
+    def test_cost_free_outcomes_exit_1(self, tmp_path, lead_doc, capsys,
+                                       costs, grid, field):
+        # no outcome has a cost, so the CID has no scale
+        lead_doc["lead"].update(costs)
+        if grid is not None:
+            lead_doc["grid"] = grid
+            del lead_doc["lead"]["snapshot_ts"]
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {field}: degenerate scaling: maximum attainable "
+            f"cost is zero\n")
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "figure.svg").exists()
 
     @pytest.mark.parametrize("x0, grid, where", [
         (1e155, None, "x0 = 1e+155"),

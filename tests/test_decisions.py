@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cid.decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
                            ElectionDecision, InterventionDecision,
-                           ThresholdRule, decide_election_codes,
-                           decide_intervention_codes)
+                           decide_election_codes, decide_intervention_codes)
 from cid.sweep import _curve
 from tests import oracles
 
@@ -17,8 +16,8 @@ def decide_election(lo, hi):
     return ELECTION_DECISIONS[decide_election_codes(lo, hi)]
 
 
-def decide_intervention(theta, rule):
-    return INTERVENTION_DECISIONS[decide_intervention_codes(theta, rule)]
+def decide_intervention(theta, threshold):
+    return INTERVENTION_DECISIONS[decide_intervention_codes(theta, threshold)]
 
 
 class TestDecideElection:
@@ -58,32 +57,32 @@ class TestDecideElection:
 
 
 class TestDecideIntervention:
-    rule = ThresholdRule()
+    threshold = 0.20
 
     def test_above_threshold(self):
-        assert decide_intervention(0.25, self.rule) is InterventionDecision.INTERVENE
+        assert decide_intervention(0.25, self.threshold) is InterventionDecision.INTERVENE
 
     def test_at_threshold_is_strict(self):
-        assert decide_intervention(0.20, self.rule) is InterventionDecision.DONT_INTERVENE
+        assert decide_intervention(0.20, self.threshold) is InterventionDecision.DONT_INTERVENE
 
     def test_below_threshold(self):
-        assert decide_intervention(0.19, self.rule) is InterventionDecision.DONT_INTERVENE
+        assert decide_intervention(0.19, self.threshold) is InterventionDecision.DONT_INTERVENE
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            decide_intervention(1.2, self.rule)
+            decide_intervention(1.2, self.threshold)
         with pytest.raises(ValueError):
-            decide_intervention(-0.1, self.rule)
+            decide_intervention(-0.1, self.threshold)
 
     @given(theta=st.floats(0, 1))
     def test_single_step_at_threshold(self, theta):
-        decision = decide_intervention(theta, self.rule)
+        decision = decide_intervention(theta, self.threshold)
         expected = (InterventionDecision.INTERVENE if theta > 0.20
                     else InterventionDecision.DONT_INTERVENE)
         assert decision is expected
 
     def test_custom_threshold(self):
-        assert decide_intervention(0.25, ThresholdRule(0.30)) is \
+        assert decide_intervention(0.25, 0.30) is \
             InterventionDecision.DONT_INTERVENE
 
     @given(thetas=st.lists(st.sampled_from([0.0, 0.2, 0.30, 1.0]) |
@@ -91,24 +90,29 @@ class TestDecideIntervention:
            threshold=st.sampled_from([0.2, 0.3]) |
            st.floats(0.01, 0.99))
     def test_codes_equal_scalar_decisions(self, thetas, threshold):
-        rule = ThresholdRule(threshold)
-        codes = decide_intervention_codes(thetas, rule)
+        codes = decide_intervention_codes(thetas, threshold)
         assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == \
-            [oracles.decide_intervention(theta, rule) for theta in thetas]
+            [oracles.decide_intervention(theta, threshold) for theta in thetas]
 
     def test_codes_tie_is_strict(self):
-        codes = decide_intervention_codes([0.19, 0.20, 0.21], self.rule)
+        codes = decide_intervention_codes([0.19, 0.20, 0.21], self.threshold)
         assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == [
             InterventionDecision.DONT_INTERVENE,
             InterventionDecision.DONT_INTERVENE,
             InterventionDecision.INTERVENE]
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be in "
+                                             r"\(0, 1\), got "):
+            decide_intervention_codes([0.1, 0.5], threshold)
+
     @pytest.mark.parametrize("bad", [-0.1, 1.2, math.nan, math.inf])
     def test_codes_domain_error(self, bad):
         with pytest.raises(ValueError, match="theta_hat must be in"):
-            decide_intervention_codes(bad, self.rule)
+            decide_intervention_codes(bad, self.threshold)
         with pytest.raises(ValueError, match="theta_hat must be in"):
-            decide_intervention_codes([0.5, bad, 0.1], self.rule)
+            decide_intervention_codes([0.5, bad, 0.1], self.threshold)
 
 
 @pytest.mark.parametrize("decision", ELECTION_DECISIONS + INTERVENTION_DECISIONS)

@@ -104,7 +104,7 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
                     top.xmin, top.xmax,
                     min(lows) - 0.05 * span, max(highs) + 0.05 * span)
-    ref = curve.index_nearest(reference_line)
+    ref = curve.index_on_grid(reference_line)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, "interval")
     for t, lo, hi in zip(ts.tolist(), lows, highs):

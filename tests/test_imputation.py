@@ -104,6 +104,17 @@ class TestTilt:
         with pytest.raises(ValueError, match="baseline category empty"):
             tilt(p, MnarMechanism(weights=(1, 0, 0)), 1.0)
 
+    def test_overflow_names_the_first_offending_t(self):
+        p = dist(0.5, 0.25, 0.25)
+        w = np.array([1e308, 1.0, -1e308])
+        ts = np.linspace(-2.0, 4.0, 121)
+        with pytest.raises(ValueError, match=r"^knob values and t\*w must "
+                                             r"be finite, got t = -2\.0$"):
+            _tilt_rows(p, w, ts)
+        # 1.5e308 is finite, 2e308 is not
+        with pytest.raises(ValueError, match=r"got t = 2\.0$"):
+            _tilt_rows(p, w, np.array([0.5, 1.5, 2.0, -3.0]))
+
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
             tilt(dist(0.5, 0.5), accordion_mechanism(), 1.0)

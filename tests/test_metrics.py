@@ -250,6 +250,13 @@ class TestCidLeadArrays:
             cid_lead(theta_ref, theta_t, d_t, params, THETA_WC)
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_cost_params_reject_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\), "
+                                         r"got "):
+        CostParams(a=1.0, b=1.0, threshold=threshold)
+
+
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(a=0.0, b=0.0)

@@ -7,7 +7,8 @@ import pytest
 from cid.decisions import ELECTION_DECISIONS
 from cid.imputation import ImputationConfig, accordion_mechanism
 from cid.metrics import CostParams
-from cid.svgfig import render_election_figure, render_lead_figure
+from cid.svgfig import (MAX_SNAPSHOTS, render_election_figure,
+                        render_lead_figure)
 from cid.sweep import KnobGrid, PlausibleRegion, sweep_election, sweep_lead
 from tests import oracles
 
@@ -159,3 +160,29 @@ class TestLeadFigure:
     def test_deterministic(self, lead_curve_and_snapshots):
         curve, _ = lead_curve_and_snapshots
         assert render_lead_figure(curve, "") == render_lead_figure(curve, "")
+
+    @staticmethod
+    def with_snapshots(curve, n):
+        """curve with n snapshot rows, cycling through its grid rows."""
+        return replace(curve,
+                       snapshot_rows=tuple(i % len(curve.t) for i in range(n)),
+                       completed_freqs=np.repeat(curve.completed_freqs[:1], n,
+                                                 axis=0))
+
+    def test_most_snapshots_have_positive_widths(self,
+                                                 lead_curve_and_snapshots):
+        curve, _ = lead_curve_and_snapshots
+        svg = render_lead_figure(self.with_snapshots(curve, MAX_SNAPSHOTS), "")
+        groups = find_by_class(ET.fromstring(svg), "freq-panel")
+        assert len(groups) == MAX_SNAPSHOTS == 38
+        for group in groups:
+            assert float(group.get("data-width")) > 0
+            for bar in find_by_class(group, "freq-bar"):
+                assert float(bar.get("width")) > 0
+
+    def test_too_many_snapshots_rejected(self, lead_curve_and_snapshots):
+        curve, _ = lead_curve_and_snapshots
+        with pytest.raises(ValueError, match=r"^39 snapshots leave no width "
+                                             r"for each bar chart \(at most "
+                                             r"38\)$"):
+            render_lead_figure(self.with_snapshots(curve, 39), "")

@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cid.decisions import (ElectionDecision, InterventionDecision,
-                           ThresholdRule)
+from cid.decisions import ElectionDecision, InterventionDecision
 from cid import sweep
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             mar_mechanism, parametric_mechanism)
@@ -15,7 +14,7 @@ from cid.metrics import CostParams
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_intervals)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
-                       annotate_plausible_region, expected_cid,
+                       expected_cid, min_cid_in_region,
                        sweep_election, sweep_lead)
 from tests import oracles
 
@@ -90,7 +89,7 @@ class TestSweepElection:
         assert abs(covered.max() - 1.2) <= 0.05
 
     def test_reference_point_is_maximum(self, election_curve):
-        i0 = election_curve.index_nearest(0.0)
+        i0 = election_curve.index_on_grid(0.0)
         assert election_curve.cid[i0] == 2.0
         assert election_curve.d_t[i0] == 1
         assert election_curve.reference_decision is \
@@ -98,7 +97,7 @@ class TestSweepElection:
 
     def test_estimate_affine_in_t(self, election_curve, hibbs_fit):
         ts, estimate = election_curve.t, election_curve.estimate
-        i0 = election_curve.index_nearest(0.0)
+        i0 = election_curve.index_on_grid(0.0)
         for i in range(0, len(ts), 40):
             expected = estimate[i0] + hibbs_fit.slope * (ts[i] - ts[i0])
             assert estimate[i] == pytest.approx(expected, abs=1e-9)
@@ -229,7 +228,7 @@ class TestSweepLead:
         curve = sweep_lead(lead_population, accordion_mechanism(),
                            KnobGrid(-2, 4, 0.05), cfg, lead_costs)
         assert curve.reference_decision is InterventionDecision.INTERVENE
-        assert curve.cid[curve.index_nearest(0.0)] == 1.0
+        assert curve.cid[curve.index_on_grid(0.0)] == 1.0
         mids = [(lo + hi) / 2 for lo, hi in curve.change_points]
         assert any(abs(m - 0.4) <= 0.1 for m in mids)
 
@@ -297,13 +296,12 @@ def scalar_sweep_lead(pop, mech, grid, cfg, costs):
     """Per-point oracle: impute each knob value alone with the scalar
     imputation oracle, then the scalar decision and metric oracles,
     deciding at costs.threshold."""
-    rule = ThresholdRule(costs.threshold)
     theta_ref = oracles.impute_one_point(pop, mech, grid.t0, cfg)[0]
-    ref_decision = oracles.decide_intervention(theta_ref, rule)
+    ref_decision = oracles.decide_intervention(theta_ref, costs.threshold)
     rows = []
     for t in grid.values():
         theta = oracles.impute_one_point(pop, mech, t, cfg)[0]
-        decision = oracles.decide_intervention(theta, rule)
+        decision = oracles.decide_intervention(theta, costs.threshold)
         d_t = int(decision == ref_decision)
         rows.append((float(t), theta, decision, d_t,
                      oracles.cid_lead(theta_ref, theta, d_t, costs,
@@ -343,8 +341,8 @@ class TestExpectedCid:
         assert expected_cid(election_curve, dist) == 2.0
 
     def test_uniform_three_points(self, election_curve):
-        dist = KnobDistribution.from_weights((-0.5, 0.0, 0.5), (1, 1, 1))
-        cids = [election_curve.cid[election_curve.index_nearest(t)]
+        dist = KnobDistribution((-0.5, 0.0, 0.5), (1, 1, 1))
+        cids = [election_curve.cid[election_curve.index_on_grid(t)]
                 for t in (-0.5, 0.0, 0.5)]
         assert expected_cid(election_curve, dist) == pytest.approx(
             np.mean(cids))
@@ -357,16 +355,21 @@ class TestExpectedCid:
         for t in (-3.14, 0.42, 2.0):
             dist = KnobDistribution(support=(t,), weights=(1.0,))
             assert expected_cid(election_curve, dist) == \
-                election_curve.cid[election_curve.index_nearest(t)]
+                election_curve.cid[election_curve.index_on_grid(t)]
 
     def test_support_off_grid(self, election_curve):
         dist = KnobDistribution(support=(4.5,), weights=(1.0,))
         with pytest.raises(ValueError, match="off grid"):
             expected_cid(election_curve, dist)
 
+    def test_weights_need_not_sum_to_1(self, election_curve):
+        dist = KnobDistribution(support=(0.0, 1.0), weights=(1.0, 3.0))
+        cid = election_curve.cid
+        assert expected_cid(election_curve, dist) == \
+            0.25 * cid[election_curve.index_on_grid(0.0)] + \
+            0.75 * cid[election_curve.index_on_grid(1.0)]
+
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            KnobDistribution(support=(0.0, 1.0), weights=(0.4, 0.4))
         with pytest.raises(ValueError):
             KnobDistribution(support=(0.0,), weights=(-1.0,))
         with pytest.raises(ValueError):
@@ -374,27 +377,28 @@ class TestExpectedCid:
         for weights in ((0.0, 0.0), (1.0, -1.0), (math.nan, 1.0),
                         (math.inf, 1.0)):
             with pytest.raises(ValueError, match="positive finite"):
-                KnobDistribution.from_weights((0.0, 1.0), weights)
+                KnobDistribution((0.0, 1.0), weights)
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            KnobDistribution((0.0, 1.0), (2.0, -1.0))
+        with pytest.raises(ValueError, match="equal length"):
+            KnobDistribution((0.0, 1.0), (1.0,))
 
 
 class TestAnnotatePlausibleRegion:
+    """The plausible region's summary, its lowest CID (min_cid_in_region)."""
+
     def test_paper_region_is_stable(self, election_curve):
-        summary = annotate_plausible_region(
-            election_curve, PlausibleRegion(-0.635, 0.728))
-        assert not summary.has_change_point
-        assert summary.min_cid >= 1.0
+        assert min_cid_in_region(election_curve,
+                                 PlausibleRegion(-0.635, 0.728)) >= 1.0
 
     def test_region_containing_both_change_points(self, election_curve):
-        summary = annotate_plausible_region(
-            election_curve, PlausibleRegion(0.5, 3.0))
-        assert len(summary.change_points_inside) == 2
-        assert summary.min_cid == 0.0
+        assert min_cid_in_region(election_curve,
+                                 PlausibleRegion(0.5, 3.0)) == 0.0
 
     def test_empty_intersection_raises(self, election_curve):
         with pytest.raises(ValueError, match=r"^\[10\.0, 11\.0\] contains no "
                                              r"grid points"):
-            annotate_plausible_region(election_curve,
-                                      PlausibleRegion(10.0, 11.0))
+            min_cid_in_region(election_curve, PlausibleRegion(10.0, 11.0))
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
