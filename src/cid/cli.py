@@ -26,8 +26,8 @@ from .metrics import CostParams, max_cost
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
-                    expected_cid, min_cid_in_region, sweep_election,
-                    sweep_lead)
+                    expected_cid, grid_spacing, min_cid_in_region,
+                    row_on_grid, sweep_election, sweep_lead)
 from .svgfig import MAX_SNAPSHOTS, render_election_figure, render_lead_figure
 
 DEFAULT_SEED = 20240101
@@ -42,6 +42,9 @@ MAX_N_TOTAL = 2**63 - 1
 # round draws a posterior and inverts a binomial at every grid point, so
 # 10**9 rounds never finish.
 MAX_M = 1_000
+# Rows of the CSV formatted and written at a time: enough to amortise the
+# formatter's per-call cost, few enough that no whole-file bytes are built.
+CSV_BLOCK_ROWS = 4096
 
 # Known fields of each config object; the document's top level also holds
 # the block named by its mode.
@@ -299,8 +302,10 @@ def load_config(path, seed: Optional[int] = None,
     return parse_config(doc, base_dir=path.parent)
 
 
-def _write_atomic(path: Path, content: bytes) -> None:
-    """Write via temp file + rename so failures never leave partial output.
+def _write_atomic(path: Path, blocks) -> None:
+    """Write the byte blocks of an iterable via temp file + rename, so that
+    failures, one raised while the blocks are produced included, never leave
+    partial output.
 
     The file gets the mode a plain open() would give a new file: 0o666
     less the process umask, where the temp file alone would be 0o600.
@@ -309,7 +314,8 @@ def _write_atomic(path: Path, content: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(content)
+            for block in blocks:
+                fh.write(block)
             umask = os.umask(0o022)  # the only way to read it is to set it
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -319,31 +325,37 @@ def _write_atomic(path: Path, content: bytes) -> None:
         raise
 
 
-def curve_to_csv(curve: CidCurve) -> bytes:
-    """Serialize a curve as `t,estimate,lo,hi,decision,d_t,j_t,cid`, in
-    ASCII bytes.
+def _csv_blocks(curve: CidCurve):
+    """The CSV of a curve, `t,estimate,lo,hi,decision,d_t,j_t,cid`, as ASCII
+    byte blocks: the header, then CSV_BLOCK_ROWS rows at a time.
 
-    Fields that do not apply to the pipeline are left empty. The float
-    columns present are formatted together by one `textcols.fixed` call and
-    laid out with the decision labels and the 0/1 d_t by one `textcols.rows`
-    call; no field needs quoting, since each is a number or a decision label
-    without commas, quotes or newlines.
+    Fields that do not apply to the pipeline are left empty. In each block
+    the float columns present are formatted together by one `textcols.fixed`
+    call and laid out with the decision labels and the 0/1 d_t by one
+    `textcols.rows` call; no field needs quoting, since each is a number or
+    a decision label without commas, quotes or newlines.
     """
+    yield b"t,estimate,lo,hi,decision,d_t,j_t,cid\n"
     floats = (curve.t, curve.estimate, curve.lower, curve.upper, curve.j_t,
               curve.cid)
-    present = [values for values in floats if values is not None]
-    columns = iter(textcols.fixed(np.stack(present, axis=1), 6)
-                   .transpose(1, 0, 2))
-    t, estimate, lower, upper, j_t, cid = [
-        next(columns) if values is not None else "" for values in floats]
-    # each decision label with its 0/1 d_t, as one column
-    decision_d_t = textcols.labels(
-        [f"{d.value},{k}" for d in curve.family for k in (0, 1)],
-        2 * curve.codes + curve.d_t)
-    return (b"t,estimate,lo,hi,decision,d_t,j_t,cid\n"
-            + textcols.rows(len(curve.t), [
-                t, ",", estimate, ",", lower, ",", upper, ",", decision_d_t,
-                ",", j_t, ",", cid, "\n"]))
+    # each decision label with its 0/1 d_t, as one label
+    labels = [f"{d.value},{k}" for d in curve.family for k in (0, 1)]
+    codes = 2 * curve.codes + curve.d_t
+    for lo in range(0, len(curve.t), CSV_BLOCK_ROWS):
+        block = slice(lo, lo + CSV_BLOCK_ROWS)
+        present = [values[block] for values in floats if values is not None]
+        columns = iter(textcols.fixed(np.stack(present, axis=1), 6)
+                       .transpose(1, 0, 2))
+        t, estimate, lower, upper, j_t, cid = [
+            next(columns) if values is not None else "" for values in floats]
+        yield textcols.rows(len(present[0]), [
+            t, ",", estimate, ",", lower, ",", upper, ",",
+            textcols.labels(labels, codes[block]), ",", j_t, ",", cid, "\n"])
+
+
+def curve_to_csv(curve: CidCurve) -> bytes:
+    """The CSV of a curve as one bytes object: the joined `_csv_blocks`."""
+    return b"".join(_csv_blocks(curve))
 
 
 def _step_decimals(step: float) -> int:
@@ -406,9 +418,10 @@ def _lead(config: AnalysisConfig) -> tuple:
             f"for the {len(counts)} levels of {config.dataset_path}"
         )
     grid = config.grid
+    ts = grid.values()
     # the largest |t * w| is max|t| * max|w|, and rounding is monotone, so
     # this one product overflows exactly when some t * w does
-    t_far = max(grid.values()[[0, -1]].tolist(), key=abs)
+    t_far = max(ts[[0, -1]].tolist(), key=abs)
     w_far = max(mech.weights, key=abs)
     if math.isinf(t_far * w_far):
         raise ConfigError(f"lead.mechanism: weight {w_far!r} times knob "
@@ -416,9 +429,12 @@ def _lead(config: AnalysisConfig) -> tuple:
     # max_cost checks that the threshold is below the worst case theta_wc
     _checked("lead.threshold",
              lambda: max_cost(0.0, s.costs, pop.worst_case_theta))
-    rows = ([_checked(f"lead.snapshot_ts[{i}]", lambda: grid.index_on_grid(t))
+    # grid.index_on_grid(t) of each snapshot, with the grid built once
+    spacing = grid_spacing(ts)
+    rows = ([_checked(f"lead.snapshot_ts[{i}]",
+                      lambda: row_on_grid(ts, t, spacing))
              for i, t in enumerate(s.snapshot_ts)]
-            or [int(grid.n_points()) // 2])
+            or [len(ts) // 2])
     cfg = ImputationConfig(m=s.m, seed=config.seed)
 
     def sweep() -> CidCurve:
@@ -448,8 +464,8 @@ def run(config: AnalysisConfig) -> int:
                           f"outputs.csv path")
     study = _election if config.mode == "election" else _lead
     curve, svg, parts = study(config)
-    _write_atomic(config.csv_path, curve_to_csv(curve))
-    _write_atomic(config.svg_path, svg)
+    _write_atomic(config.csv_path, _csv_blocks(curve))
+    _write_atomic(config.svg_path, [svg])
     print("; ".join(_verdict(curve) + parts))
     return 0
 

@@ -143,11 +143,52 @@ def _document(title, body) -> bytes:
                        for part in parts])
 
 
+def _pixel_columns(x, width) -> np.ndarray:
+    """The first row of each pixel column floor(x) of the nondecreasing pixel
+    xs x of a panel width pixels wide, when x has more points than that;
+    otherwise every row, each point its own column."""
+    if len(x) <= width:
+        return np.arange(len(x))
+    columns = np.floor(x)
+    new = np.empty(len(x), dtype=bool)
+    new[0] = True
+    np.not_equal(columns[1:], columns[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _m4_rows(starts, values, always) -> np.ndarray:
+    """The rows to draw of a line whose pixel columns start at the rows
+    starts: each column's first and last row and its first rows of least
+    and greatest value, plus the rows always, in grid order. A line through
+    them is rasterized as the line through every row (M4: Jugel et al.,
+    PVLDB 7(10), 2014)."""
+    n = len(values)
+    keep = np.zeros(n, dtype=bool)
+    keep[starts] = True
+    keep[starts[1:] - 1] = True
+    keep[-1] = True
+    keep[always] = True
+    column = np.zeros(n, dtype=np.intp)  # each row's column, from 0
+    column[starts[1:]] = 1
+    np.cumsum(column, out=column)
+    for reduce in (np.minimum, np.maximum):
+        hits = np.flatnonzero(values == reduce.reduceat(values, starts)[column])
+        first = np.empty(len(hits), dtype=bool)  # the first hit of a column
+        first[:1] = True
+        np.not_equal(column[hits[1:]], column[hits[:-1]], out=first[1:])
+        keep[hits[first]] = True
+    return np.flatnonzero(keep)
+
+
 def _cid_panel(out, curve, height, ymax, region=None):
     """Append the CID-vs-t panel at the top of the figure, height pixels
     tall with CID from 0 to ymax, and lines at the reference t0 and at the
-    region's bounds, to out. Return its frame and the text column of every
-    grid point's pixel x."""
+    region's bounds, to out. Return its frame, the pixel x of every grid
+    point, and the first row of each of its pixel columns (_pixel_columns).
+
+    The polyline goes through the M4 rows of those columns (_m4_rows), the
+    reference row i0 and both rows of every change point: every row while
+    the curve has no more points than the panel has pixel columns."""
     if not len(curve.t):
         raise ValueError("cannot render an empty curve")
     pad = curve.step if len(curve.t) > 1 else 1.0
@@ -161,18 +202,22 @@ def _cid_panel(out, curve, height, ymax, region=None):
     if region is not None:
         for t in (region.lower, region.upper):
             _vline(out, frame, t, DEFAULT_COLORS["region"], "region-line")
-    points = textcols.fixed(
-        np.stack([frame.px(curve.t), frame.py(curve.cid)], axis=1), 3)
-    xs = points[:, 0]
+    x = frame.px(curve.t)
+    starts = _pixel_columns(x, frame.width)
     if len(curve.t) == 1:
-        x, y = frame.px(curve.t[0]), frame.py(curve.cid[0])
-        out.append(_rect(x - 2, y - 2, 4, 4, DEFAULT_COLORS["curve"],
+        x0, y0 = x[0], frame.py(curve.cid[0])
+        out.append(_rect(x0 - 2, y0 - 2, 4, 4, DEFAULT_COLORS["curve"],
                          cls="cid-marker"))
     else:
-        out.append(_polyline(xs, points[:, 1], DEFAULT_COLORS["curve"],
-                             "cid-polyline"))
+        changed = np.flatnonzero(curve.codes[1:] != curve.codes[:-1])
+        rows = _m4_rows(starts, curve.cid,
+                        np.concatenate(([curve.i0], changed, changed + 1)))
+        points = textcols.fixed(
+            np.stack([x[rows], frame.py(curve.cid[rows])], axis=1), 3)
+        out.append(_polyline(points[:, 0], points[:, 1],
+                             DEFAULT_COLORS["curve"], "cid-polyline"))
     out.append("</g>")
-    return frame, xs
+    return frame, x, starts
 
 
 def render_election_figure(curve: CidCurve, title: str,
@@ -183,7 +228,7 @@ def render_election_figure(curve: CidCurve, title: str,
     gap = 48
     panel_h = (HEIGHT_PX - 2 * MARGIN - gap) / 2
     out = []
-    top, xs = _cid_panel(out, curve, panel_h, 2.05, region)
+    top, x, starts = _cid_panel(out, curve, panel_h, 2.05, region)
     if curve.lower is None or curve.upper is None or curve.j_t is None:
         raise ValueError("election figure needs intervals and overlap values")
 
@@ -194,12 +239,15 @@ def render_election_figure(curve: CidCurve, title: str,
                     top.xmin, top.xmax, lo - 0.05 * span, hi + 0.05 * span)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, "interval")
-    # The two panels share left, width, xmin and xmax, so they share xs.
-    ys = textcols.fixed(np.stack([bottom.py(lows), bottom.py(highs)], axis=1),
-                        3)
-    out.append(textcols.rows(len(lows), [
-        '<line class="interval-bar" x1="', xs, '" y1="', ys[:, 0],
-        '" x2="', xs, '" y2="', ys[:, 1],
+    # The two panels share left, width, xmin and xmax, so they share pixel
+    # columns; each column's bar is the envelope of its intervals, drawn at
+    # the x of its first row.
+    bars = textcols.fixed(np.stack([
+        x[starts], bottom.py(np.minimum.reduceat(lows, starts)),
+        bottom.py(np.maximum.reduceat(highs, starts))], axis=1), 3)
+    out.append(textcols.rows(len(starts), [
+        '<line class="interval-bar" x1="', bars[:, 0], '" y1="', bars[:, 1],
+        '" x2="', bars[:, 0], '" y2="', bars[:, 2],
         f'" stroke="{DEFAULT_COLORS["interval"]}" stroke-width="{_fmt(1.0)}"/>'],
         sep="\n"))
     ref = curve.i0
@@ -221,7 +269,7 @@ def render_lead_figure(curve: CidCurve, title: str) -> bytes:
     top_h = (HEIGHT_PX - 2 * MARGIN - gap) * 0.55
     inset_h = (HEIGHT_PX - 2 * MARGIN - gap) * 0.45
     out = []
-    top, _ = _cid_panel(out, curve, top_h, 1.05)
+    top, _, _ = _cid_panel(out, curve, top_h, 1.05)
 
     freqs = curve.completed_freqs
     n, k = freqs.shape

@@ -52,7 +52,7 @@ class KnobGrid:
         """The row of the grid point nearest t, rejecting a t farther than
         half a step from every grid point (CidCurve.index_on_grid on the
         swept curve)."""
-        return _row_on_grid(self.values(), t)
+        return row_on_grid(self.values(), t)
 
     def n_points(self) -> float:
         """len(values()), computed without building the grid. A float: it
@@ -61,20 +61,28 @@ class KnobGrid:
         return float(k_lo + k_hi + 1)
 
 
-def _spacing(ts: np.ndarray) -> float:
+def grid_spacing(ts: np.ndarray) -> float:
     """The grid step of the grid points ts: their smallest spacing, 0 for a
     single point."""
     return float(np.min(np.diff(ts))) if len(ts) > 1 else 0.0
 
 
-def _row_on_grid(ts: np.ndarray, t: float) -> int:
-    """The row of ts nearest t; a t farther than half the grid step from
-    every grid point is a ValueError."""
-    i = int(np.argmin(np.abs(ts - t)))
-    if abs(ts[i] - t) > _spacing(ts) / 2.0 + 1e-12:
+def row_on_grid(ts: np.ndarray, t: float,
+                spacing: Optional[float] = None) -> int:
+    """The row of the ascending grid points ts nearest t, the lower one on a
+    tie; a t farther than half the grid step from every grid point, or NaN,
+    is a ValueError. spacing is grid_spacing(ts), which a caller looking up
+    many t in one grid computes once."""
+    if spacing is None:
+        spacing = grid_spacing(ts)
+    # t lies between rows j - 1 and j, the first row at or above it
+    j = int(np.searchsorted(ts, t))
+    if j == len(ts) or (j > 0 and t - ts[j - 1] <= ts[j] - t):
+        j -= 1
+    if not abs(ts[j] - t) <= spacing / 2.0 + 1e-12:
         raise ValueError(f"off grid: t = {t} is farther than step/2 from "
                          f"any grid point")
-    return i
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +126,11 @@ class CidCurve:
     def index_on_grid(self, t: float) -> int:
         """The row of the grid point nearest t, rejecting a t farther than
         half a grid step from every grid point."""
-        return _row_on_grid(self.t, t)
+        return row_on_grid(self.t, t)
 
     @property
     def step(self) -> float:
-        return _spacing(self.t)
+        return grid_spacing(self.t)
 
 
 def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,

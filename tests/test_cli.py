@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from cid import sweep
-from cid.cli import ConfigError, load_config, main, parse_config
+from cid.cli import (ConfigError, _write_atomic, load_config, main,
+                     parse_config)
 from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
 from cid.metrics import CostParams
 from cid.regression import MEAN_RESPONSE
@@ -220,6 +221,24 @@ class TestRun:
             os.umask(old)
         for name in ("curve.csv", "figure.svg"):
             assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+    def test_failing_block_stream_leaves_no_file(self, tmp_path, existing):
+        target = tmp_path / "curve.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+
+        def blocks():
+            yield b"t,estimate\n"
+            yield b"0.000000,1.000000\n"
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            _write_atomic(target, blocks())
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ([] if existing is None else ["curve.csv"])
+        if existing is not None:
+            assert target.read_bytes() == existing
 
     def test_seed_override_changes_output(self, tmp_path, lead_doc):
         path = write_config(tmp_path, lead_doc)
@@ -720,16 +739,27 @@ def test_bundled_configs_run_without_scipy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 2 * len(BUNDLED_CONFIGS)
 
 
-@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
-def test_run_loads_no_modules(tmp_path, name):
+@pytest.mark.parametrize("name, grid_step", [
+    *(pytest.param(name, None, id=name) for name in BUNDLED_CONFIGS),
+    # the fine grids of the benchmark, whose figures draw pixel columns
+    # (numpy's first np.unique or np.r_ would import numpy.ma here)
+    pytest.param("election.json", "0.0005", id="election.json-0.0005"),
+    pytest.param("lead_accordion.json", "0.002",
+                 id="lead_accordion.json-0.002"),
+    pytest.param("lead_parametric.json", "0.002",
+                 id="lead_parametric.json-0.002"),
+])
+def test_run_loads_no_modules(tmp_path, name, grid_step):
     """Every module a run needs is loaded when cid.cli is imported, so the
     run phase pays for no import."""
     code = ("import sys\n"
             "from cid.cli import main\n"
             "before = set(sys.modules)\n"
-            "assert main(['run', sys.argv[1], '--out-dir', sys.argv[2]]) == 0\n"
+            "assert main(['run', *sys.argv[1:]]) == 0\n"
             "print(sorted(set(sys.modules) ^ before))")
-    result = run_python(code, REPO / "configs" / name, tmp_path)
+    step = ["--grid-step", grid_step] if grid_step else []
+    result = run_python(code, REPO / "configs" / name, "--out-dir", tmp_path,
+                        *step)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
 

@@ -4,13 +4,15 @@ numpy number formatter they use against Python's own `%`."""
 
 import csv
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cid import svgfig
+from cid import cli, svgfig
 from cid.cli import curve_to_csv
 from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
@@ -24,6 +26,7 @@ from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, sweep_election,
                        sweep_lead)
 from cid.textcols import FAST_LIMIT, fixed
 from tests import oracles
+from tests.test_svgfig import noisy_election_curve
 
 
 def assert_same_text(actual, expected):
@@ -65,8 +68,26 @@ def ref_polyline(pts, stroke, width=1.5, cls=None):
             f'stroke-width="{_fmt(width)}"/>')
 
 
+def ref_columns(xs, width):
+    """The rows of the pixel xs grouped by pixel column floor(x), in order;
+    while there are no more rows than the panel's width in pixels, each row
+    is a column of its own."""
+    if len(xs) <= width:
+        return [[i] for i in range(len(xs))]
+    columns = []
+    for i, x in enumerate(xs):
+        if columns and math.floor(x) == math.floor(xs[columns[-1][0]]):
+            columns[-1].append(i)
+        else:
+            columns.append([i])
+    return columns
+
+
 def ref_cid_panel(out, curve, reference_line, region_lines, frame):
-    """The CID panel mapped and formatted one point at a time."""
+    """The CID panel mapped and formatted one point at a time, drawing of
+    each pixel column its first and last point and the first points of
+    least and greatest CID, plus the reference point and both points of
+    every decision change."""
     out.append(frame.open_group("cid-panel"))
     _axes(out, frame, "CID")
     _vline(out, frame, reference_line, DEFAULT_COLORS["reference"],
@@ -80,14 +101,25 @@ def ref_cid_panel(out, curve, reference_line, region_lines, frame):
         out.append(_rect(x - 2, y - 2, 4, 4, DEFAULT_COLORS["curve"],
                          cls="cid-marker"))
     else:
-        out.append(ref_polyline(pts, DEFAULT_COLORS["curve"],
-                                cls="cid-polyline"))
+        cids = curve.cid.tolist()
+        drawn = {curve.index_on_grid(reference_line)}
+        for column in ref_columns([x for x, _ in pts], frame.width):
+            values = [cids[i] for i in column]
+            drawn |= {column[0], column[-1],
+                      column[values.index(min(values))],
+                      column[values.index(max(values))]}
+        decisions = curve.decision
+        for i in range(len(pts) - 1):
+            if decisions[i] != decisions[i + 1]:
+                drawn |= {i, i + 1}
+        out.append(ref_polyline([pts[i] for i in sorted(drawn)],
+                                DEFAULT_COLORS["curve"], cls="cid-polyline"))
     out.append("</g>")
 
 
 def ref_render_election_figure(curve, reference_line, region_lines, title):
-    """The election figure with one _line call per interval bar, its
-    reference at the grid point nearest reference_line."""
+    """The election figure with one _line call per pixel column's interval
+    bar, its reference at the grid point nearest reference_line."""
     ts = curve.t
     margin, gap = 56, 48
     panel_h = (svgfig.HEIGHT_PX - 2 * margin - gap) / 2
@@ -107,8 +139,12 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
     ref = curve.index_on_grid(reference_line)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, "interval")
-    for t, lo, hi in zip(ts.tolist(), lows, highs):
-        px = bottom.px(t)
+    # one bar per pixel column, from its least lower to its greatest upper
+    # bound, at the x of its first point
+    for column in ref_columns([bottom.px(t) for t in ts.tolist()], panel_w):
+        px = bottom.px(ts[column[0]])
+        lo = min(lows[i] for i in column)
+        hi = max(highs[i] for i in column)
         out.append(_line(px, bottom.py(lo), px, bottom.py(hi),
                          DEFAULT_COLORS["interval"], 1.0, cls="interval-bar"))
     px = bottom.px(ts[ref])
@@ -168,6 +204,9 @@ def ref_render_lead_figure(curve, reference_line, snapshots, title):
     (MEAN_RESPONSE, 0.8, KnobGrid(-3, 4, 0.02, t0=0.5)),  # t0 != 0
     (MEAN_RESPONSE, 0.95, KnobGrid(0.25, 0.25, 0.1, t0=0.25)),  # one point
     (MEAN_RESPONSE, 0.95, KnobGrid(-4, 4, 0.0005)),  # the election-fine run
+    # as many points as the panel has pixel columns, and one more
+    (MEAN_RESPONSE, 0.95, KnobGrid(-3.03, 3.04, 0.01)),
+    (NEW_OBSERVATION, 0.95, KnobGrid(-3.03, 3.05, 0.01)),
 ])
 def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
     curve = sweep_election(hibbs_fit, -0.728, grid, level=level, kind=kind)
@@ -177,6 +216,17 @@ def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
                                PlausibleRegion(-0.635, 0.728)),
         ref_render_election_figure(curve, grid.t0, (-0.635, 0.728),
                                    "election"))
+    assert_same_text(render_election_figure(curve, ""),
+                     ref_render_election_figure(curve, grid.t0, (), ""))
+
+
+@pytest.mark.parametrize("grid", [KnobGrid(-4, 4, 0.001),
+                                  KnobGrid(-1, 1, 0.0001)])
+def test_noisy_figure_equals_reference(grid):
+    # CID and intervals that jump about within each pixel column, with tied
+    # CIDs, so that a column's first lowest and highest points are neither
+    # its first nor its last
+    curve = noisy_election_curve(grid, seed=11)
     assert_same_text(render_election_figure(curve, ""),
                      ref_render_election_figure(curve, grid.t0, (), ""))
 
@@ -260,4 +310,8 @@ def test_csv_equals_reference(rows, election):
         curve = CidCurve(t=t, estimate=estimate, codes=codes % 2,
                          family=INTERVENTION_DECISIONS, d_t=d_t, cid=cid,
                          change_points=(), i0=0)
-    assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
+    expected = ref_curve_to_csv(curve)
+    assert_same_text(curve_to_csv(curve), expected)
+    # blocks of a few rows, whose column widths differ from block to block
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", 5):
+        assert_same_text(curve_to_csv(curve), expected)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cid import svgfig, sweep
 from cid.decisions import ELECTION_DECISIONS
 from cid.imputation import ImputationConfig, accordion_mechanism
 from cid.metrics import CostParams
@@ -186,3 +187,145 @@ class TestLeadFigure:
                                              r"for each bar chart \(at most "
                                              r"38\)$"):
             render_lead_figure(self.with_snapshots(curve, 39), "")
+
+
+def election_frames(curve):
+    """The CID and interval panels' frames of render_election_figure, built
+    as it builds them, so that pixel columns are found from exact pixel
+    xs."""
+    gap = 48
+    panel_h = (svgfig.HEIGHT_PX - 2 * svgfig.MARGIN - gap) / 2
+    width = svgfig.WIDTH_PX - 2 * svgfig.MARGIN
+    top = svgfig._Frame(svgfig.MARGIN, svgfig.MARGIN, width, panel_h,
+                        float(curve.t.min()) - curve.step,
+                        float(curve.t.max()) + curve.step, 0.0, 2.05)
+    lo, hi = float(curve.lower.min()), float(curve.upper.max())
+    span = hi - lo
+    bottom = svgfig._Frame(svgfig.MARGIN, svgfig.MARGIN + panel_h + gap, width,
+                           panel_h, top.xmin, top.xmax, lo - 0.05 * span,
+                           hi + 0.05 * span)
+    return top, bottom
+
+
+def noisy_election_curve(grid, seed):
+    """An election curve on grid whose CID and intervals jump about from
+    point to point, its CID often tied within a pixel column, and whose
+    decision changes at t = -1 and t = 2."""
+    rng = np.random.default_rng(seed)
+    ts = grid.values()
+    lower = rng.normal(size=len(ts))
+    upper = lower + rng.exponential(size=len(ts))
+    codes = (ts >= -1).astype(int) + (ts >= 2)
+    return sweep._curve(ts, grid.index_of_t0(), (lower + upper) / 2, codes,
+                        ELECTION_DECISIONS,
+                        lambda d_t: rng.integers(0, 9, len(ts)) / 4,
+                        lower=lower, upper=upper, j_t=np.zeros(len(ts)))
+
+
+def texts(values):
+    return ["%.3f" % v for v in values.tolist()]
+
+
+class TestPixelColumns:
+    """Curves with more grid points than the 608 pixel columns of the panel
+    draw each column's first, last, lowest and highest point (M4), and one
+    interval bar per column."""
+
+    @pytest.fixture(scope="class", params=[0.001, 0.0005, 0.0001, "noisy"])
+    def fine(self, request, hibbs_fit):
+        """An election curve, its SVG, its panels' frames and the text of
+        every grid point's pixel x, which names the point's row."""
+        if request.param == "noisy":
+            curve = noisy_election_curve(KnobGrid(-4, 4, 0.001), seed=5)
+        else:
+            curve = sweep_election(hibbs_fit, -0.728,
+                                   KnobGrid(-4, 4, request.param))
+        top, bottom = election_frames(curve)
+        xs = texts(top.px(curve.t))
+        assert len(set(xs)) == len(xs)  # 0.0076 px or more apart
+        root = ET.fromstring(render_election_figure(curve, ""))
+        return curve, root, top, bottom, xs
+
+    @staticmethod
+    def columns(frame, curve):
+        """The rows of each pixel column, in order."""
+        columns = np.floor(frame.px(curve.t))
+        return np.split(np.arange(len(curve.t)),
+                        np.flatnonzero(np.diff(columns)) + 1)
+
+    @staticmethod
+    def drawn(curve, root, top, xs):
+        """The rows the polyline goes through, checking its y texts."""
+        row_of = {x: i for i, x in enumerate(xs)}
+        ys = texts(top.py(curve.cid))
+        rows = []
+        for point in find_by_class(root, "cid-polyline")[0].get("points") \
+                .split():
+            x, y = point.split(",")
+            rows.append(row_of[x])
+            assert y == ys[rows[-1]]
+        assert rows == sorted(set(rows))
+        return rows
+
+    def assert_keeps_column_extremes(self, curve, root, top, xs):
+        ys = top.py(curve.cid)
+        drawn = set(self.drawn(curve, root, top, xs))
+        columns = self.columns(top, curve)
+        assert len(columns) <= top.width + 1 < len(curve.t)
+        assert len(drawn) <= 4 * len(columns) + 1 + 2 * len(
+            curve.change_points)
+        for column in columns:
+            shown = [i for i in column.tolist() if i in drawn]
+            assert shown[0] == column[0] and shown[-1] == column[-1]
+            assert ys[shown].min() == ys[column].min()
+            assert ys[shown].max() == ys[column].max()
+
+    def test_each_column_keeps_its_lowest_and_highest_y(self, fine):
+        curve, root, top, _, xs = fine
+        self.assert_keeps_column_extremes(curve, root, top, xs)
+
+    def test_reference_and_change_point_rows_are_drawn(self, fine):
+        curve, root, top, _, xs = fine
+        drawn = set(self.drawn(curve, root, top, xs))
+        assert curve.i0 in drawn
+        changed = np.flatnonzero(curve.codes[1:] != curve.codes[:-1])
+        assert len(changed) == len(curve.change_points) == 2
+        assert set(changed) | set(changed + 1) <= drawn
+
+    def test_each_envelope_bar_covers_its_column(self, fine):
+        curve, root, top, bottom, xs = fine
+        columns = self.columns(top, curve)
+        bars = find_by_class(root, "interval-bar")
+        assert len(bars) == len(columns)
+        lows = np.array(texts(bottom.py(curve.lower)), dtype=float)
+        highs = np.array(texts(bottom.py(curve.upper)), dtype=float)
+        for bar, column in zip(bars, columns):
+            assert bar.get("x1") == bar.get("x2") == xs[column[0]]
+            # y grows downwards: the bar's y1 is its lowest interval bound
+            assert float(bar.get("y1")) == lows[column].max()
+            assert float(bar.get("y2")) == highs[column].min()
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-5])
+    def test_size_does_not_grow_with_the_grid(self, hibbs_fit, step):
+        curve = sweep_election(hibbs_fit, -0.728, KnobGrid(-4, 4, step))
+        svg = render_election_figure(curve, "election",
+                                     PlausibleRegion(-0.635, 0.728))
+        assert len(svg) < 256 * 1024
+
+    def test_lead_polyline_keeps_each_column_extremes(self,
+                                                      lead_population):
+        """The lead figure's panel, whose CID is flat on either side of its
+        change point."""
+        cfg = ImputationConfig(m=2, seed=3)
+        grid = KnobGrid(-2, 4, 0.002)
+        curve = sweep_lead(lead_population, accordion_mechanism(), grid, cfg,
+                           CostParams(a=1, b=1), [grid.index_of_t0()])
+        svg = render_lead_figure(curve, "")
+        assert len(svg) < 256 * 1024
+        root = ET.fromstring(svg)
+        top = svgfig._Frame(
+            svgfig.MARGIN, svgfig.MARGIN, svgfig.WIDTH_PX - 2 * svgfig.MARGIN,
+            (svgfig.HEIGHT_PX - 2 * svgfig.MARGIN - 56) * 0.55,
+            -2 - curve.step, 4 + curve.step, 0.0, 1.05)
+        self.assert_keeps_column_extremes(curve, root, top,
+                                          texts(top.px(curve.t)))

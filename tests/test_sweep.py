@@ -67,6 +67,55 @@ class TestKnobGrid:
             with pytest.raises(ValueError, match=r"^off grid: t = "):
                 grid.index_on_grid(t)
 
+    @staticmethod
+    def probes(ts, spacing, i, step, u):
+        """Knob values around grid row i and the grid's ends: the point,
+        half a step either side, the rejection bound half the spacing plus
+        1e-12 either side, with each's float neighbours, and one value
+        anywhere from a step below the grid to a step above it."""
+        bound = spacing / 2.0 + 1e-12
+        centres = [ts[i], ts[0], ts[-1]]
+        ts_near = [c + d for c in centres
+                   for d in (0.0, step / 2, -step / 2, bound, -bound)]
+        return ([v for t in ts_near for v in (np.nextafter(t, -np.inf), t,
+                                              np.nextafter(t, np.inf))]
+                + [ts[0] - step + u * (ts[-1] - ts[0] + 2 * step)])
+
+    @given(centre=st.floats(-10, 10) | st.floats(-1e6, 1e6),
+           below=st.integers(0, 300), above=st.integers(0, 300),
+           frac=st.floats(0, 1),
+           step=st.sampled_from([0.3, 0.1, 0.02, 0.001, 1e-5])
+           | st.floats(1e-4, 5),
+           where=st.floats(0, 1), u=st.floats(0, 1))
+    def test_index_on_grid_equals_argmin_lookup(self, centre, below, above,
+                                                frac, step, where, u):
+        grid = KnobGrid(centre - (below + frac) * step,
+                        centre + (above + frac) * step, step, t0=centre)
+        ts = grid.values()
+        spacing = sweep.grid_spacing(ts)
+
+        def lookup(find, t):
+            try:
+                return find(t)
+            except ValueError as err:
+                return str(err)
+
+        def argmin_row(t):
+            i = int(np.argmin(np.abs(ts - t)))
+            if abs(ts[i] - t) > spacing / 2.0 + 1e-12:
+                raise ValueError(f"off grid: t = {t} is farther than step/2 "
+                                 f"from any grid point")
+            return i
+
+        i = round(where * (len(ts) - 1))
+        for t in self.probes(ts, spacing, i, step, u):
+            t = float(t)
+            assert lookup(grid.index_on_grid, t) == lookup(argmin_row, t), t
+
+    def test_index_on_grid_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"^off grid: t = nan "):
+            KnobGrid(-1, 1, 0.5).index_on_grid(math.nan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             KnobGrid(-1, 1, 0.0)
