@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 # argparse's gettext imports locale the first time main builds a parser;
 # importing it here keeps that cost in import time rather than in the run.
 import locale  # noqa: F401
@@ -19,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import textcols
-from .imputation import (BUILTIN_MECHANISMS, MAX_MISSING, ImputationConfig,
-                         LeadPopulation, MnarMechanism, mar_mechanism,
-                         read_level_counts)
-from .metrics import CostParams, max_cost
+from .errors import InputError
+from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
+                         MnarMechanism, mar_mechanism, read_level_counts)
+from .metrics import CostParams
 from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
                          fit_simple_ols)
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
@@ -36,8 +35,6 @@ DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
 # Largest knob grid a config may ask for: 60,000 points is a fine lead grid
 # (step 1e-4), while a step of 1e-9 would need 8e9 points (60 GiB per column).
 MAX_GRID_POINTS = 1_000_000
-# Largest lead population: every count, observed or completed, is an int64.
-MAX_N_TOTAL = 2**63 - 1
 # Most imputation rounds: multiple-imputation practice uses tens, and each
 # round draws a posterior and inverts a binomial at every grid point, so
 # 10**9 rounds never finish.
@@ -55,6 +52,10 @@ ELECTION_FIELDS = ("x0", "level", "interval_kind", "plausible_region")
 LEAD_FIELDS = ("n_total", "mechanism", "m", "threshold", "a", "b",
                "snapshot_ts", "knob_distribution")
 KNOB_DISTRIBUTION_FIELDS = ("support", "weights")
+# Config path of each field a library InputError names.
+FIELD_PATHS = {"a": "lead.a", "b": "lead.b", "n_total": "lead.n_total",
+               "step": "grid.step", "threshold": "lead.threshold",
+               "weights": "lead.mechanism"}
 
 
 class ConfigError(Exception):
@@ -141,12 +142,17 @@ def _integer(value, path: str) -> int:
     return int(number)
 
 
-def _checked(path: str, build):
-    """Call build(), reporting a ValueError as a config error at path."""
+def _checked(path: Optional[str], build):
+    """Call build(), reporting an InputError as a config error at its field's
+    FIELD_PATHS entry, and any other ValueError as one at path. Without a
+    path, such a ValueError is a bug, not a config error, and propagates."""
     try:
         return build()
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+        where = FIELD_PATHS[err.field] if isinstance(err, InputError) else path
+        if where is None:
+            raise
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def _parse_mechanism(value, path: str) -> MnarMechanism:
@@ -197,23 +203,13 @@ def _parse_lead(block: dict) -> LeadSettings:
         weights = _finite_list(_require(d, "weights", path), path + "weights")
         dist = _checked(path + "weights",
                         lambda: KnobDistribution(support, weights))
-    costs = {key: _finite(block.get(key, 1.0), f"lead.{key}")
-             for key in ("a", "b")}
-    for key, cost in costs.items():
-        if cost < 0:
-            raise ConfigError(f"lead.{key}: must be nonnegative, got {cost}")
-    if costs["a"] == costs["b"] == 0:
-        raise ConfigError("lead.b: costs a and b must not both be zero")
+    costs = {key: _finite(block.get(key, default), f"lead.{key}")
+             for key, default in (("a", 1.0), ("b", 1.0), ("threshold", 0.20))}
     n_total = _integer(_require(block, "n_total", "lead."), "lead.n_total")
-    if not 1 <= n_total <= MAX_N_TOTAL:
-        raise ConfigError(f"lead.n_total: must be in [1, {MAX_N_TOTAL}], "
-                          f"got {n_total}")
     m = _integer(block.get("m", 5), "lead.m")
     if not 1 <= m <= MAX_M:
         raise ConfigError(f"lead.m: must be in [1, {MAX_M:,}], got {m}")
-    threshold = _finite(block.get("threshold", 0.20), "lead.threshold")
-    params = _checked("lead.threshold",
-                      lambda: CostParams(**costs, threshold=threshold))
+    params = _checked(None, lambda: CostParams(**costs))
     snapshot_ts = _finite_list(block.get("snapshot_ts", []),
                                "lead.snapshot_ts")
     if len(snapshot_ts) > MAX_SNAPSHOTS:
@@ -233,7 +229,8 @@ def _parse_lead(block: dict) -> LeadSettings:
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
     """Validate a config document and fill defaults.
 
-    Every range check that needs no dataset happens here; unknown fields at
+    Every range check that needs no dataset happens here, but lead.n_total's,
+    which LeadPopulation makes with the dataset's counts; unknown fields at
     any level are rejected. Relative paths are resolved against base_dir
     (the config file's directory).
     """
@@ -251,8 +248,6 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
                     step=DEFAULT_STEP[mode], t0=0.0)
     grid_values = {key: _finite(grid_doc.get(key, default), f"grid.{key}")
                    for key, default in defaults.items()}
-    if not grid_values["step"] > 0:
-        raise ConfigError(f"grid.step: must be positive, got {grid_values['step']}")
     grid = _checked("grid", lambda: KnobGrid(**grid_values))
     if grid.n_points() > MAX_GRID_POINTS:
         raise ConfigError(f"grid.step: {grid.step} implies "
@@ -379,8 +374,8 @@ def _verdict(curve: CidCurve) -> list:
 def _election(config: AnalysisConfig) -> tuple:
     """The election study's (curve, svg, verdict parts)."""
     s = config.election
-    fit = fit_simple_ols(_checked("dataset", lambda: ElectionDataset.from_csv(
-        config.dataset_path)))
+    fit = _checked("dataset", lambda: fit_simple_ols(
+        ElectionDataset.from_csv(config.dataset_path)))
     curve = _checked("election.x0", lambda: sweep_election(
         fit, s.x0, config.grid, level=s.level, kind=s.interval_kind))
     parts = []
@@ -397,38 +392,12 @@ def _lead(config: AnalysisConfig) -> tuple:
     """The lead study's (curve, svg, verdict parts)."""
     s = config.lead
     counts = _checked("dataset", lambda: read_level_counts(config.dataset_path))
-    if sum(counts) > s.n_total:
-        raise ConfigError(
-            f"lead.n_total: {s.n_total} is below the {sum(counts)} units "
-            f"observed in {config.dataset_path}"
-        )
     pop = _checked("dataset", lambda: LeadPopulation(counts, n_total=s.n_total))
-    if pop.n_missing > MAX_MISSING:
-        raise ConfigError(
-            f"lead.n_total: {s.n_total} leaves {pop.n_missing:,} units "
-            f"missing beyond the {pop.n_observed:,} observed in "
-            f"{config.dataset_path} (at most {MAX_MISSING:,})"
-        )
     mech = s.mechanism
     if mech.name == "mar":  # no tilt at any level: fits every level count
         mech = mar_mechanism(len(counts))
-    if len(mech.weights) != len(counts):
-        raise ConfigError(
-            f"lead.mechanism: {mech.name} has {len(mech.weights)} weights "
-            f"for the {len(counts)} levels of {config.dataset_path}"
-        )
     grid = config.grid
     ts = grid.values()
-    # the largest |t * w| is max|t| * max|w|, and rounding is monotone, so
-    # this one product overflows exactly when some t * w does
-    t_far = max(ts[[0, -1]].tolist(), key=abs)
-    w_far = max(mech.weights, key=abs)
-    if math.isinf(t_far * w_far):
-        raise ConfigError(f"lead.mechanism: weight {w_far!r} times knob "
-                          f"value t = {t_far!r} overflows")
-    # max_cost checks that the threshold is below the worst case theta_wc
-    _checked("lead.threshold",
-             lambda: max_cost(0.0, s.costs, pop.worst_case_theta))
     # grid.index_on_grid(t) of each snapshot, with the grid built once
     spacing = grid_spacing(ts)
     rows = ([_checked(f"lead.snapshot_ts[{i}]",
@@ -436,16 +405,8 @@ def _lead(config: AnalysisConfig) -> tuple:
              for i, t in enumerate(s.snapshot_ts)]
             or [len(ts) // 2])
     cfg = ImputationConfig(m=s.m, seed=config.seed)
-
-    def sweep() -> CidCurve:
-        return sweep_lead(pop, mech, grid, cfg, s.costs, rows)
-
-    # With a zero cost, no outcome may have a cost, and the CID's scale (the
-    # largest attainable cost) is zero: when a = 0 and the reference
-    # estimate is theta_wc, or when b = 0 and it is at most the threshold.
-    zero_cost = ("lead.a" if s.costs.a == 0 else
-                 "lead.b" if s.costs.b == 0 else None)
-    curve = _checked(zero_cost, sweep) if zero_cost else sweep()
+    # the library checks n_total, threshold and mechanism before it imputes
+    curve = _checked(None, lambda: sweep_lead(pop, mech, grid, cfg, s.costs, rows))
     parts = []
     if s.knob_distribution is not None:
         e_cid = _checked("lead.knob_distribution.support",

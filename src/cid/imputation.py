@@ -11,6 +11,8 @@ import numpy as np
 # cost in import time rather than in the first lead run.
 from numpy.random import SeedSequence, default_rng
 
+from .errors import InputError
+
 N_LEVELS = 10
 # Cell size of the imputation coupling (impute_theta_grid): a round draws
 # every CELL-th order statistic of its imputation uniforms, so it holds
@@ -20,7 +22,7 @@ CELL = 64
 # takes fewer numpy calls; its loop over k is faster for more values (the
 # two break even near 450 values on 2 vCPUs).
 TABLE_POINTS = 512
-# Most missing units impute_theta_grid accepts: a round's 2**20 cells at
+# Most missing units a LeadPopulation may have: a round's 2**20 cells at
 # this bound peak at 32 MiB, where one uniform per unit would take 512 MiB.
 MAX_MISSING = 2**26
 
@@ -76,21 +78,24 @@ class LeadPopulation:
     cutoff_level: int = 3
 
     def __post_init__(self):
-        counts = np.asarray(self.observed_counts, dtype=np.int64)
-        if len(counts) < 2:
+        # as Python ints, so every count fits in int64 once n_total is checked
+        k, n, n_observed = len(self.observed_counts), self.n_total, self.n_observed
+        if k < 2:
             raise ValueError("need at least 2 levels")
-        if np.any(counts < 0):
+        if any(c < 0 for c in self.observed_counts):
             raise ValueError("counts must be nonnegative")
-        if self.n_total < 1:
-            raise ValueError(f"need n_total >= 1, got {self.n_total}")
-        if counts.sum() > self.n_total:
-            raise ValueError(
-                f"observed count {counts.sum()} exceeds n_total {self.n_total}"
-            )
-        if not (1 <= self.cutoff_level < len(counts)):
+        if not 1 <= n <= 2**63 - 1:
+            raise InputError("n_total", f"need 1 <= n_total <= 2**63 - 1, got {n}")
+        if n_observed > n:
+            raise InputError("n_total", f"observed count {n_observed} exceeds "
+                                        f"n_total {n}")
+        if n - n_observed > MAX_MISSING:
+            raise InputError("n_total", f"n_total {n} leaves {n - n_observed:,} "
+                                        f"units missing beyond the {n_observed:,} "
+                                        f"observed (at most {MAX_MISSING:,})")
+        if not (1 <= self.cutoff_level < k):
             raise ValueError(f"need 1 <= cutoff level < number of levels, got "
-                             f"cutoff level {self.cutoff_level} for "
-                             f"{len(counts)} levels")
+                             f"cutoff level {self.cutoff_level} for {k} levels")
 
     @property
     def k(self) -> int:
@@ -168,21 +173,15 @@ def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     This is the pattern-mixture tilt: it adds t*w on the log-odds scale with
     level 1 as baseline, so level 1 needs positive mass. Computed as log p +
     t*w shifted by its row maximum before exponentiating, so no entry
-    overflows however large |t*w| grows; levels with p = 0 keep zero mass.
+    overflows however large a finite |t*w| grows; levels with p = 0 keep no
+    mass. impute_theta_grid rejects a t*w that is not finite.
     """
     if probs[0] == 0.0:
         raise ValueError("baseline category empty: p_1 must be positive")
-    if len(w) != len(probs):
-        raise ValueError(f"mechanism has {len(w)} weights for {len(probs)} levels")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tw = np.multiply.outer(ts, w)
-        z = np.log(probs) + tw
+    with np.errstate(divide="ignore", over="ignore"):
+        z = np.log(probs) + np.multiply.outer(ts, w)
         # entries of a row can span more than the float range: -inf, no mass
         z -= z.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(tw)):
-        bad = ~np.isfinite(tw).all(axis=1)
-        raise ValueError(f"knob values and t*w must be finite, got "
-                         f"t = {ts[bad][0]}")
     tilted = np.exp(z, out=z)
     tilted /= tilted.sum(axis=1, keepdims=True)
     return tilted
@@ -311,20 +310,29 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
 
     Returns (thetas, freqs): the mean fraction per knob value, shape (T,),
     and the mean completed frequency vector per row in rows, shape (S, K).
-    Populations with more than MAX_MISSING missing units are a ValueError.
+    A mechanism without pop.k weights, or with a weight w and a knob value
+    t whose t*w is not finite, is an InputError naming weights, raised
+    before anything is drawn.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"knob values must be a 1-D sequence, got shape {ts.shape}")
-    n_missing = pop.n_missing
-    if n_missing > MAX_MISSING:
-        raise ValueError(f"{n_missing:,} missing units exceed the "
-                         f"{MAX_MISSING:,} that imputation supports")
+    w = mech.as_array()
+    if len(w) != pop.k:
+        raise InputError("weights", f"{mech.name} has {len(w)} weights for the "
+                                    f"{pop.k} levels")
+    # the largest |t * w| is max|t| * max|w|, and rounding is monotone, so
+    # this one product is finite exactly when every t * w is, NaN included
+    t_far = float(max(ts.min(initial=0.0), ts.max(initial=0.0), key=abs))
+    w_far = float(max(w, key=abs))
+    if not np.isfinite(t_far * w_far):
+        raise InputError("weights", f"weight {w_far!r} times knob value "
+                                    f"t = {t_far!r} is not finite")
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     if np.any((rows < 0) | (rows >= len(ts))):
         raise ValueError(f"rows must index the {len(ts)} knob values, got "
                          f"{rows.tolist()}")
-    w = mech.as_array()
+    n_missing = pop.n_missing
     observed = pop.counts_array()
     cutoff = pop.cutoff_level
     high_if_none_below = pop.observed_high_count + n_missing

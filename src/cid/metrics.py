@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -22,12 +24,16 @@ class CostParams:
     threshold: float = 0.20
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("cost parameters a, b must be nonnegative")
+        for field in ("a", "b"):
+            cost = getattr(self, field)
+            if not 0.0 <= cost < np.inf:  # NaN included
+                raise InputError(field, f"cost {field} must be finite and "
+                                        f"nonnegative, got {cost}")
         if self.a == 0 and self.b == 0:
-            raise ValueError("cost parameters a and b must not both be zero")
+            raise InputError("b", "costs a and b must not both be zero")
         if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
+            raise InputError("threshold", f"threshold must be in (0, 1), got "
+                                          f"{self.threshold}")
 
 
 def _check(ok, values, message: str) -> None:
@@ -76,8 +82,9 @@ def max_cost(theta_ref, params: CostParams, theta_wc: float):
     """Largest attainable cost (for a number or an array of reference
     estimates) up to the worst case theta_wc; it normalizes the metric."""
     if not (params.threshold < theta_wc <= 1.0):
-        raise ValueError(f"need threshold < theta_wc <= 1, got "
-                         f"threshold={params.threshold}, theta_wc={theta_wc}")
+        raise InputError("threshold", f"need threshold < theta_wc <= 1, got "
+                                      f"threshold={params.threshold}, "
+                                      f"theta_wc={theta_wc}")
     return np.maximum(
         (theta_ref - params.threshold) * params.a,
         (theta_wc - np.maximum(theta_ref, params.threshold)) * params.b,
@@ -103,7 +110,9 @@ def cid_lead(theta_ref, theta_t, d_t, params: CostParams, theta_wc: float):
            f"theta_t = {{}} exceeds worst case theta_wc = {theta_wc}")
     _check(np.isin(d_t, (0, 1)), d_t, "d_t must be 0 or 1, got {}")
     c = max_cost(theta_ref, params, theta_wc)
-    _check(c != 0.0, c, "degenerate scaling: maximum attainable cost is zero")
+    if np.any(c == 0.0):  # only a zero cost leaves no outcome with a cost
+        raise InputError("a" if params.a == 0 else "b",
+                         "degenerate scaling: maximum attainable cost is zero")
     threshold = params.threshold
     cost = np.where(
         theta_ref > threshold,

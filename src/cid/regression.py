@@ -68,8 +68,12 @@ class FittedLine:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"insufficient data: n = {self.n}")
-        if self.sxx <= 0.0:
-            raise ValueError(f"sxx must be positive, got {self.sxx}")
+        # first, as a growth spread that under- or overflows shows in sxx
+        if not 0.0 < self.sxx < math.inf:
+            raise ValueError(f"sxx must be positive and finite, got {self.sxx}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma2 < 0.0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
@@ -79,12 +83,13 @@ def fit_simple_ols(data: ElectionDataset) -> FittedLine:
     x = np.asarray(data.growth, dtype=float)
     y = np.asarray(data.vote, dtype=float)
     n = data.n
-    x_mean = float(x.mean())
-    sxx = float(np.sum((x - x_mean) ** 2))
-    slope = float(np.sum((x - x_mean) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x_mean)
-    resid = y - (intercept + slope * x)
-    sigma2 = float(np.sum(resid**2) / (n - 2))
+    with np.errstate(all="ignore"):  # FittedLine rejects an under- or overflow
+        x_mean = float(x.mean())
+        sxx = float(np.sum((x - x_mean) ** 2))
+        slope = float(np.sum((x - x_mean) * (y - y.mean())) / sxx)
+        intercept = float(y.mean() - slope * x_mean)
+        resid = y - (intercept + slope * x)
+        sigma2 = float(np.sum(resid**2) / (n - 2))
     return FittedLine(intercept=intercept, slope=slope, sigma2=sigma2,
                       n=n, x_mean=x_mean, sxx=sxx)
 

@@ -45,6 +45,16 @@ def _esc(text: str) -> str:
             .replace('"', "&quot;"))
 
 
+def _span(lo, hi):
+    """(lo, hi) as an axis range of positive finite width: (lo, lo + 1) where
+    hi <= lo, or lo and its neighbour toward 0 where lo + 1 is lo."""
+    if hi <= lo:
+        hi = lo + 1.0
+        if hi == lo:
+            lo, hi = sorted((lo, float(np.nextafter(lo, 0.0))))
+    return lo, hi
+
+
 class _Frame:
     """Affine map from a data rectangle to a pixel rectangle (y flipped).
 
@@ -52,14 +62,10 @@ class _Frame:
     """
 
     def __init__(self, left, top, width, height, xmin, xmax, ymin, ymax):
-        if xmax <= xmin:
-            xmax = xmin + 1.0
-        if ymax <= ymin:
-            ymax = ymin + 1.0
         self.left, self.top = left, top
         self.width, self.height = width, height
-        self.xmin, self.xmax = xmin, xmax
-        self.ymin, self.ymax = ymin, ymax
+        self.xmin, self.xmax = _span(xmin, xmax)
+        self.ymin, self.ymax = _span(ymin, ymax)
 
     def px(self, x: float) -> float:
         return self.left + (x - self.xmin) / (self.xmax - self.xmin) * self.width

@@ -11,6 +11,7 @@ import numpy as np
 
 from .decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
                         decide_election_codes, decide_intervention_codes)
+from .errors import InputError
 from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                          impute_theta_grid)
 from .metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
@@ -28,8 +29,8 @@ class KnobGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not self.step > 0:  # NaN included
+            raise InputError("step", f"step must be positive, got {self.step}")
         if not (self.t_min <= self.t0 <= self.t_max):
             raise ValueError(
                 f"need t_min <= t0 <= t_max, got ({self.t_min}, {self.t0}, {self.t_max})"

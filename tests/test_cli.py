@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -12,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cid import sweep
-from cid.cli import (ConfigError, _write_atomic, load_config, main,
-                     parse_config)
+from cid import imputation, sweep
+from cid.cli import (FIELD_PATHS, ConfigError, _write_atomic, load_config,
+                     main, parse_config)
+from cid.errors import InputError
 from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
 from cid.metrics import CostParams
 from cid.regression import MEAN_RESPONSE
-from cid.sweep import sweep_lead
+from cid.sweep import KnobGrid, sweep_lead
 from tests import oracles
 from tests.test_emitters import ref_render_lead_figure
 
@@ -288,6 +290,11 @@ class TestRun:
                      "5,100\n", id="negative-count"),
         pytest.param("lead_doc", "level,count\n1,100\n2,1.5\n3,100\n4,100\n"
                      "5,100\n", id="fractional-count"),
+        # sxx underflows to 0, or overflows, in the fit
+        pytest.param("election_doc", "year,growth,vote\n1952,1e-200,44.6\n"
+                     "1956,2e-200,57.8\n1960,3e-200,49.9\n", id="tiny-growth"),
+        pytest.param("election_doc", "year,growth,vote\n1952,1e200,44.6\n"
+                     "1956,2e200,57.8\n1960,3e200,49.9\n", id="huge-growth"),
     ])
     def test_invalid_dataset_exits_1_without_outputs(
             self, tmp_path, capsys, request, doc_name, text):
@@ -528,7 +535,7 @@ class TestRun:
         def fail(*args):
             raise AssertionError("imputed beyond the missing-unit bound")
 
-        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
         lead_doc["lead"]["n_total"] = n_total
         path = write_config(tmp_path, lead_doc)
         tracemalloc.start()
@@ -538,10 +545,10 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"config error: lead.n_total: {n_total} leaves "
+        assert capsys.readouterr().err == (
+            f"config error: lead.n_total: n_total {n_total} leaves "
             f"{n_total - 110_000:,} units missing beyond the 110,000 observed "
-            f"in ")
+            f"(at most 67,108,864)\n")
         assert peak < 2**20
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
@@ -622,7 +629,7 @@ class TestRun:
         def fail(*args):
             raise AssertionError("imputed before checking the tilt")
 
-        monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
         lead_doc["lead"]["mechanism"] = [1e308, 1, 1, 0, 0, 0, 0, 0, 0, -1e308]
         lead_doc["grid"] = {"t_min": -2, "t_max": 4, "step": 0.05}
         del lead_doc["lead"]["snapshot_ts"]
@@ -630,7 +637,7 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err == (
             "config error: lead.mechanism: weight 1e+308 times knob value "
-            "t = 4.0 overflows\n")
+            "t = 4.0 is not finite\n")
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
 
@@ -675,6 +682,22 @@ class TestRun:
                               f"{where} must have a finite width"), err
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("doc_name, block, settings", [
+        ("lead_doc", "lead", {"n_total": 400000, "mechanism": "mar"}),
+        ("election_doc", "election", {"x0": 0.0}),
+    ])
+    def test_one_point_grid_beyond_2_53_draws_finite_figure(
+            self, tmp_path, capsys, request, doc_name, block, settings):
+        # t - 1 and t + 1 both round to t = 1e17, so the figure's x range has
+        # no width unless it is widened by an ulp
+        doc = request.getfixturevalue(doc_name)
+        doc["grid"] = {"t_min": 1e17, "t_max": 1e17, "t0": 1e17, "step": 1}
+        doc[block] = settings
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path)]) == 0
+        svg = (tmp_path / "figure.svg").read_text()
+        assert not re.search(r"\b(nan|inf)\b", svg)
 
     def test_overlong_json_integer_exits_1(self, tmp_path, lead_doc, capsys):
         path = tmp_path / "config.json"
@@ -768,3 +791,68 @@ def test_bundled_configs_parse():
     for name in BUNDLED_CONFIGS:
         config = load_config(REPO / "configs" / name)
         assert config.dataset_path.exists()
+
+
+# For each FIELD_PATHS field, a config change that trips the library's own
+# check of that field.
+FIELD_CASES = {
+    "a": ("lead_doc", "lead", "a", -1.0),
+    "b": ("lead_doc", "lead", "b", -1.0),
+    "n_total": ("lead_doc", "lead", "n_total", 10),  # 110,000 observed
+    "step": ("election_doc", "grid", "step", 0),
+    "threshold": ("lead_doc", "lead", "threshold", 0.9),  # theta_wc 0.79
+    "weights": ("lead_doc", "lead", "mechanism", [1] * 7),  # 10 levels
+}
+
+
+def test_field_cases_cover_the_table():
+    assert FIELD_CASES.keys() == FIELD_PATHS.keys()
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_CASES))
+def test_library_check_exits_1_at_its_config_path(tmp_path, capsys, request,
+                                                   field):
+    doc_name, block, key, value = FIELD_CASES[field]
+    doc = request.getfixturevalue(doc_name)
+    doc[block][key] = value
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: {FIELD_PATHS[field]}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", Path(doc["dataset"]).name]
+
+
+def test_input_errors_name_table_fields():
+    fields = set()
+    for source in (REPO / "src" / "cid").glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "InputError"):
+                fields |= {c.value for c in ast.walk(node.args[0])
+                           if isinstance(c, ast.Constant)
+                           and isinstance(c.value, str)}
+    assert fields == FIELD_PATHS.keys()
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: KnobGrid(-1, 1, math.nan), "step", id="grid-step"),
+    pytest.param(lambda: CostParams(a=math.nan, b=1.0), "a", id="cost-a"),
+    pytest.param(lambda: CostParams(a=1.0, b=math.nan), "b", id="cost-b"),
+])
+def test_nan_inputs_rejected_when_built(build, field):
+    with pytest.raises(InputError) as err:
+        build()
+    assert err.value.field == field
+
+
+def test_unnamed_sweep_error_is_a_bug(tmp_path, lead_doc, capsys,
+                                      monkeypatch):
+    # a ValueError that names no input is not a config error: exit 2
+    def fail(*args):
+        raise ValueError("no field")
+
+    monkeypatch.setattr(sweep, "impute_theta_grid", fail)
+    assert main(["run", str(write_config(tmp_path, lead_doc))]) == 2
+    assert capsys.readouterr().err == "error: no field\n"
+    assert not (tmp_path / "curve.csv").exists()

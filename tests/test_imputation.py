@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from cid import imputation
+from cid.errors import InputError
 from cid.imputation import (CELL, MAX_MISSING, TABLE_POINTS,
                             ImputationConfig, LeadPopulation, MnarMechanism,
                             _count_below, _draw_cells, _quantile_binomial,
@@ -104,20 +108,37 @@ class TestTilt:
         with pytest.raises(ValueError, match="baseline category empty"):
             tilt(p, MnarMechanism(weights=(1, 0, 0)), 1.0)
 
-    def test_overflow_names_the_first_offending_t(self):
-        p = dist(0.5, 0.25, 0.25)
-        w = np.array([1e308, 1.0, -1e308])
-        ts = np.linspace(-2.0, 4.0, 121)
-        with pytest.raises(ValueError, match=r"^knob values and t\*w must "
-                                             r"be finite, got t = -2\.0$"):
-            _tilt_rows(p, w, ts)
-        # 1.5e308 is finite, 2e308 is not
-        with pytest.raises(ValueError, match=r"got t = 2\.0$"):
-            _tilt_rows(p, w, np.array([0.5, 1.5, 2.0, -3.0]))
+    def test_overflow_names_the_farthest_t(self, monkeypatch):
+        # the largest |t| and |w| decide, before any round draws
+        def fail(*args):
+            raise AssertionError("drew before checking t * w")
+
+        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
+        pop = LeadPopulation((2, 1, 1), n_total=10, cutoff_level=1)
+        for weights, ts, message in [
+            ((1e308, 1.0, -1e308), np.linspace(-2.0, 4.0, 121),
+             "weight 1e+308 times knob value t = 4.0 is not finite"),
+            # 1.5e308 is finite, 3e308 is not
+            ((1e308, 1.0, -1e308), [0.5, 1.5, 2.0, -3.0],
+             "weight 1e+308 times knob value t = -3.0 is not finite"),
+            ((0.0, 0.0, 0.0), [0.0, np.inf],
+             "weight 0.0 times knob value t = inf is not finite"),
+            ((1.0, 0.0, 0.0), [0.0, np.nan, 1.0],
+             "weight 1.0 times knob value t = nan is not finite"),
+        ]:
+            with pytest.raises(InputError,
+                               match=f"^{re.escape(message)}$") as err:
+                impute_theta_grid(pop, MnarMechanism(weights), ts,
+                                  ImputationConfig(m=1))
+            assert err.value.field == "weights"
 
     def test_weight_length_mismatch(self):
-        with pytest.raises(ValueError, match="weights"):
-            tilt(dist(0.5, 0.5), accordion_mechanism(), 1.0)
+        pop = LeadPopulation((5, 5), n_total=10, cutoff_level=1)
+        with pytest.raises(InputError, match="^accordion has 10 weights for "
+                                             "the 2 levels$") as err:
+            impute_theta_grid(pop, accordion_mechanism(), [1.0],
+                              ImputationConfig(m=1))
+        assert err.value.field == "weights"
 
     @given(probs=arrays(float, 10,
                         elements=st.floats(0.01, 1.0)),
@@ -330,11 +351,14 @@ class TestImputeThetaGrid:
                               ImputationConfig(m=1), rows)
 
     def test_missing_units_bounded(self):
-        pop = LeadPopulation(observed_counts=(1, 1), n_total=MAX_MISSING + 3,
-                             cutoff_level=1)
-        with pytest.raises(ValueError, match="67,108,865 missing units "
-                                             "exceed the 67,108,864"):
-            impute_theta_grid(pop, mar_mechanism(2), [0.0], ImputationConfig())
+        # the population itself rejects more than MAX_MISSING missing units
+        with pytest.raises(InputError, match=r"^n_total 67108867 leaves "
+                                             r"67,108,865 units missing beyond "
+                                             r"the 2 observed \(at most "
+                                             r"67,108,864\)$") as err:
+            LeadPopulation(observed_counts=(1, 1), n_total=MAX_MISSING + 3,
+                           cutoff_level=1)
+        assert err.value.field == "n_total"
         at_bound = LeadPopulation(observed_counts=(1, 1),
                                   n_total=MAX_MISSING + 2, cutoff_level=1)
         thetas, _ = impute_theta_grid(at_bound, mar_mechanism(2), [0.0],

@@ -121,7 +121,8 @@ class TestWorstCaseTheta:
     def test_count_violations(self):
         with pytest.raises(ValueError, match="exceeds n_total"):
             worst_case_theta(1, 5, 4)
-        with pytest.raises(ValueError, match="n_total >= 1"):
+        with pytest.raises(ValueError, match=r"^need 1 <= n_total <= "
+                                             r"2\*\*63 - 1, got 0$"):
             worst_case_theta(0, 0, 0)
 
 
