@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import textcols
 from .errors import InputError
 from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
@@ -39,9 +37,9 @@ MAX_GRID_POINTS = 1_000_000
 # round draws a posterior and inverts a binomial at every grid point, so
 # 10**9 rounds never finish.
 MAX_M = 1_000
-# Rows of the CSV formatted and written at a time: enough to amortise the
-# formatter's per-call cost, few enough that no whole-file bytes are built.
-CSV_BLOCK_ROWS = 4096
+# Most rows of the CSV formatted and written at a time: enough to amortise
+# the formatter's per-call cost; rows of up to 64 bytes fit in BLOCK_BYTES.
+CSV_BLOCK_ROWS = 1024
 
 # Known fields of each config object; the document's top level also holds
 # the block named by its mode.
@@ -253,6 +251,12 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
         raise ConfigError(f"grid.step: {grid.step} implies "
                           f"{grid.n_points():.0f} grid points "
                           f"(at most {MAX_GRID_POINTS:,})")
+    # the figures' knob axis runs one step past each end of the grid, and
+    # its width, at most 4 times the largest of these, must be a float
+    key = max(("t_min", "t_max", "step"), key=lambda k: abs(grid_values[k]))
+    if abs(grid_values[key]) > sys.float_info.max / 4:
+        raise ConfigError(f"grid.{key}: {grid_values[key]:g} is beyond +-"
+                          f"{sys.float_info.max / 4:.4g}, too wide for a figure")
 
     outputs = _fields(doc.get("outputs", {}), "outputs.", OUTPUT_FIELDS)
     csv_path = base_dir / _string(outputs.get("csv", f"{mode}_curve.csv"),
@@ -322,30 +326,18 @@ def _write_atomic(path: Path, blocks) -> None:
 
 def _csv_blocks(curve: CidCurve):
     """The CSV of a curve, `t,estimate,lo,hi,decision,d_t,j_t,cid`, as ASCII
-    byte blocks: the header, then CSV_BLOCK_ROWS rows at a time.
+    byte blocks: the header, then at most CSV_BLOCK_ROWS rows at a time.
 
-    Fields that do not apply to the pipeline are left empty. In each block
-    the float columns present are formatted together by one `textcols.fixed`
-    call and laid out with the decision labels and the 0/1 d_t by one
-    `textcols.rows` call; no field needs quoting, since each is a number or
-    a decision label without commas, quotes or newlines.
+    Fields that do not apply to the pipeline (None columns) are left empty.
+    No field needs quoting, since each is a number or a decision label
+    without commas, quotes or newlines.
     """
     yield b"t,estimate,lo,hi,decision,d_t,j_t,cid\n"
-    floats = (curve.t, curve.estimate, curve.lower, curve.upper, curve.j_t,
-              curve.cid)
-    # each decision label with its 0/1 d_t, as one label
-    labels = [f"{d.value},{k}" for d in curve.family for k in (0, 1)]
-    codes = 2 * curve.codes + curve.d_t
-    for lo in range(0, len(curve.t), CSV_BLOCK_ROWS):
-        block = slice(lo, lo + CSV_BLOCK_ROWS)
-        present = [values[block] for values in floats if values is not None]
-        columns = iter(textcols.fixed(np.stack(present, axis=1), 6)
-                       .transpose(1, 0, 2))
-        t, estimate, lower, upper, j_t, cid = [
-            next(columns) if values is not None else "" for values in floats]
-        yield textcols.rows(len(present[0]), [
-            t, ",", estimate, ",", lower, ",", upper, ",",
-            textcols.labels(labels, codes[block]), ",", j_t, ",", cid, "\n"])
+    yield from textcols.rows(len(curve.t), [
+        curve.t, ",", curve.estimate, ",", curve.lower, ",", curve.upper, ",",
+        ([d.value for d in curve.family], curve.codes), ",",
+        (("0", "1"), curve.d_t), ",", curve.j_t, ",", curve.cid, "\n"],
+        block_rows=CSV_BLOCK_ROWS)
 
 
 def curve_to_csv(curve: CidCurve) -> bytes:

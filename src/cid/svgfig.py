@@ -91,9 +91,9 @@ def _line(x1, y1, x2, y2, stroke, width=1.0, cls=None) -> str:
 
 
 def _polyline(xs, ys, stroke, cls) -> bytes:
-    """A polyline through the points (xs[i], ys[i]) of two `fixed` text
-    columns."""
-    coords = textcols.rows(len(xs), [xs, ",", ys], sep=" ")
+    """A polyline through the points (xs[i], ys[i]), to 3 decimals."""
+    coords = b"".join(textcols.rows(len(xs), [xs, ",", ys], sep=" ",
+                                    decimals=3))
     return (f'<polyline class="{cls}" points="'.encode() + coords
             + f'" fill="none" stroke="{stroke}" '
               f'stroke-width="{_fmt(1.5)}"/>'.encode())
@@ -218,9 +218,7 @@ def _cid_panel(out, curve, height, ymax, region=None):
         changed = np.flatnonzero(curve.codes[1:] != curve.codes[:-1])
         rows = _m4_rows(starts, curve.cid,
                         np.concatenate(([curve.i0], changed, changed + 1)))
-        points = textcols.fixed(
-            np.stack([x[rows], frame.py(curve.cid[rows])], axis=1), 3)
-        out.append(_polyline(points[:, 0], points[:, 1],
+        out.append(_polyline(x[rows], frame.py(curve.cid[rows]),
                              DEFAULT_COLORS["curve"], "cid-polyline"))
     out.append("</g>")
     return frame, x, starts
@@ -248,14 +246,12 @@ def render_election_figure(curve: CidCurve, title: str,
     # The two panels share left, width, xmin and xmax, so they share pixel
     # columns; each column's bar is the envelope of its intervals, drawn at
     # the x of its first row.
-    bars = textcols.fixed(np.stack([
-        x[starts], bottom.py(np.minimum.reduceat(lows, starts)),
-        bottom.py(np.maximum.reduceat(highs, starts))], axis=1), 3)
-    out.append(textcols.rows(len(starts), [
-        '<line class="interval-bar" x1="', bars[:, 0], '" y1="', bars[:, 1],
-        '" x2="', bars[:, 0], '" y2="', bars[:, 2],
+    out.append(b"".join(textcols.rows(len(starts), [
+        '<line class="interval-bar" x1="', x[starts],
+        '" y1="', bottom.py(np.minimum.reduceat(lows, starts)), '" x2="',
+        x[starts], '" y2="', bottom.py(np.maximum.reduceat(highs, starts)),
         f'" stroke="{DEFAULT_COLORS["interval"]}" stroke-width="{_fmt(1.0)}"/>'],
-        sep="\n"))
+        sep="\n", decimals=3)))
     ref = curve.i0
     px = bottom.px(curve.t[ref])
     out.append(_line(px, bottom.py(lows[ref]), px, bottom.py(highs[ref]),

@@ -1,17 +1,17 @@
-"""Whole columns of numbers and labels as ASCII text, formatted with numpy.
+"""Lines of ASCII text laid out from literal strings and whole columns of
+numbers (`'%.{d}f' % v` for every value v) and labels, formatted with numpy.
 
-`fixed` writes `'%.{d}f' % v` for every value of an array at once, `labels`
-picks one of a few strings per row, and `rows` lays literal strings and such
-columns side by side into the lines of a CSV body or an SVG element list.
-Callers pass arrays and literal strings; the number format lives here alone.
-
-A column of texts is a uint8 matrix with one text per row, right-aligned and
-padded on the left with NUL bytes, which `rows` drops. `fixed` rounds in
-numpy wherever it can prove the result correctly rounded (see `FAST_LIMIT`)
-and formats every other value with Python's own `%`.
+`rows` lays such parts side by side into the lines of a CSV body or an SVG
+element list, a block at a time; `fixed` writes the text of every value of
+an array into a matrix. Both fill rows of one byte buffer in place
+(`_Layout`), each text in its slot, padded with NUL bytes that `rows` drops.
+Numbers are rounded in numpy wherever the result is provably correctly
+rounded (see `FAST_LIMIT`); every other value goes to Python's own `%`.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -28,9 +28,9 @@ FAST_LIMIT = 2.0**52
 # two-product needs to split only the value.
 FAST_DECIMALS = 11
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitting constant for float64
-# Bytes of each temporary array: big enough to amortise numpy's per-call
-# cost, small enough that the allocator reuses memory rather than mapping
-# fresh pages for every temporary.
+# Most bytes of a block of rows, and of any temporary array: big enough to
+# amortise numpy's per-call cost, and below glibc's 128 KiB mmap threshold,
+# so that freed memory is reused rather than mapped and faulted in afresh.
 BLOCK_BYTES = 2**16
 
 # DIGIT_GROUPS[k] holds the four ASCII digits of '%04d' % k, read as one
@@ -54,36 +54,17 @@ def _product_error(a, b: float, p):
     return (a_hi * b - p) + (a - a_hi) * b
 
 
-def _digit_groups(q, powers) -> np.ndarray:
-    """The four-digit groups floor(q / p) % 10**4 of the integers q (floats
-    below 2**52), one row per power of ten p in the column powers, as ASCII
-    quadruples.
-
-    Each floor is exact: the quotient's rounding error is below half an ulp
-    of q / p < 2**52 / p, less than the 1 / p gap between a non-integral
-    quotient and the next integer.
-    """
-    high = np.floor(q / powers)
-    rest = np.floor(high / 1e4)
-    rest *= -1e4
-    rest += high
-    return DIGIT_GROUPS.take(rest.astype(np.intp))
-
-
-def _rounded(values, decimals: int, fast=None):
-    """round(|v| * 10**decimals) for every value v, as floats: correctly
-    rounded with ties to even, and 0 where fast, if given, is False."""
-    scale = 10.0**decimals
+def _rounded(values, scale: float, limit=None):
+    """round(|v| * scale) for every value v, as floats: correctly rounded,
+    ties to even, and 0 where |v| * scale is not below limit, if given."""
     y = np.abs(values)
-    if fast is None:
+    if limit is None:
         y *= scale
-        r = np.rint(y)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             y *= scale
-            r = np.rint(y)
-        r[~fast] = 0.0
-        y[~fast] = 0.0
+        y[~(y < limit)] = 0.0  # NaN included
+    r = np.rint(y)
     y -= r
     tie = (np.abs(y, out=y) == 0.5).nonzero()[0]
     if len(tie):
@@ -94,123 +75,174 @@ def _rounded(values, decimals: int, fast=None):
     return r
 
 
+class _Layout:
+    """Where each part of a line lies in a row of `width` bytes, and how a
+    block of rows is filled in place.
+
+    A float column's slot is as wide as its widest text, and at least four
+    bytes. q = round(|v| * 10**d), an integer below 2**52, is converted to
+    int64 exactly and split once into its integer part and its d decimals,
+    which are joined again with a 0 digit between them, where the point
+    goes. Its digits go in as four-byte words ending at the slot's end, top
+    word first, one integer division by 10**(4j) each. A word may reach up
+    to `margin` bytes left of its slot; what it covers there is written
+    after it: a lower word of an earlier slot (slots are at least four
+    bytes wide), a label, or a literal byte put back, as the point is.
+    Last, digits not every value of a column has are blanked left of each
+    value's first digit, and the sign is put just before it.
+    """
+
+    def __init__(self, n: int, parts, decimals: int):
+        self.scale = scale = 10.0**decimals
+        limit = FAST_LIMIT if decimals <= FAST_DECIMALS else 0.0
+        frac_w = decimals + (1 if decimals else 0)  # point and decimals
+        skeleton, starts, ends, lead = bytearray(), [], [], []
+        self.floats, self.labels, self.texts = [], [], []
+        k_top, self.signed = 1, False
+        for part in parts:
+            at = len(skeleton)
+            if part is None or isinstance(part, str):  # None: empty
+                if "\0" in (part or ""):
+                    raise ValueError(f"literal holds a NUL byte: {part!r}")
+                skeleton += (part or "").encode("ascii")
+            elif isinstance(part, tuple):  # texts padded on the right
+                table = np.array([text.encode("ascii") for text in part[0]])
+                self.labels.append((at, table.view(np.uint8).reshape(
+                    len(table), -1), part[1]))
+                skeleton += bytes(table.itemsize)
+            else:  # a float column
+                c, x = len(starts), np.asarray(part, dtype=float)
+                lowest, highest = ((float(x.min()), float(x.max())) if n
+                                   else (0, 0))
+                largest, texts = max(highest, -lowest) * scale, []
+                if not largest < limit:  # NaN fails here too
+                    with np.errstate(over="ignore"):
+                        y = np.abs(x) * scale
+                    fast = y < limit
+                    texts = [(i, c, b"%.*f" % (decimals, x[i]))
+                             for i in np.flatnonzero(~fast).tolist()]
+                    largest = float(y[fast].max(initial=0.0))
+                # integer digits: one more where the largest product rounds,
+                # as a tie, up to a power of ten its exact product misses
+                k = max(len(str(round(largest))) - decimals, 1)
+                # -0.0 prints a sign too, as does any value whose sign bit
+                # is set, which makes it negative read as an int64
+                sign = lowest < 0 or (not lowest > 0 and n > 0
+                                      and x.view(np.int64).min() < 0)
+                w = max(sign + k + frac_w, 4, *(len(t) for *_, t in texts))
+                # the integer digits every value has: int() of the float
+                # product never has more digits than the rounded exact one
+                smallest = 0 if texts else max(lowest, -highest, 0) * scale
+                k_low = max(len(str(int(smallest))) - decimals, 1)
+                # digit m shows if the integer part (< 10**k) is >= 10**m;
+                # the sign goes there if digit m - 1 shows but m does not
+                lead += [(c, at + w - frac_w - 1 - m, 10**min(m, k),
+                          10**min(m - 1, k) * (m > 1))
+                         for m in range(k_low, w - frac_w)]
+                self.floats.append(x)
+                self.texts += texts
+                starts.append(at)
+                ends.append(at + w)
+                skeleton += bytes(w - frac_w) + b"."[:frac_w] + bytes(decimals)
+                k_top, self.signed = max(k_top, k), self.signed or sign
+        self.texts.sort()
+        self.limit = limit if self.texts else None
+        self.skeleton = np.frombuffer(bytes(skeleton), dtype=np.uint8)
+        self.width = W = len(self.skeleton)
+        self.step = max(1, BLOCK_BYTES // max(  # rows; 16 bytes a value
+            W, 16 * len(ends), 16 * len(lead), 1))
+        self.starts, self.ends = starts, np.array(ends, dtype=np.intp)
+        n_words = -(-(k_top + frac_w) // 4)  # of four bytes, for every digit
+        self.margin = 4 * n_words
+        # (10**(4j), columns of a uint32 view whose rows start margin bytes
+        # early) of each word j, the top word first
+        self.words = [(10**(4 * j), self.ends + (self.margin - 4 * j - 4))
+                      for j in reversed(range(n_words))]
+        self.unit, self.spread = 10**decimals, 9 * 10**decimals * (frac_w > 0)
+        # the points, and the literal bytes the words cover
+        self.restore = np.array([p % W for end in self.ends.tolist() for p in
+                                 range(end - self.margin, end)
+                                 if skeleton[p % W]], dtype=np.intp)
+        self.restored = self.skeleton[self.restore]
+        self.lead_col, self.lead_at, *thresholds = np.array(
+            lead, dtype=np.int64).reshape(-1, 4).T
+        self.shows_from, self.sign_from = np.array(thresholds)[..., None]
+
+    def fill(self, buf, base: int, lo: int, hi: int) -> np.ndarray:
+        """Write rows lo to hi into the flat uint8 buf, row lo at byte base
+        (at least margin), and return them as a (rows, width) matrix. The
+        literal bytes must be there already."""
+        n, W = hi - lo, self.width
+        block = buf[base:base + n * W].reshape(n, W)
+        if self.floats and self.limit != 0:  # 0: every value is slow
+            v = np.concatenate([x[lo:hi] for x in self.floats])  # by column
+            q = _rounded(v, self.scale, self.limit).astype(np.int64)
+            whole = q // self.unit  # the integer part
+            q += whole * self.spread  # and a 0 digit where the point goes
+            whole = whole.reshape(-1, n)[self.lead_col]
+            shows = whole >= self.shows_from
+            if self.signed:
+                dash = (whole >= self.sign_from) > shows
+                dash &= np.signbit(v).reshape(-1, n)[self.lead_col]
+            words = np.ndarray((n, W + self.margin - 3), np.uint32, buf,
+                               base - self.margin, (W, 1))
+            for power, at in self.words:
+                top = q // power if power > 1 else q
+                words[:, at] = DIGIT_GROUPS.take(top).reshape(-1, n).T
+                if power > 1:
+                    q -= top * power
+            block[:, self.restore] = self.restored
+            digits = block[:, self.lead_at]
+            digits *= shows.T
+            if self.signed:
+                np.copyto(digits, ord("-"), where=dash.T)
+            block[:, self.lead_at] = digits
+        for at, table, codes in self.labels:
+            block[:, at:at + table.shape[1]] = table.take(codes[lo:hi], axis=0)
+        for i, c, text in self.texts[bisect_left(self.texts, (lo,)):
+                                     bisect_left(self.texts, (hi,))]:
+            slot = block[i - lo, self.starts[c]:self.ends[c]]
+            slot[:] = 0
+            slot[len(slot) - len(text):] = np.frombuffer(text, dtype=np.uint8)
+        return block
+
+
 def fixed(values, decimals: int) -> np.ndarray:
     """The text `'%.{decimals}f' % v` of every value v of an array: a uint8
     array of the array's shape plus one axis, holding each text
-    right-aligned and NUL-padded.
-
-    The axis is as wide as the widest text, or one wider when the largest
-    value's product rounds, as a tie, up to a power of ten that its exact
-    product does not reach. The work is done a block of values at a time,
-    so that temporaries stay within BLOCK_BYTES whatever the array's size.
+    right-aligned and NUL-padded. The axis is as wide as the widest text,
+    and at least four bytes (see `_Layout`). The values are formatted into
+    the result a block at a time, and no temporary holds more than
+    BLOCK_BYTES: for finite values below 2**52 / 10**decimals, whatever
+    the array's size.
     """
     x = np.asarray(values, dtype=float)
-    flat = x.ravel()
-    scale = 10.0**decimals
-    exact_scale = decimals <= FAST_DECIMALS
-    lowest, highest = ((float(flat.min()), float(flat.max())) if flat.size
-                       else (0.0, 0.0))
-    largest = max(highest, -lowest) * scale
-    fast, texts = None, {}
-    if not (largest < FAST_LIMIT and exact_scale):  # NaN fails here too
-        with np.errstate(over="ignore"):
-            fast = (np.abs(flat) * scale < FAST_LIMIT) & exact_scale
-        texts = {i: b"%.*f" % (decimals, flat[i])
-                 for i in np.flatnonzero(~fast).tolist()}
-        largest = float(np.abs(flat[fast]).max(initial=0.0)) * scale
-
-    # Each row of a flat buffer holds [NUL padding][sign][integer digits,
-    # zero-padded to a multiple of four][point][decimals digits]. The
-    # fraction's digits are written as groups of four ending at the row's
-    # end, then the integer digits and the point over their padding; the
-    # leading zeros are blanked and a sign put before the first digit.
-    k_max = max(len(str(round(largest))) - decimals, 1)  # integer digits
-    # -0.0 prints a sign too; a NaN makes lowest NaN
-    has_sign = lowest < 0 or (not lowest > 0 and bool(np.signbit(flat).any()))
-    frac_w = decimals + (1 if decimals else 0)
-    w = max(has_sign + k_max + frac_w, max(map(len, texts.values()), default=0))
-    n_int, n_frac = -(-k_max // 4), -(-decimals // 4)  # groups of four
-    point = max(4 * n_int, w - frac_w)
-    stride = point + frac_w
-    # (column where the group starts, power of ten of its last digit), the
-    # fraction's groups first
-    groups = ([(stride - 4 * (j + 1), 10.0**(4 * j)) for j in range(n_frac)]
-              + [(point - 4 * (j + 1), 10.0**(decimals + 4 * j))
-                 for j in range(n_int)])
-    powers = np.array([[power] for _, power in groups])
-    # Integer digit m (0 for the units) is in column point - 1 - m, and
-    # shows when q >= 10**(decimals + m).
-    n_lead = min(max(4 * n_int, k_max + 1), w - frac_w)
-    buf = np.zeros(len(flat) * stride, dtype=np.uint8)
-    step = BLOCK_BYTES // 8
-    for lo in range(0, len(flat), step):
-        block = flat[lo:lo + step]
-        part = buf[lo * stride:(lo + len(block)) * stride]
-        q = _rounded(block, decimals, None if fast is None
-                     else fast[lo:lo + step])
-        quads = _digit_groups(q, powers)
-        for (start, _), quad in zip(groups, quads):
-            np.ndarray(len(q), np.uint32, part, start, (stride,))[...] = quad
-        if decimals:
-            part[point::stride] = ord(".")
-        if has_sign:
-            dash = np.signbit(block).view(np.uint8) * np.uint8(ord("-"))
-        shown = True  # digit m - 1 shows
-        for m in range(1, n_lead):
-            col = part[point - 1 - m::stride]
-            shows = q >= 10.0**(decimals + m)
-            np.multiply(col, shows, out=col)
-            if has_sign:  # the sign goes just before the first digit
-                col += dash * (shown > shows)
-            shown = shows
-    cells = buf.reshape(len(flat), stride)[:, stride - w:]
-    for i, text in texts.items():
-        cells[i] = 0
-        cells[i, w - len(text):] = np.frombuffer(text, dtype=np.uint8)
-    return cells.reshape(x.shape + (w,))
+    layout = _Layout(x.size, [x.ravel()], decimals)
+    w, margin = layout.width, layout.margin
+    out = np.zeros(margin + x.size * w, dtype=np.uint8)
+    # last block first: a block's words may reach into the rows before it
+    for lo in reversed(range(0, x.size, layout.step)):
+        layout.fill(out, margin + lo * w, lo, min(lo + layout.step, x.size))
+    return out[margin:].reshape(x.shape + (w,))
 
 
-def labels(texts, codes) -> np.ndarray:
-    """The text column whose row i is texts[codes[i]]."""
-    encoded = [text.encode("ascii") for text in texts]
-    w = max(map(len, encoded), default=0)
-    table = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in encoded),
-                          dtype=np.uint8).reshape(len(encoded), w)
-    return table[np.asarray(codes, dtype=np.intp)]
+def rows(n: int, parts, sep: str = "", decimals: int = 6,
+         block_rows: int = BLOCK_BYTES):
+    """n lines laid out from parts, joined by sep, as blocks of ASCII bytes:
+    at most block_rows lines, and at most about BLOCK_BYTES, each.
 
-
-def rows(n: int, parts, sep: str = "") -> bytes:
-    """n lines laid out from parts, joined by sep, as ASCII bytes.
-
-    Each part is a literal string, the same on every line, or a text column
-    of n rows (from `fixed` or `labels`), which gives line i its text i.
-    The lines are laid out in a matrix of about BLOCK_BYTES, a block of
-    lines at a time, over one row holding every literal. A block whose
-    texts all fill their columns is emitted as the matrix it fills;
-    otherwise its padding is dropped with one mask.
+    Each part is a literal string (or None, for none), the same on every
+    line; an array of n floats, which gives line i the text
+    `'%.{decimals}f'` of its value i; or a pair (texts, codes), which gives
+    line i the text texts[codes[i]]. The blocks are filled in turn into one
+    row buffer of at most BLOCK_BYTES that holds every literal, and each
+    block's padding is dropped as it is yielded, into bytes the caller owns.
     """
-    skeleton, columns = [], []  # a row's literal bytes; (column, its start)
-    width = 0
-    for part in (*parts, sep):
-        if isinstance(part, str):
-            if "\0" in part:
-                raise ValueError(f"literal holds a NUL byte: {part!r}")
-            skeleton.append(part.encode("ascii"))
-            width += len(part)
-        else:
-            skeleton.append(bytes(part.shape[1]))
-            columns.append((part, width))
-            width += part.shape[1]
-    step = max(1, BLOCK_BYTES // max(width, 1))
-    out = np.empty((min(step, n), width), dtype=np.uint8)
-    out[:] = np.frombuffer(b"".join(skeleton), dtype=np.uint8)
-    pieces = []
+    layout = _Layout(n, [*parts, sep], decimals)
+    step, margin = min(layout.step, block_rows), layout.margin
+    buf = np.zeros(margin + min(step, n) * layout.width, dtype=np.uint8)
+    buf[margin:].reshape(min(step, n), layout.width)[:] = layout.skeleton
     for lo in range(0, n, step):
-        block = out[:min(step, n - lo)]
-        for column, a in columns:
-            block[:, a:a + column.shape[1]] = column[lo:lo + step]
-        keep = block != 0
-        pieces.append((block if keep.all() else block[keep]).tobytes())
-    if pieces and sep:
-        pieces[-1] = pieces[-1][:-len(sep)]
-    return b"".join(pieces)
+        block = layout.fill(buf, margin, lo, min(lo + step, n))
+        piece = block[block != 0].tobytes()
+        yield piece[:len(piece) - len(sep)] if lo + step >= n else piece

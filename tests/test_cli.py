@@ -529,6 +529,21 @@ class TestRun:
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
 
+    def test_grid_too_wide_for_a_figure_exits_1(self, tmp_path, lead_doc,
+                                                 capsys):
+        # one step past each end of this grid the figure's knob axis would be
+        # wider than any float, and its numbers nan and inf
+        lead_doc["lead"]["mechanism"] = "mar"
+        lead_doc["grid"] = {"t_min": -1.7e308, "t_max": 1.7e308,
+                            "step": 1e307}
+        assert main(["run", str(write_config(tmp_path, lead_doc))]) == 1
+        assert "config error: grid.t_min: " in capsys.readouterr().err
+        assert not (tmp_path / "figure.svg").exists()
+        # within a quarter of the largest float the axis stays finite
+        lead_doc["grid"] = {"t_min": -4e307, "t_max": 4e307, "step": 1e307}
+        assert main(["run", str(write_config(tmp_path, lead_doc))]) == 0
+        assert not re.search("nan|inf", (tmp_path / "figure.svg").read_text())
+
     @pytest.mark.parametrize("n_total", [110_000 + 2**26 + 1, 2**63 - 1])
     def test_too_many_missing_units_exits_1_without_allocating(
             self, tmp_path, lead_doc, capsys, monkeypatch, n_total):

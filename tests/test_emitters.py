@@ -5,6 +5,7 @@ numpy number formatter they use against Python's own `%`."""
 import csv
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _Frame,
                         render_lead_figure)
 from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, sweep_election,
                        sweep_lead)
-from cid.textcols import FAST_LIMIT, fixed
+from cid.textcols import BLOCK_BYTES, FAST_LIMIT, fixed, rows
 from tests import oracles
 from tests.test_svgfig import noisy_election_curve
 
@@ -312,6 +313,94 @@ def test_csv_equals_reference(rows, election):
                          change_points=(), i0=0)
     expected = ref_curve_to_csv(curve)
     assert_same_text(curve_to_csv(curve), expected)
-    # blocks of a few rows, whose column widths differ from block to block
+    # blocks of a few rows, each filled into the row buffer of the one before
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", 5):
         assert_same_text(curve_to_csv(curve), expected)
+
+
+@given(st.data())
+def test_rows_lay_out_any_parts(data):
+    # float columns, labels and literals in any order, adjacent columns
+    # with no literal between them included, in blocks of a few rows
+    n = data.draw(st.integers(0, 9))
+    decimals = data.draw(st.sampled_from([0, 1, 2, 3, 6, 12]))
+    values = numbers | st.sampled_from([math.nan, math.inf, -math.inf])
+    parts, texts = [], []
+    for kind in data.draw(st.lists(st.sampled_from("lfc"), min_size=1,
+                                   max_size=6)):
+        if kind == "l":  # a literal, or None for none
+            part = data.draw(st.sampled_from(["", ",", '" y="', None]))
+            texts.append([part or ""] * n)
+        elif kind == "f":
+            part = np.array(data.draw(st.lists(values, min_size=n,
+                                               max_size=n)), dtype=float)
+            texts.append(["%.*f" % (decimals, v) for v in part])
+        else:
+            labels = data.draw(st.lists(st.text("ab ", max_size=4),
+                                        min_size=1, max_size=3))
+            codes = data.draw(st.lists(st.integers(0, len(labels) - 1),
+                                       min_size=n, max_size=n))
+            part = (labels, np.array(codes, dtype=int))
+            texts.append([labels[code] for code in codes])
+        parts.append(part)
+    sep = data.draw(st.sampled_from(["", "\n"]))
+    block_rows = data.draw(st.sampled_from([1, 2, 5, 1024]))
+    assert b"".join(rows(n, parts, sep, decimals, block_rows)).decode() == \
+        sep.join("".join(column[i] for column in texts) for i in range(n))
+
+
+def striped_curve(n):
+    """A lead-shaped curve of n rows whose t changes sign, and whose estimate
+    gains an integer digit, halfway through each block of the CSV."""
+    i = np.arange(n)
+    half = i % cli.CSV_BLOCK_ROWS >= cli.CSV_BLOCK_ROWS // 2
+    return CidCurve(t=(i - cli.CSV_BLOCK_ROWS // 2) / 7,
+                    estimate=np.where(half, 10.25, 9.5) + i / 1e4,
+                    codes=half.astype(int), family=INTERVENTION_DECISIONS,
+                    d_t=1 - half, cid=np.cos(i) ** 2, change_points=(), i0=0)
+
+
+@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                               cli.CSV_BLOCK_ROWS + 1])
+def test_csv_blocks_own_their_bytes(tmp_path, n):
+    # every block is filled into one reused row buffer; the blocks kept in
+    # a list must still hold what was yielded, not the buffer's last rows
+    curve = striped_curve(n)
+    blocks = list(cli._csv_blocks(curve))
+    assert len(blocks) == 1 + -(-n // cli.CSV_BLOCK_ROWS)  # header, rows
+    assert all(type(block) is bytes for block in blocks)
+    csv_text = b"".join(blocks)
+    assert_same_text(csv_text, ref_curve_to_csv(curve))
+    assert csv_text == curve_to_csv(curve)
+    cli._write_atomic(tmp_path / "curve.csv", cli._csv_blocks(curve))
+    assert (tmp_path / "curve.csv").read_bytes() == csv_text
+
+
+def traced_peak(work):
+    """The most bytes traced at once while work() runs (numpy reports its
+    buffers to tracemalloc), and what work() returns."""
+    tracemalloc.start()
+    try:
+        result = work()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_formatter_temporaries_stay_within_block_bytes(hibbs_fit):
+    values = np.random.default_rng(5).normal(0, 30, (16_001, 6))
+    fixed(values, 6)  # numpy's first-call caches are not temporaries
+    peak, text = traced_peak(lambda: fixed(values, 6))
+    assert peak - text.nbytes <= 4 * BLOCK_BYTES
+    # formatted a block at a time, each block's words reaching into the
+    # last row of the block before it
+    assert [bytes(row).lstrip(b"\0")
+            for row in text.reshape(-1, text.shape[-1])] == \
+        [b"%.6f" % v for v in values.ravel().tolist()]
+    # streaming a CSV takes the same memory whatever the curve's length
+    peaks = []
+    for step in (0.0005, 0.0001):  # 16,001 and 80,001 rows
+        curve = sweep_election(hibbs_fit, -0.728, KnobGrid(-4, 4, step))
+        peaks.append(traced_peak(lambda: [
+            len(block) for block in cli._csv_blocks(curve)])[0])
+    assert abs(peaks[1] - peaks[0]) <= BLOCK_BYTES
