@@ -20,8 +20,7 @@ from .errors import InputError
 from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
                          MnarMechanism, mar_mechanism, read_level_counts)
 from .metrics import CostParams
-from .regression import (MEAN_RESPONSE, NEW_OBSERVATION, ElectionDataset,
-                         fit_simple_ols)
+from .regression import MEAN_RESPONSE, ElectionDataset, fit_simple_ols
 from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
                     expected_cid, grid_spacing, min_cid_in_region,
                     row_on_grid, sweep_election, sweep_lead)
@@ -53,7 +52,8 @@ KNOB_DISTRIBUTION_FIELDS = ("support", "weights")
 # Config path of each field a library InputError names.
 FIELD_PATHS = {"a": "lead.a", "b": "lead.b", "n_total": "lead.n_total",
                "step": "grid.step", "threshold": "lead.threshold",
-               "weights": "lead.mechanism"}
+               "weights": "lead.mechanism", "level": "election.level",
+               "interval_kind": "election.interval_kind"}
 
 
 class ConfigError(Exception):
@@ -178,16 +178,11 @@ def _parse_election(block: dict) -> ElectionSettings:
                               f"{block['plausible_region']!r}")
         region = _checked("election.plausible_region",
                           lambda: PlausibleRegion(*bounds))
-    kind = block.get("interval_kind", MEAN_RESPONSE)
-    if kind not in (MEAN_RESPONSE, NEW_OBSERVATION):
-        raise ConfigError(f"election.interval_kind: unknown kind {kind!r}")
-    level = _finite(block.get("level", 0.95), "election.level")
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"election.level: must be in (0, 1), got {level}")
     return ElectionSettings(
         x0=_finite(_require(block, "x0", "election."), "election.x0"),
-        level=level,
-        interval_kind=kind,
+        level=_finite(block.get("level", 0.95), "election.level"),
+        interval_kind=_string(block.get("interval_kind", MEAN_RESPONSE),
+                              "election.interval_kind"),
         plausible_region=region,
     )
 
@@ -227,10 +222,12 @@ def _parse_lead(block: dict) -> LeadSettings:
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
     """Validate a config document and fill defaults.
 
-    Every range check that needs no dataset happens here, but lead.n_total's,
-    which LeadPopulation makes with the dataset's counts; unknown fields at
-    any level are rejected. Relative paths are resolved against base_dir
-    (the config file's directory).
+    Every field's type is checked here, and every range the library does
+    not check itself; the library's checks (of lead.n_total against the
+    dataset's counts, election.level and others) report their config paths
+    through FIELD_PATHS when the config runs. Unknown fields at any level
+    are rejected. Relative paths are resolved against base_dir (the config
+    file's directory).
     """
     _fields(doc, "", TOP_FIELDS + ("election", "lead"))
     mode = _require(doc, "mode", "")

@@ -18,10 +18,10 @@ N_LEVELS = 10
 # every CELL-th order statistic of its imputation uniforms, so it holds
 # n_missing // CELL + 1 cells of at most CELL - 1 units each.
 CELL = 64
-# Most values _quantile_binomial inverts with one table over all k, which
-# takes fewer numpy calls; its loop over k is faster for more values (the
-# two break even near 450 values on 2 vCPUs).
-TABLE_POINTS = 512
+# Most values impute_theta_grid inverts in one _quantile_binomial call: the
+# 3,001 knob values of a step-0.002 lead grid fit five rounds, and the
+# call's arrays stay near 128 KiB each however fine the grid.
+BATCH = 2**14
 # Most missing units a LeadPopulation may have: a round's 2**20 cells at
 # this bound peak at 32 MiB, where one uniform per unit would take 512 MiB.
 MAX_MISSING = 2**26
@@ -167,22 +167,30 @@ def draw_dirichlet_posterior(pop: LeadPopulation,
     return g / g.sum()
 
 
-def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Row i is p tilted by ts[i]: proportional to p * exp(ts[i] * w).
+def _tilt_levels(probs: np.ndarray, w: np.ndarray,
+                 ts: np.ndarray) -> np.ndarray:
+    """Column i is p tilted by ts[i] up to a positive factor: proportional to
+    p * exp(ts[i] * w), with levels along axis 0.
 
     This is the pattern-mixture tilt: it adds t*w on the log-odds scale with
     level 1 as baseline, so level 1 needs positive mass. Computed as log p +
-    t*w shifted by its row maximum before exponentiating, so no entry
+    t*w shifted by its column maximum before exponentiating, so no entry
     overflows however large a finite |t*w| grows; levels with p = 0 keep no
     mass. impute_theta_grid rejects a t*w that is not finite.
     """
     if probs[0] == 0.0:
         raise ValueError("baseline category empty: p_1 must be positive")
     with np.errstate(divide="ignore", over="ignore"):
-        z = np.log(probs) + np.multiply.outer(ts, w)
-        # entries of a row can span more than the float range: -inf, no mass
-        z -= z.max(axis=1, keepdims=True)
-    tilted = np.exp(z, out=z)
+        z = np.multiply.outer(w, ts)
+        z += np.log(probs)[:, None]
+        # entries of a column can span more than the float range: -inf, no mass
+        z -= z.max(axis=0)
+    return np.exp(z, out=z)
+
+
+def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row i is p tilted by ts[i] (_tilt_levels), normalized to sum to 1."""
+    tilted = np.ascontiguousarray(_tilt_levels(probs, w, ts).T)
     tilted /= tilted.sum(axis=1, keepdims=True)
     return tilted
 
@@ -215,56 +223,66 @@ def _quantile_binomial(n, r, u) -> np.ndarray:
 
     The cdf comes from the pmf recurrence. For r > 1/2 it is reflected,
     X = n - Bin(n, 1 - r), so the recurrence starts from (1 - r)^n >= 2^-n
-    and never underflows. Up to TABLE_POINTS values are tabulated over all
-    k at once; more run the recurrence one k at a time over all of them,
-    until the cdf reaches u everywhere.
+    and never underflows. It runs one k at a time over the values whose cdf
+    is still below u; once fewer than half of them are, over those alone.
     """
-    n = np.asarray(n, dtype=np.int64)
-    r = np.asarray(r, dtype=float)
+    n = np.asarray(n)
+    r, u = np.asarray(r, dtype=float), np.asarray(u, dtype=float)
     flip = r > 0.5
-    p = np.where(flip, 1.0 - r, r)
+    p = np.minimum(r, 1.0 - r)
     # P(X <= k) >= u; reflected, P(Y <= n - k - 1) <= 1 - u for Y = n - X,
-    # so count the j with P(Y <= j) < nextafter(1 - u)
-    level = np.where(flip, np.nextafter(1.0 - u, 2.0), u)
-    odds = p / (1.0 - p)
-    # pmf(k) / pmf(k - 1) = ((n + 1) / k - 1) odds; both ways below compute
-    # it, and the pmf and cdf from it, with the same operations
+    # so count the j with P(Y <= j) < nextafter(1 - u, 2). That float is the
+    # one whose bit pattern follows 1 - u's, as 1 - u > 0; np.nextafter
+    # takes several times as long.
+    level = 1.0 - u
+    level.view(np.int64)[...] += 1
+    level = np.where(flip, level, u)
+    # in place where p and 1 - p are not needed again: a batch can be large
+    not_p = 1.0 - p
+    odds = np.divide(p, not_p, out=p)
+    # pmf(k) / pmf(k - 1) = ((n + 1) / k - 1) odds
     scaled = (n + 1) * odds
-    pmf = (1.0 - p) ** n
-    if len(r) <= TABLE_POINTS:
-        table = np.empty((CELL - 1, len(r)))
-        table[0] = pmf
-        np.divide(scaled, np.arange(1.0, CELL - 1)[:, None], out=table[1:])
-        table[1:] -= odds
-        cdf = np.cumsum(np.cumprod(table, axis=0, out=table), axis=0,
-                        out=table)
-        below = np.count_nonzero(cdf < level, axis=0)
-    else:
-        cdf = pmf.copy()
-        below = np.zeros(len(r), dtype=np.int64)
-        for k in range(1, CELL):
-            short = cdf < level  # P(X <= k - 1) < u
-            if not short.any():
-                break
-            below += short
-            pmf *= scaled / k - odds
-            cdf += pmf
+    pmf = np.power(not_p, n, out=not_p)
+    cdf = pmf.copy()
+    # how many passes found the cdf short of u, fewer than CELL: kept in
+    # bytes, so that a pass adds its comparison, viewed as bytes, uncast
+    below = np.zeros(len(r), dtype=np.uint8)
+    counts, active = below, None
+    step = np.empty_like(pmf)
+    for k in range(1, CELL):
+        short = cdf < level  # P(X <= k - 1) < u
+        left = np.count_nonzero(short)
+        if not left:
+            break
+        if active is None and 2 * left < len(short):
+            # the values still short, fewer than half, run on alone
+            active = np.flatnonzero(short)
+            level, odds, scaled, pmf, cdf = (
+                a[active] for a in (level, odds, scaled, pmf, cdf))
+            counts, short, step = below[active], short[active], step[:left]
+        counts += short.view(np.uint8)
+        np.divide(scaled, k, out=step)
+        step -= odds
+        pmf *= step
+        cdf += pmf
+    if active is not None:
+        below[active] = counts
     # past k = n the pmf is 0 up to rounding far below pmf(n), so a cdf that
     # reached u by n stays there, and one that did not counts n or more
     below = np.minimum(below, n)
     return np.where(flip, n - below, below)
 
 
-def _count_below(q: np.ndarray, bounds: np.ndarray, u: np.ndarray,
-                 n: int) -> np.ndarray:
-    """Units at or below each probability q among n uniforms, from their
-    cells (_draw_cells): an exact Bin(n, q) draw at every q, nondecreasing
-    in q.
+def _cell_fields(q: np.ndarray, bounds: np.ndarray, u: np.ndarray,
+                 n: int) -> tuple:
+    """Where each probability q falls among n uniforms' cells (_draw_cells):
+    (j, inside, r, u_j). The units at or below q are then the CELL*j units
+    at or below the lower edge of q's cell j plus _quantile_binomial(inside,
+    r, u_j): an exact Bin(n, q) draw at every q, nondecreasing in q.
 
-    q falls in cell j at fraction r of its width. The CELL*j units at or
-    below the cell's lower edge count in full, and the units inside it are
-    iid uniform on it given the edges, so their count below q is
-    Bin(n_j, r), drawn by inverting the cell's uniform u_j.
+    q lies at fraction r of the width of cell j, which holds inside units.
+    They are iid uniform on the cell given its edges, so their count below
+    q is Bin(inside, r), drawn by inverting the cell's uniform u_j.
     """
     b = len(u) - 1
     # q == 1 lies on the top edge; it belongs to the last cell, at r = 1
@@ -272,8 +290,9 @@ def _count_below(q: np.ndarray, bounds: np.ndarray, u: np.ndarray,
     lo, hi = bounds[j], bounds[j + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(q < hi, (q - lo) / (hi - lo), 1.0)
-    inside = np.where(j < b, CELL - 1, n - CELL * b)
-    return CELL * j + _quantile_binomial(inside, r, u[j])
+    # as bytes, since fewer than CELL: a batch holds many
+    inside = np.where(j < b, np.uint8(CELL - 1), np.uint8(n - CELL * b))
+    return j, inside, r, u[j]
 
 
 def _conditional(rng: np.random.Generator, count: int,
@@ -282,6 +301,78 @@ def _conditional(rng: np.random.Generator, count: int,
     if count == 0:
         return np.zeros(len(probs), dtype=np.int64)
     return rng.multinomial(count, probs / probs.sum())
+
+
+def _low_share(p: np.ndarray, w: np.ndarray, ts: np.ndarray,
+               cutoff: int) -> np.ndarray:
+    """q_t = P_t(level <= cutoff) at each knob value t in ts, from
+    _tilt_levels: a ratio, so the columns need no normalizing. Exactly 0 or 1
+    when all the tilted mass is on one side."""
+    tilted = _tilt_levels(p, w, ts)
+    low = tilted[:cutoff].sum(axis=0)
+    return low / (low + tilted[cutoff:].sum(axis=0))
+
+
+def _round_chunks(pop: LeadPopulation, w: np.ndarray, ts: np.ndarray,
+                  cfg: ImputationConfig):
+    """Each round's draws and the cell fields (_cell_fields) of its knob
+    values, at most BATCH values at a time, in round order.
+
+    Yields ((rng, p, start, stop), fields) for the knob values
+    ts[start:stop]: rng is round m's substream, left in its state after the
+    cells, and p its posterior draw.
+    """
+    n = pop.n_missing
+    for m in range(cfg.m):
+        rng = substream(cfg.seed, m)
+        p = draw_dirichlet_posterior(pop, rng)
+        cells = _draw_cells(rng, n)
+        for start in range(0, len(ts), BATCH):
+            stop = min(start + BATCH, len(ts))
+            q = _low_share(p, w, ts[start:stop], pop.cutoff_level)
+            yield (rng, p, start, stop), _cell_fields(q, *cells, n)
+
+
+def _batches(chunks):
+    """Runs of consecutive chunks (_round_chunks) holding at most BATCH knob
+    values together, as (chunk heads, fields joined over the run)."""
+    heads, parts, size = [], [], 0
+    for head, fields in chunks:
+        if size + len(fields[0]) > BATCH:
+            yield heads, _joined(parts)
+            heads, size = [], 0
+        heads.append(head)
+        parts.append(fields)
+        size += len(fields[0])
+    if heads:
+        yield heads, _joined(parts)
+
+
+def _joined(parts: list) -> list:
+    """The fields of parts joined, emptying parts: the joined copies alone
+    stay while the batch is inverted."""
+    joined = [np.concatenate(column) for column in zip(*parts)]
+    parts.clear()
+    return joined
+
+
+def _completed_freqs(pop: LeadPopulation, rng: np.random.Generator,
+                     tilted: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """One round's completed frequencies at each snapshot: the below[s]
+    missing units at or below the cutoff, and the rest above it, spread over
+    the levels by the tilted row tilted[s], each snapshot from rng's present
+    state."""
+    cutoff, observed = pop.cutoff_level, pop.counts_array()
+    bit_generator = rng.bit_generator
+    after_cells = bit_generator.state
+    freqs = np.empty((len(below), pop.k))
+    for s, n_low in enumerate(below.tolist()):
+        bit_generator.state = after_cells
+        imputed = np.concatenate((
+            _conditional(rng, n_low, tilted[s, :cutoff]),
+            _conditional(rng, pop.n_missing - n_low, tilted[s, cutoff:])))
+        freqs[s] = (observed + imputed) / pop.n_total
+    return freqs
 
 
 def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
@@ -297,11 +388,15 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     the posterior, the round draws every CELL-th order statistic of
     n_missing imputation uniforms and one uniform per cell between them
     (_draw_cells), and the count at q_t is the number of those uniforms at
-    or below q_t (_count_below). That count is exactly Bin(n_missing, q_t)
+    or below q_t (_cell_fields). That count is exactly Bin(n_missing, q_t)
     and nondecreasing in q_t, so for a mechanism whose weights at or below
     the cutoff all exceed those above it (accordion, parametric) each
     round's fraction, and their mean, is nonincreasing in t. Row i depends
     on ts[i] alone, not on the other knob values or their order.
+
+    The binomial quantiles of several rounds are inverted together, at most
+    BATCH at a time, so the work held at once is bounded however fine the
+    grid and however many the rounds.
 
     For each row in rows, the units below and above the cutoff are spread
     over the levels by two conditional multinomials, drawn from the
@@ -332,30 +427,23 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     if np.any((rows < 0) | (rows >= len(ts))):
         raise ValueError(f"rows must index the {len(ts)} knob values, got "
                          f"{rows.tolist()}")
-    n_missing = pop.n_missing
-    observed = pop.counts_array()
-    cutoff = pop.cutoff_level
-    high_if_none_below = pop.observed_high_count + n_missing
+    high_if_none_below = pop.observed_high_count + pop.n_missing
     theta_sum = np.zeros(len(ts))
     freq_sum = np.zeros((len(rows), pop.k))
-    for m in range(cfg.m):
-        rng = substream(cfg.seed, m)
-        p = draw_dirichlet_posterior(pop, rng)
-        p_t = _tilt_rows(p, w, ts)
-        low = p_t[:, :cutoff].sum(axis=1)
-        # exactly 0 or 1 when all the tilted mass is on one side
-        q = low / (low + p_t[:, cutoff:].sum(axis=1))
-        below = _count_below(q, *_draw_cells(rng, n_missing), n_missing)
-        theta_sum += (high_if_none_below - below) / pop.n_total
-        bit_generator = rng.bit_generator
-        after_cells = bit_generator.state
-        for s, row in enumerate(rows.tolist()):
-            bit_generator.state = after_cells
-            n_low = int(below[row])
-            imputed = np.concatenate((
-                _conditional(rng, n_low, p_t[row, :cutoff]),
-                _conditional(rng, n_missing - n_low, p_t[row, cutoff:])))
-            freq_sum[s] += (observed + imputed) / pop.n_total
+    below_rows = np.zeros(len(rows), dtype=np.int64)  # of the present round
+    for heads, (j, inside, r, u) in _batches(_round_chunks(pop, w, ts, cfg)):
+        counts = _quantile_binomial(inside, r, u) + CELL * j
+        offset = 0
+        for rng, p, start, stop in heads:
+            below = counts[offset:offset + stop - start]
+            offset += stop - start
+            theta_sum[start:stop] += (high_if_none_below - below) / pop.n_total
+            here = (start <= rows) & (rows < stop)
+            below_rows[here] = below[rows[here] - start]
+            if stop == len(ts):  # the round's last knob values
+                freq_sum += _completed_freqs(pop, rng,
+                                             _tilt_rows(p, w, ts[rows]),
+                                             below_rows)
     freqs = freq_sum / cfg.m
     # the float mean of m fractions at the worst case can exceed it by an ulp
     thetas = np.minimum(theta_sum / cfg.m, pop.worst_case_theta)

@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class ElectionDataset:
@@ -194,12 +196,14 @@ def predict_intervals(fit: FittedLine, x0s, level: float = 0.95,
     Half-width is q * sqrt(sigma2 * (delta + 1/n + (x0 - x_mean)^2 / sxx)) with
     delta = 0 for mean-response, 1 for new-observation, and q the two-sided
     Student-t quantile on n - 2 degrees of freedom, computed once per call.
+    A kind other than MEAN_RESPONSE and NEW_OBSERVATION, or a level outside
+    (0, 1), is an InputError naming interval_kind or level.
     """
     delta = _DELTA.get(kind)
     if delta is None:
-        raise ValueError(f"unknown interval kind: {kind!r}")
+        raise InputError("interval_kind", f"unknown interval kind: {kind!r}")
     if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise InputError("level", f"level must be in (0, 1), got {level}")
     x = np.atleast_1d(np.asarray(x0s, dtype=float))
     q = _t_quantile(fit.n - 2, level)
     # a non-finite x, or one far enough out to overflow, fails the check below

@@ -201,6 +201,11 @@ def _cid_panel(out, curve, height, ymax, region=None):
     frame = _Frame(MARGIN, MARGIN, WIDTH_PX - 2 * MARGIN, height,
                    float(curve.t.min()) - pad, float(curve.t.max()) + pad,
                    0.0, ymax)
+    # Python floats: an overflow is inf here, without a numpy warning
+    if not np.isfinite(frame.xmax - frame.xmin):
+        raise ValueError(f"knob axis [{frame.xmin:g}, {frame.xmax:g}], one "
+                         f"grid step past each end of the curve, is wider "
+                         f"than the float range")
     out.append(frame.open_group("cid-panel"))
     _axes(out, frame, "CID")
     _vline(out, frame, curve.t[curve.i0], DEFAULT_COLORS["reference"],

@@ -38,6 +38,18 @@ LEAD_DIGESTS = {
     "lead_parametric_figure.svg":
         "180f2540bc737fbc59fd29937f4ebf79f5f0ababd85580854675bcf416be7a70",
 }
+# The same at --grid-step 0.002 (3,001 points): each round's inversion holds
+# thousands of values, where the 121 bundled points hold few.
+LEAD_FINE_DIGESTS = {
+    "lead_accordion_curve.csv":
+        "351bc4b9944dc71e6707ec838a4c2a0e0591f6ee168d31a5ae23b88c25f01c1d",
+    "lead_accordion_figure.svg":
+        "f142abdbc2ba43173942c5ffb810403e26ee9156c9217b2e3e3cf8a6a042c1da",
+    "lead_parametric_curve.csv":
+        "9b872490466cb152f257c57bceb434c66be671674d008f065e2fa6fc2a31b9af",
+    "lead_parametric_figure.svg":
+        "56cc0c8a8c75b9232537a594dbf62b7dfdde91260dee80a45cb5f9f5299461a4",
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -124,8 +136,8 @@ class TestParseConfig:
             parse_config({"mode": "panel", "dataset": "d.csv"})
 
     @pytest.mark.parametrize("block, key, value", [
-        ("election", "level", 1.5),
-        ("election", "level", 0.0),
+        ("election", "level", "0.9"),
+        ("election", "interval_kind", 1),
         ("election", "x0", math.nan),
         ("election", "x0", math.inf),
         ("lead", "a", -1.0),
@@ -322,6 +334,7 @@ class TestRun:
         ("election_doc", "election", "plausible_region", [1]),
         ("lead_doc", "lead", "n_total", 10),  # below the 110,000 observed
         ("election_doc", "election", "level", 1.5),
+        ("election_doc", "election", "level", 0.0),
         ("election_doc", "election", "x0", math.nan),
         ("lead_doc", "lead", "threshold", 0.9),  # not below theta_wc = 0.79
         ("lead_doc", "lead", "a", -1.0),
@@ -600,6 +613,15 @@ class TestRun:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == LEAD_DIGESTS[name], name
 
+    @pytest.mark.parametrize("stem", ["lead_accordion", "lead_parametric"])
+    def test_fine_lead_outputs_keep_their_digests(self, tmp_path, capsys,
+                                                  stem):
+        assert main(["run", str(REPO / "configs" / f"{stem}.json"),
+                     "--grid-step", "0.002", "--out-dir", str(tmp_path)]) == 0
+        for name in (f"{stem}_curve.csv", f"{stem}_figure.svg"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == LEAD_FINE_DIGESTS[name], name
+
     def test_extreme_tilt_stays_finite(self, tmp_path, lead_doc, capsys):
         # exp(t * w) alone overflows for t * w above about 709
         lead_doc["grid"] = {"t_min": -800, "t_max": 800, "step": 100}
@@ -817,6 +839,9 @@ FIELD_CASES = {
     "step": ("election_doc", "grid", "step", 0),
     "threshold": ("lead_doc", "lead", "threshold", 0.9),  # theta_wc 0.79
     "weights": ("lead_doc", "lead", "mechanism", [1] * 7),  # 10 levels
+    "level": ("election_doc", "election", "level", 1.5),
+    "interval_kind": ("election_doc", "election", "interval_kind",
+                      "prediction"),
 }
 
 

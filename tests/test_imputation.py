@@ -9,12 +9,12 @@ from scipy import stats
 
 from cid import imputation
 from cid.errors import InputError
-from cid.imputation import (CELL, MAX_MISSING, TABLE_POINTS,
-                            ImputationConfig, LeadPopulation, MnarMechanism,
-                            _count_below, _draw_cells, _quantile_binomial,
-                            _tilt_rows, accordion_mechanism,
-                            draw_dirichlet_posterior, impute_theta_grid,
-                            mar_mechanism, parametric_mechanism, substream)
+from cid.imputation import (BATCH, CELL, MAX_MISSING, ImputationConfig,
+                            LeadPopulation, MnarMechanism, _cell_fields,
+                            _draw_cells, _quantile_binomial, _tilt_rows,
+                            accordion_mechanism, draw_dirichlet_posterior,
+                            impute_theta_grid, mar_mechanism,
+                            parametric_mechanism, substream)
 from tests import oracles
 from tests.conftest import LEAD_PROBS
 
@@ -33,6 +33,13 @@ def impute_theta(pop, mech, t, cfg):
     """impute_theta_grid at the single knob value t."""
     thetas, freqs = impute_theta_grid(pop, mech, [t], cfg, rows=[0])
     return thetas[0], freqs[0]
+
+
+def count_below(q, bounds, u, n):
+    """Units at or below each probability q among n uniforms with the cells
+    (bounds, u) of _draw_cells, as impute_theta_grid counts them."""
+    j, inside, r, u_j = _cell_fields(q, bounds, u, n)
+    return CELL * j + _quantile_binomial(inside, r, u_j)
 
 
 class TestMechanisms:
@@ -343,6 +350,40 @@ class TestImputeThetaGrid:
                                       ImputationConfig(m=m, seed=seed))
         assert np.all(np.diff(thetas) <= 0.0)
 
+    @pytest.mark.parametrize("m, n_points, batches", [
+        (4, BATCH // 4 - 1, 1), (4, BATCH // 4, 1), (4, BATCH // 4 + 1, 2),
+        (2, BATCH + 3, 4), (1, 5_000, 1)],
+        ids=["below-batch", "at-batch", "above-batch", "beyond-batch", "m1"])
+    def test_batch_edges(self, lead_population, monkeypatch, m, n_points,
+                         batches):
+        # the rounds' knob values are inverted BATCH at a time, so a round
+        # can share a batch with others, or span two, at these sizes
+        mech = parametric_mechanism()
+        cfg = ImputationConfig(m=m, seed=13)
+        ts = np.linspace(-2.0, 4.0, n_points)
+        rows = [0, n_points // 2, min(BATCH, n_points - 1), n_points - 1]
+        sizes = []
+
+        def recorded(n, r, u):
+            sizes.append(len(r))
+            return _quantile_binomial(n, r, u)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(imputation, "_quantile_binomial", recorded)
+            thetas, freqs = impute_theta_grid(lead_population, mech, ts, cfg,
+                                              rows)
+        assert len(sizes) == batches and max(sizes) <= BATCH
+        assert sum(sizes) == m * n_points
+        for s, i in enumerate(rows):
+            (theta,), (row,) = impute_theta_grid(lead_population, mech,
+                                                 [ts[i]], cfg, rows=[0])
+            assert theta == thetas[i]
+            assert row.tolist() == freqs[s].tolist()
+        half = n_points // 2
+        halves = [impute_theta_grid(lead_population, mech, part, cfg)[0]
+                  for part in (ts[:half], ts[half:])]
+        assert np.array_equal(np.concatenate(halves), thetas)
+
     @pytest.mark.parametrize("rows", [[25], [-1], [0, 30]])
     def test_rows_out_of_range_rejected(self, lead_population, rows):
         with pytest.raises(ValueError, match="rows must index the 25 knob "
@@ -367,23 +408,32 @@ class TestImputeThetaGrid:
 
 
 class TestCoupling:
-    @pytest.mark.parametrize("chunk", [TABLE_POINTS, 20_000],
-                             ids=["table", "loop"])
-    def test_quantile_binomial_equals_scipy(self, chunk):
-        def quantiles(n, r, u):
-            return np.concatenate([
-                _quantile_binomial(n[i:i + chunk], r[i:i + chunk],
-                                   u[i:i + chunk])
-                for i in range(0, len(r), chunk)])
-
+    def test_quantile_binomial_equals_scipy(self):
         rng = np.random.default_rng(0)
         u = rng.random(64 * 5 * 20)
         n = np.repeat(np.arange(64), 5 * 20)
         r = np.tile(np.repeat([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], 20), 64)
-        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
+        assert np.array_equal(_quantile_binomial(n, r, u),
+                              stats.binom.ppf(u, n, r))
         n, r, u = rng.integers(0, CELL, 20_000), rng.random(20_000), \
             rng.random(20_000)
-        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
+        assert np.array_equal(_quantile_binomial(n, r, u),
+                              stats.binom.ppf(u, n, r))
+
+    def test_quantile_binomial_across_the_compaction(self):
+        # quantiles from 0 to 63 stop counting after 0 to 42 passes of the
+        # k loop, half of them by the 15th, so the loop runs on past the
+        # point where fewer than half the values still count
+        rng = np.random.default_rng(2)
+        n = np.full(4_000, CELL - 1)
+        r, u = rng.random(4_000), rng.random(4_000)
+        quantiles = _quantile_binomial(n, r, u)
+        assert set(quantiles.tolist()) == set(range(CELL))
+        assert np.array_equal(quantiles, stats.binom.ppf(u, n, r))
+        assert quantiles.tolist() == [
+            oracles.binomial_quantile(*args) for args in zip(n.tolist(),
+                                                             r.tolist(),
+                                                             u.tolist())]
 
     def test_quantile_binomial_equals_scalar_oracle(self):
         rng = np.random.default_rng(1)
@@ -401,7 +451,7 @@ class TestCoupling:
         assert bounds[0] == 0.0 and bounds[-1] == 1.0
         assert np.all(np.diff(bounds) > 0)
         q = np.array([0.0, 1.0])
-        assert _count_below(q, bounds, u, n).tolist() == [0, n]
+        assert count_below(q, bounds, u, n).tolist() == [0, n]
 
     def test_count_below_is_binomial(self):
         """Chi-squared test of the count at six probabilities against
@@ -409,7 +459,7 @@ class TestCoupling:
         n = 290_000
         qs = np.array([1e-5, 0.01, 0.3, 0.5, 0.97, 1.0 - 1e-5])
         rng = np.random.default_rng(20240101)
-        counts = np.array([_count_below(qs, *_draw_cells(rng, n), n)
+        counts = np.array([count_below(qs, *_draw_cells(rng, n), n)
                            for _ in range(4_000)])
         for q, sample in zip(qs, counts.T):
             # bins between the deciles of Bin(n, q): bin i holds the counts

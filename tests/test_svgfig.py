@@ -6,7 +6,8 @@ import pytest
 
 from cid import svgfig, sweep
 from cid.decisions import ELECTION_DECISIONS
-from cid.imputation import ImputationConfig, accordion_mechanism
+from cid.imputation import (ImputationConfig, accordion_mechanism,
+                            mar_mechanism)
 from cid.metrics import CostParams
 from cid.svgfig import (MAX_SNAPSHOTS, render_election_figure,
                         render_lead_figure)
@@ -329,3 +330,33 @@ class TestPixelColumns:
             -2 - curve.step, 4 + curve.step, 0.0, 1.05)
         self.assert_keeps_column_extremes(curve, root, top,
                                           texts(top.px(curve.t)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestKnobAxisRange:
+    """The knob axis runs one grid step past each end of the curve, and its
+    width must be a float."""
+
+    def test_lead_curve_beyond_the_float_range_rejected(self,
+                                                        lead_population):
+        grid = KnobGrid(-1.7e308, 1.7e308, 1e307)
+        curve = sweep_lead(lead_population, mar_mechanism(), grid,
+                           ImputationConfig(m=1), CostParams(a=1, b=1), [17])
+        assert len(curve.t) == 35
+        with pytest.raises(ValueError, match=r"^knob axis \[-inf, inf\], one "
+                                             r"grid step past each end of "
+                                             r"the curve, is wider than the "
+                                             r"float range$"):
+            render_lead_figure(curve, "")
+
+    def test_election_curve_beyond_the_float_range_rejected(self,
+                                                            election_curve):
+        # t from -1.7e308 to 1.7e308: finite, but the axis is twice as wide
+        wide = replace(election_curve, t=election_curve.t * (1.7e308 / 4))
+        with pytest.raises(ValueError, match="wider than the float range"):
+            render_election_figure(wide, "")
+
+    def test_curve_within_the_float_range_renders(self, election_curve):
+        wide = replace(election_curve, t=election_curve.t * 1e307)
+        svg = render_election_figure(wide, "")
+        assert b"nan" not in svg and b"inf" not in svg
