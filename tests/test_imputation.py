@@ -408,17 +408,25 @@ class TestImputeThetaGrid:
 
 
 class TestCoupling:
-    def test_quantile_binomial_equals_scipy(self):
+    # the values are inverted in calls of `chunk` values each: 512 (a short
+    # call, the size once tabulated) or 20,000 (one call for most inputs);
+    # how the values are split never changes a quantile
+    @pytest.mark.parametrize("chunk", [512, 20_000], ids=["table", "loop"])
+    def test_quantile_binomial_equals_scipy(self, chunk):
+        def quantiles(n, r, u):
+            return np.concatenate([
+                _quantile_binomial(n[i:i + chunk], r[i:i + chunk],
+                                   u[i:i + chunk])
+                for i in range(0, len(r), chunk)])
+
         rng = np.random.default_rng(0)
         u = rng.random(64 * 5 * 20)
         n = np.repeat(np.arange(64), 5 * 20)
         r = np.tile(np.repeat([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], 20), 64)
-        assert np.array_equal(_quantile_binomial(n, r, u),
-                              stats.binom.ppf(u, n, r))
+        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
         n, r, u = rng.integers(0, CELL, 20_000), rng.random(20_000), \
             rng.random(20_000)
-        assert np.array_equal(_quantile_binomial(n, r, u),
-                              stats.binom.ppf(u, n, r))
+        assert np.array_equal(quantiles(n, r, u), stats.binom.ppf(u, n, r))
 
     def test_quantile_binomial_across_the_compaction(self):
         # quantiles from 0 to 63 stop counting after 0 to 42 passes of the
