@@ -3,14 +3,10 @@ or lead pipeline, and write the curve CSV and figure SVG."""
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's gettext imports locale the first time main builds a parser;
-# importing it here keeps that cost in import time rather than in the run.
-import locale  # noqa: F401
 import os
+import re
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -303,18 +299,21 @@ def _write_atomic(path: Path, blocks) -> None:
     failures, one raised while the blocks are produced included, never leave
     partial output.
 
-    The file gets the mode a plain open() would give a new file: 0o666
-    less the process umask, where the temp file alone would be 0o600.
+    The temp file, a random dot-name beside path, is created with mode
+    0o666, so the kernel applies the process umask as a plain open() would.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             for block in blocks:
                 fh.write(block)
-            umask = os.umask(0o022)  # the only way to read it is to set it
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -420,7 +419,7 @@ def run(config: AnalysisConfig) -> int:
     return 0
 
 
-def _cmd_mechanisms(_args) -> int:
+def _cmd_mechanisms() -> int:
     for name in sorted(BUILTIN_MECHANISMS):
         mech = BUILTIN_MECHANISMS[name]()
         weights = ", ".join(f"{w:g}" for w in mech.weights)
@@ -428,36 +427,154 @@ def _cmd_mechanisms(_args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config, seed=args.seed, grid_step=args.grid_step)
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
+def _cmd_run(config: str, seed: Optional[int] = None,
+             out_dir: Optional[str] = None,
+             grid_step: Optional[float] = None) -> int:
+    config = load_config(config, seed=seed, grid_step=grid_step)
+    if out_dir is not None:
+        out = Path(out_dir)
         config = replace(config, csv_path=out / config.csv_path.name,
                          svg_path=out / config.svg_path.name)
     return run(config)
 
 
+USAGE = ("usage: cid run CONFIG [--seed N] [--out-dir DIR] [--grid-step S]\n"
+         "       cid mechanisms\n")
+HELP = ("-h", "--help")
+# Each command's options, with the conversion of each option's value.
+COMMANDS = {"run": {"--seed": int, "--out-dir": str, "--grid-step": float},
+            "mechanisms": {}}
+
+
+class UsageError(Exception):
+    """A command line the usage does not allow."""
+
+
+def _option(arg: str, names: tuple):
+    """How an argument other than `--` reads among the option names: None
+    for a positional or an option's value, else (name, the value joined to
+    it or None), where name is None for an unknown option.
+
+    A long option may be a unique prefix of its name and joins its value
+    with `=`; a short one joins it directly. An argument that names no
+    option and looks like a negative number, or holds a space, is a
+    positional.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    if arg[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {arg} could match "
+                             f"{', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif arg[:2] in names:
+        return arg[:2], arg[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _asks_help(name: str, value: Optional[str]) -> bool:
+    """Whether an option asks for help: a help option with no value, or -h
+    joined to more h's (one -h each); any other value joined to a help
+    option is a UsageError."""
+    if name not in HELP:
+        return False
+    if value is None or (name == "-h" and value and not value.strip("h")):
+        return True
+    raise UsageError(f"argument -h/--help: ignored explicit argument "
+                     f"{value!r}")
+
+
+def read_argv(argv: list):
+    """The command and its keyword arguments, read from the command line as
+    the usage says, or None when it asks for help. Anything else is a
+    UsageError.
+
+    Options may come before or after CONFIG, a later value of an option
+    replaces an earlier one, and the arguments after a lone `--` are
+    positionals (a `--` right after CONFIG is dropped). Arguments are read
+    in order: a help option wins over an unknown option or a surplus
+    positional before it, but not over an option without a valid value.
+    """
+    extra = []
+    for i, arg in enumerate(argv):  # the options before the command
+        kind = None if arg == "--" else _option(arg, HELP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            extra.append(arg)
+        elif _asks_help(*kind):
+            return None
+    else:
+        raise UsageError("the following arguments are required: command")
+    command, args = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command {command!r} (choose from "
+                         f"{', '.join(map(repr, COMMANDS))})")
+    options = COMMANDS[command]
+    end = args.index("--") if "--" in args else len(args)
+    kinds = [_option(arg, HELP + tuple(options)) for arg in args[:end]]
+    values = {}
+    i = 0
+    while i < len(args):
+        arg, kind = args[i], kinds[i] if i < end else None
+        i += 1
+        if kind is None:
+            if command != "run" or "config" in values:
+                extra.append(arg)
+            elif i <= end:
+                values["config"] = arg
+                i += i == end  # a `--` right after CONFIG
+            elif i < len(args):  # CONFIG after `--`
+                values["config"] = args[i]
+                i += 1
+            else:
+                extra.append(arg)
+            continue
+        name, value = kind
+        if name is None:
+            extra.append(arg)
+        elif _asks_help(name, value):
+            return None
+        else:
+            if value is None and i < end and kinds[i] is None:
+                value = args[i]
+                i += 1
+            if value is None or value == "--":
+                raise UsageError(f"argument {name}: expected one argument")
+            convert = options[name]
+            try:
+                values[name[2:].replace("-", "_")] = convert(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid {convert.__name__}"
+                                 f" value: {value!r}") from None
+    if command == "run" and "config" not in values:
+        raise UsageError("the following arguments are required: CONFIG")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return command, values
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cid",
-        description="Confidence-in-decision sensitivity analysis toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an analysis config")
-    p_run.add_argument("config", help="path to a JSON analysis config")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--grid-step", type=float, default=None)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_mech = sub.add_parser("mechanisms",
-                            help="list built-in MNAR mechanism weight vectors")
-    p_mech.set_defaults(func=_cmd_mechanisms)
-
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        command = read_argv(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as err:
+        sys.stderr.write(f"{USAGE}cid: error: {err}\n")
+        return 2
+    if command is None:
+        sys.stdout.write(USAGE)
+        return 0
+    name, kwargs = command
+    try:
+        return (_cmd_run if name == "run" else _cmd_mechanisms)(**kwargs)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

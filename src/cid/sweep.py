@@ -237,13 +237,15 @@ def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
     by its probabilities.
 
     Each support point snaps to the nearest grid point; points farther than
-    half a grid step from the grid are rejected (CidCurve.index_on_grid).
+    half a grid step from the grid are rejected (CidCurve.index_on_grid,
+    with the grid step computed once).
     """
     # scaling each weight first keeps w * cid finite near the float maximum
     scale = np.sum(dist.weights)
+    spacing = grid_spacing(curve.t)
     total = 0.0
     for t, w in zip(dist.support, dist.weights):
-        total += w / scale * curve.cid[curve.index_on_grid(t)]
+        total += w / scale * curve.cid[row_on_grid(curve.t, t, spacing)]
     return float(total)
 
 

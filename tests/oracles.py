@@ -1,11 +1,15 @@
-"""Independent scalar forms of the decision, metric and imputation rules.
+"""Independent scalar forms of the decision, metric and imputation rules,
+and the argparse reading of the command line.
 
 The library implements each rule once, over arrays; these are per-value
 forms written with Python comparisons, branches and loops, kept here as
 the oracle the array forms are tested against.
 """
 
+import argparse
 import bisect
+import contextlib
+import io
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -175,3 +179,27 @@ def impute_one_point(pop, mech, t: float, cfg, cell: int = 64) -> tuple:
     freq = freq_sum / cfg.m
     return (min(theta_sum / cfg.m, pop.worst_case_theta),
             freq / freq.sum())
+
+
+def argparse_command_line(argv: list):
+    """How an argparse parser for the CLI's usage reads argv: "help",
+    "error", or (command, keyword arguments) as cid.cli.read_argv returns
+    them. The oracle of read_argv, which keeps argparse's reading without
+    building a parser in every run."""
+    parser = argparse.ArgumentParser(prog="cid")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run")
+    p_run.add_argument("config")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--out-dir")
+    p_run.add_argument("--grid-step", type=float)
+    sub.add_parser("mechanisms")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = vars(parser.parse_args(argv))
+    except SystemExit as exit_:
+        return "help" if exit_.code == 0 else "error"
+    command = args.pop("command")
+    return command, {key: value for key, value in args.items()
+                     if value is not None}

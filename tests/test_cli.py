@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cid import imputation, sweep
-from cid.cli import (FIELD_PATHS, ConfigError, _write_atomic, load_config,
-                     main, parse_config)
+from cid.cli import (FIELD_PATHS, USAGE, ConfigError, UsageError,
+                     _write_atomic, load_config, main, parse_config, read_argv)
 from cid.errors import InputError
 from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
 from cid.metrics import CostParams
@@ -235,6 +237,18 @@ class TestRun:
             os.umask(old)
         for name in ("curve.csv", "figure.svg"):
             assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode
+
+    def test_outputs_written_without_touching_the_umask(
+            self, tmp_path, election_doc, monkeypatch):
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        path = write_config(tmp_path, election_doc)
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["curve.csv", "figure.svg"]
 
     @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
     def test_failing_block_stream_leaves_no_file(self, tmp_path, existing):
@@ -765,6 +779,149 @@ def test_mechanisms_listing(capsys):
     out = capsys.readouterr().out
     assert "accordion: (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)" in out
     assert "parametric" in out
+
+
+class TestCommandLine:
+    """The command line is read as `cid run CONFIG [--seed N] [--out-dir
+    DIR] [--grid-step S]` or `cid mechanisms`; argparse's reading of it is
+    the oracle."""
+
+    LONG_FORM = ["run", "{config}", "--seed", "555", "--out-dir", "{out}",
+                 "--grid-step", "0.05"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "{config}", "--seed=555", "--out-dir={out}",
+                      "--grid-step=0.05"], id="equals"),
+        pytest.param(["run", "--seed", "555", "--out-dir", "{out}",
+                      "--grid-step", "0.05", "{config}"], id="options-first"),
+        pytest.param(["run", "--seed", "555", "{config}", "--grid", "0.05",
+                      "--out-dir", "{out}"], id="grid-prefix"),
+        pytest.param(["run", "{config}", "--se=555", "--o", "{out}",
+                      "--g=0.05"], id="prefixes-with-equals"),
+        pytest.param(["run", "{config}", "--seed", "7", "--out-dir", "{out}",
+                      "--grid-step", "0.05", "--seed", "555"],
+                     id="repeated-seed"),
+        pytest.param(["run", "--seed", "555", "--out-dir", "{out}",
+                      "--grid-step", "0.05", "--", "{config}"],
+                     id="config-after-dashes"),
+        pytest.param(["run", "--seed", "555", "--out-dir", "{out}",
+                      "--grid-step", "0.05", "{config}", "--"],
+                     id="dashes-after-config"),
+    ])
+    def test_accepted_forms_match_the_long_form(self, tmp_path, lead_doc,
+                                                capsys, argv):
+        config = write_config(tmp_path, lead_doc)
+        outputs = []
+        for form, out in ((self.LONG_FORM, "long"), (argv, "form")):
+            line = [a.format(config=config, out=tmp_path / out) for a in form]
+            assert main(line) == 0
+            outputs.append([capsys.readouterr().out] + [
+                (tmp_path / out / name).read_bytes()
+                for name in ("curve.csv", "figure.svg")])
+        assert outputs[0] == outputs[1]
+        # the seed took effect
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "seed"),
+                     "--grid-step", "0.05"]) == 0
+        assert (tmp_path / "seed" / "curve.csv").read_bytes() != outputs[0][1]
+
+    @pytest.mark.parametrize("argv, reason", [
+        pytest.param([], "required: command", id="no-command"),
+        pytest.param(["bogus"], "invalid command 'bogus'", id="unknown-command"),
+        pytest.param(["--", "run", "{config}"], "invalid command '--'",
+                     id="dashes-before-command"),
+        pytest.param(["run"], "required: CONFIG", id="no-config"),
+        pytest.param(["run", "--seed", "5"], "required: CONFIG",
+                     id="options-without-config"),
+        pytest.param(["run", "{config}", "second.json"],
+                     "unrecognized arguments: second.json",
+                     id="second-positional"),
+        pytest.param(["run", "{config}", "--bogus"],
+                     "unrecognized arguments: --bogus", id="unknown-option"),
+        pytest.param(["run", "{config}", "-s", "5"], "unrecognized arguments",
+                     id="short-option"),
+        pytest.param(["run", "{config}", "--seed"],
+                     "--seed: expected one argument", id="missing-value"),
+        pytest.param(["run", "{config}", "--seed", "--grid-step", "0.1"],
+                     "--seed: expected one argument", id="option-as-value"),
+        # a number in exponent form reads as an option; `=` passes it
+        pytest.param(["run", "{config}", "--grid-step", "-1e-3"],
+                     "--grid-step: expected one argument",
+                     id="exponent-as-value"),
+        pytest.param(["run", "{config}", "--seed=--"],
+                     "--seed: expected one argument", id="dashes-as-value"),
+        pytest.param(["run", "{config}", "--seed", "x"],
+                     "--seed: invalid int value: 'x'", id="non-numeric-seed"),
+        pytest.param(["run", "{config}", "--seed", "1.5"],
+                     "--seed: invalid int value: '1.5'", id="float-seed"),
+        pytest.param(["run", "{config}", "--grid-step", "fine"],
+                     "--grid-step: invalid float value: 'fine'",
+                     id="non-numeric-step"),
+        pytest.param(["run", "{config}", "--=1"], "ambiguous option",
+                     id="ambiguous-prefix"),
+        pytest.param(["run", "{config}", "--help=yes"],
+                     "ignored explicit argument 'yes'", id="help-with-value"),
+        pytest.param(["mechanisms", "x"], "unrecognized arguments: x",
+                     id="mechanisms-with-argument"),
+        pytest.param(["mechanisms", "--seed", "1"],
+                     "unrecognized arguments: --seed 1",
+                     id="mechanisms-with-option"),
+    ])
+    def test_rejected_forms_exit_2_before_writing(self, tmp_path, lead_doc,
+                                                  capsys, argv, reason):
+        config = write_config(tmp_path, lead_doc)
+        if argv[:1] == ["run"]:  # an output directory that must not appear
+            argv = ["run", "--out-dir", "{out}"] + argv[1:]
+        line = [a.format(config=config, out=tmp_path / "out") for a in argv]
+        assert main(line) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(USAGE + "cid: error: ")
+        assert reason in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["config.json", "lead_counts.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["run", "-h"], ["run", "{config}", "--help"],
+        ["run", "{config}", "--bogus", "-h"], ["mechanisms", "-h"],
+    ], ids=" ".join)
+    def test_help_prints_the_usage(self, tmp_path, lead_doc, capsys, argv):
+        config = write_config(tmp_path, lead_doc)
+        assert main([a.format(config=config) for a in argv]) == 0
+        assert capsys.readouterr() == (USAGE, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["config.json", "lead_counts.csv"]
+
+    # arguments whose readings differ: commands, positionals, options and
+    # their prefixes, values joined by `=`, negative numbers, `--`
+    TOKENS = ("run", "mechanisms", "a.json", "b", "", "-", "--", "-h", "-hh",
+              "-hx", "-h=", "--help", "--he", "--help=x", "--seed", "--se",
+              "--seed=5", "--s=", "5", "-1", "-.5", "-5.", "-1e-3", "1e-3",
+              "inf", " 7", "x", "--out-dir", "--o", "--out-dir=", "--out=-d",
+              "--grid-step", "--g", "--grid-step=-2", "--bogus", "--bogus=1",
+              "-x", "-x y", "--=x", "---", "-\u0663", "-1\n", "--seeds")
+
+    # argparse's reading of edge cases (`--`, options joined to values)
+    # changed after Python 3.11, whose reading the CLI keeps
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the oracle is argparse as of Python 3.11")
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(([], ["run"], ["run"], ["mechanisms"])),
+           st.lists(st.sampled_from(TOKENS), max_size=6))
+    def test_read_as_argparse_read_it(self, command, args):
+        argv = command + args
+        expected = oracles.argparse_command_line(argv)
+        try:
+            got = read_argv(argv)
+        except UsageError:
+            got = "error"
+        assert (got or "help") == expected
+
+    def test_import_leaves_out_argparse(self):
+        code = ("import sys, cid.cli; print(sorted({'argparse', 'gettext', "
+                "'locale'} & set(sys.modules)))")
+        result = run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 BUNDLED_CONFIGS = ("election.json", "lead_accordion.json",

@@ -418,6 +418,30 @@ class TestExpectedCid:
             0.25 * cid[election_curve.index_on_grid(0.0)] + \
             0.75 * cid[election_curve.index_on_grid(1.0)]
 
+    def test_grid_step_computed_once(self, election_curve, monkeypatch):
+        rng = np.random.default_rng(7)
+        ts = election_curve.t
+        support = ts[rng.integers(0, len(ts), 200)] + rng.uniform(
+            -0.4, 0.4, 200) * sweep.grid_spacing(ts)
+        dist = KnobDistribution(tuple(support.tolist()),
+                                tuple(rng.uniform(0.1, 2.0, 200).tolist()))
+        # the sum as expected_cid formed it with one lookup per support point
+        scale = np.sum(dist.weights)
+        before = 0.0
+        for t, w in zip(dist.support, dist.weights):
+            before += w / scale * election_curve.cid[
+                election_curve.index_on_grid(t)]
+        calls = []
+
+        def grid_spacing(values):
+            calls.append(len(values))
+            return spacing(values)
+
+        spacing = sweep.grid_spacing
+        monkeypatch.setattr(sweep, "grid_spacing", grid_spacing)
+        assert expected_cid(election_curve, dist) == float(before)
+        assert calls == [len(ts)]
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             KnobDistribution(support=(0.0,), weights=(-1.0,))
