@@ -3,13 +3,14 @@ or lead pipeline, and write the curve CSV and figure SVG."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from . import textcols
 from .errors import InputError
@@ -22,9 +23,6 @@ from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
                     row_on_grid, sweep_election, sweep_lead)
 from .svgfig import MAX_SNAPSHOTS, render_election_figure, render_lead_figure
 
-DEFAULT_SEED = 20240101
-DEFAULT_STEP = {"election": 0.02, "lead": 0.05}
-DEFAULT_RANGE = {"election": (-4.0, 4.0), "lead": (-2.0, 4.0)}
 # Largest knob grid a config may ask for: 60,000 points is a fine lead grid
 # (step 1e-4), while a step of 1e-9 would need 8e9 points (60 GiB per column).
 MAX_GRID_POINTS = 1_000_000
@@ -35,74 +33,12 @@ MAX_M = 1_000
 # Most rows of the CSV formatted and written at a time: enough to amortise
 # the formatter's per-call cost; rows of up to 64 bytes fit in BLOCK_BYTES.
 CSV_BLOCK_ROWS = 1024
-
-# Known fields of each config object; the document's top level also holds
-# the block named by its mode.
-TOP_FIELDS = ("mode", "dataset", "grid", "outputs", "seed")
-GRID_FIELDS = ("t_min", "t_max", "step", "t0")
-OUTPUT_FIELDS = ("csv", "svg")
-ELECTION_FIELDS = ("x0", "level", "interval_kind", "plausible_region")
-LEAD_FIELDS = ("n_total", "mechanism", "m", "threshold", "a", "b",
-               "snapshot_ts", "knob_distribution")
-KNOB_DISTRIBUTION_FIELDS = ("support", "weights")
-# Config path of each field a library InputError names.
-FIELD_PATHS = {"a": "lead.a", "b": "lead.b", "n_total": "lead.n_total",
-               "step": "grid.step", "threshold": "lead.threshold",
-               "weights": "lead.mechanism", "level": "election.level",
-               "interval_kind": "election.interval_kind"}
+# The analysis modes; the document holds one block of fields named by its mode.
+MODES = ("election", "lead")
 
 
 class ConfigError(Exception):
     """Invalid or incomplete analysis configuration."""
-
-
-@dataclass(frozen=True)
-class ElectionSettings:
-    x0: float
-    level: float
-    interval_kind: str
-    plausible_region: Optional[PlausibleRegion]
-
-
-@dataclass(frozen=True)
-class LeadSettings:
-    n_total: int
-    mechanism: MnarMechanism
-    m: int
-    costs: CostParams
-    snapshot_ts: tuple
-    knob_distribution: Optional[KnobDistribution]
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    mode: str
-    dataset_path: Path
-    grid: KnobGrid
-    seed: int
-    csv_path: Path
-    svg_path: Path
-    election: Optional[ElectionSettings]
-    lead: Optional[LeadSettings]
-
-
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"missing required field: {path}{key}")
-    return doc[key]
-
-
-def _fields(value, path: str, known: tuple) -> dict:
-    """value as a config object whose keys are all in known; path is the
-    object's field prefix ("" for the document, "grid." for its grid)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path.rstrip('.') or 'config'}: must be an object, "
-                          f"got {value!r}")
-    for key in value:
-        if key not in known:
-            raise ConfigError(f"{path}{key}: unknown field "
-                              f"(known: {', '.join(known)})")
-    return value
 
 
 def _finite(value, path: str) -> float:
@@ -120,9 +56,24 @@ def _finite_list(value, path: str) -> tuple:
     return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _pair(value, path: str) -> tuple:
+    pair = _finite_list(value, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: must be a [lower, upper] pair, got "
+                          f"{value!r}")
+    return pair
+
+
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: must be a string, got {value!r}")
+    return value
+
+
+def _mode(value, path: str) -> str:
+    if value not in MODES:
+        raise ConfigError(f"{path}: must be 'election' or 'lead', got "
+                          f"{value!r}")
     return value
 
 
@@ -134,6 +85,120 @@ def _integer(value, path: str) -> int:
     if number != int(number):
         raise ConfigError(f"{path}: must be an integer, got {value!r}")
     return int(number)
+
+
+def _mechanism(value, path: str) -> MnarMechanism:
+    if isinstance(value, str):
+        factory = BUILTIN_MECHANISMS.get(value)
+        if factory is None:
+            known = ", ".join(sorted(BUILTIN_MECHANISMS))
+            raise ConfigError(
+                f"{path}: unknown mechanism name {value!r} (known: {known})"
+            )
+        return factory()
+    if isinstance(value, list):
+        return MnarMechanism(weights=_finite_list(value, path))
+    raise ConfigError(f"{path}: mechanism must be a name or a weight vector")
+
+
+# The default of a field that has none: the field must be given.
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """How one config path is read: convert(value, path) checks and converts
+    a JSON value; default is what an absent field reads as (REQUIRED: none;
+    a dict: one per mode); library_field is the InputError field whose
+    library check the path answers for."""
+
+    convert: Callable
+    default: object = None
+    library_field: Optional[str] = None
+
+
+# Every config path, in the order of each object's `known:` list. A dotted
+# path is a field of the object its prefix names.
+FIELDS = {
+    "mode": Field(_mode, REQUIRED),
+    "dataset": Field(_string, REQUIRED),
+    "grid.t_min": Field(_finite, {"election": -4.0, "lead": -2.0}),
+    "grid.t_max": Field(_finite, 4.0),
+    "grid.step": Field(_finite, {"election": 0.02, "lead": 0.05}, "step"),
+    "grid.t0": Field(_finite, 0.0),
+    "outputs.csv": Field(_string, {mode: f"{mode}_curve.csv"
+                                   for mode in MODES}),
+    "outputs.svg": Field(_string, {mode: f"{mode}_figure.svg"
+                                   for mode in MODES}),
+    "seed": Field(_integer, 20240101),
+    "election.x0": Field(_finite, REQUIRED),
+    "election.level": Field(_finite, 0.95, "level"),
+    "election.interval_kind": Field(_string, MEAN_RESPONSE, "interval_kind"),
+    "election.plausible_region": Field(_pair),
+    "lead.n_total": Field(_integer, REQUIRED, "n_total"),
+    "lead.mechanism": Field(_mechanism, REQUIRED, "weights"),
+    "lead.m": Field(_integer, 5),
+    "lead.threshold": Field(_finite, 0.20, "threshold"),
+    "lead.a": Field(_finite, 1.0, "a"),
+    "lead.b": Field(_finite, 1.0, "b"),
+    "lead.snapshot_ts": Field(_finite_list, ()),
+    "lead.knob_distribution.support": Field(_finite_list, REQUIRED),
+    "lead.knob_distribution.weights": Field(_finite_list, REQUIRED),
+}
+# Config path of each field a library InputError names.
+FIELD_PATHS = {f.library_field: path for path, f in FIELDS.items()
+               if f.library_field}
+
+
+@functools.cache
+def _members(prefix: str) -> tuple:
+    """The names of the fields and objects of the config object at prefix,
+    in table order."""
+    return tuple(dict.fromkeys(path[len(prefix):].split(".")[0]
+                               for path in FIELDS if path.startswith(prefix)))
+
+
+def _read(value, prefix: str = "", mode: Optional[str] = None):
+    """The config object at prefix ("" for the document, "grid." for its
+    grid), read against FIELDS into a namespace of its fields' values.
+
+    Each key must name a field or object under prefix. A present field is
+    converted, an absent one takes its default; a per-mode default is that
+    of mode, which the document's first field sets. A present object is
+    read in turn; an absent one reads as {} when none of its fields is
+    required, else as None. The block the mode names is required, and the
+    other mode's block is an error.
+    """
+    names = _members(prefix)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: must be an "
+                          f"object, got {value!r}")
+    for key in value:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key}: unknown field "
+                              f"(known: {', '.join(names)})")
+    out = SimpleNamespace()
+    for name in names:
+        path = prefix + name
+        field = FIELDS.get(path)
+        if name in value:
+            if name in MODES and name != mode:
+                raise ConfigError(f"{name}: block is not used in {mode} mode")
+            got = (_read(value[name], path + ".", mode) if field is None
+                   else field.convert(value[name], path))
+        elif name == mode or field is not None and field.default is REQUIRED:
+            raise ConfigError(f"missing required field: {path}")
+        elif field is not None:
+            got = (field.default[mode] if isinstance(field.default, dict)
+                   else field.default)
+        elif any(FIELDS[p].default is REQUIRED for p in FIELDS
+                 if p.startswith(path + ".")):
+            got = None
+        else:
+            got = _read({}, path + ".", mode)
+        setattr(out, name, got)
+        if path == "mode":
+            mode = got
+    return out
 
 
 def _checked(path: Optional[str], build):
@@ -149,130 +214,60 @@ def _checked(path: Optional[str], build):
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _parse_mechanism(value, path: str) -> MnarMechanism:
-    if isinstance(value, str):
-        factory = BUILTIN_MECHANISMS.get(value)
-        if factory is None:
-            known = ", ".join(sorted(BUILTIN_MECHANISMS))
-            raise ConfigError(
-                f"{path}: unknown mechanism name {value!r} (known: {known})"
-            )
-        return factory()
-    if isinstance(value, list):
-        return MnarMechanism(weights=_finite_list(value, path))
-    raise ConfigError(f"{path}: mechanism must be a name or a weight vector")
+def parse_config(doc: dict, base_dir: Path = Path(".")) -> SimpleNamespace:
+    """Validate a config document, fill defaults and build its objects.
 
-
-def _parse_election(block: dict) -> ElectionSettings:
-    region = None
-    if "plausible_region" in block:
-        bounds = _finite_list(block["plausible_region"],
-                              "election.plausible_region")
-        if len(bounds) != 2:
-            raise ConfigError("election.plausible_region: must be a "
-                              f"[lower, upper] pair, got "
-                              f"{block['plausible_region']!r}")
-        region = _checked("election.plausible_region",
-                          lambda: PlausibleRegion(*bounds))
-    return ElectionSettings(
-        x0=_finite(_require(block, "x0", "election."), "election.x0"),
-        level=_finite(block.get("level", 0.95), "election.level"),
-        interval_kind=_string(block.get("interval_kind", MEAN_RESPONSE),
-                              "election.interval_kind"),
-        plausible_region=region,
-    )
-
-
-def _parse_lead(block: dict) -> LeadSettings:
-    dist = None
-    if "knob_distribution" in block:
-        path = "lead.knob_distribution."
-        d = _fields(block["knob_distribution"], path, KNOB_DISTRIBUTION_FIELDS)
-        support = _finite_list(_require(d, "support", path), path + "support")
-        weights = _finite_list(_require(d, "weights", path), path + "weights")
-        dist = _checked(path + "weights",
-                        lambda: KnobDistribution(support, weights))
-    costs = {key: _finite(block.get(key, default), f"lead.{key}")
-             for key, default in (("a", 1.0), ("b", 1.0), ("threshold", 0.20))}
-    n_total = _integer(_require(block, "n_total", "lead."), "lead.n_total")
-    m = _integer(block.get("m", 5), "lead.m")
-    if not 1 <= m <= MAX_M:
-        raise ConfigError(f"lead.m: must be in [1, {MAX_M:,}], got {m}")
-    params = _checked(None, lambda: CostParams(**costs))
-    snapshot_ts = _finite_list(block.get("snapshot_ts", []),
-                               "lead.snapshot_ts")
-    if len(snapshot_ts) > MAX_SNAPSHOTS:
-        raise ConfigError(f"lead.snapshot_ts: {len(snapshot_ts)} snapshots "
-                          f"do not fit the figure (at most {MAX_SNAPSHOTS})")
-    return LeadSettings(
-        n_total=n_total,
-        mechanism=_parse_mechanism(_require(block, "mechanism", "lead."),
-                                   "lead.mechanism"),
-        m=m,
-        costs=params,
-        snapshot_ts=snapshot_ts,
-        knob_distribution=dist,
-    )
-
-
-def parse_config(doc: dict, base_dir: Path = Path(".")) -> AnalysisConfig:
-    """Validate a config document and fill defaults.
-
-    Every field's type is checked here, and every range the library does
-    not check itself; the library's checks (of lead.n_total against the
-    dataset's counts, election.level and others) report their config paths
-    through FIELD_PATHS when the config runs. Unknown fields at any level
-    are rejected. Relative paths are resolved against base_dir (the config
-    file's directory).
+    The result is _read's namespace, in which grid,
+    election.plausible_region and lead.knob_distribution are the library
+    objects, lead.costs is built from lead.a, lead.b and lead.threshold,
+    and dataset, outputs.csv and outputs.svg are paths resolved against
+    base_dir (the config file's directory). Here the ranges the library
+    does not check itself are checked; the library's checks (of
+    lead.n_total against the dataset's counts, election.level and others)
+    report their config paths through FIELD_PATHS when the config runs.
     """
-    _fields(doc, "", TOP_FIELDS + ("election", "lead"))
-    mode = _require(doc, "mode", "")
-    if mode not in ("election", "lead"):
-        raise ConfigError(f"mode: must be 'election' or 'lead', got {mode!r}")
-    other = "lead" if mode == "election" else "election"
-    if other in doc:
-        raise ConfigError(f"{other}: block is not used in {mode} mode")
-    dataset = base_dir / _string(_require(doc, "dataset", ""), "dataset")
-
-    grid_doc = _fields(doc.get("grid", {}), "grid.", GRID_FIELDS)
-    defaults = dict(zip(("t_min", "t_max"), DEFAULT_RANGE[mode]),
-                    step=DEFAULT_STEP[mode], t0=0.0)
-    grid_values = {key: _finite(grid_doc.get(key, default), f"grid.{key}")
-                   for key, default in defaults.items()}
-    grid = _checked("grid", lambda: KnobGrid(**grid_values))
+    c = _read(doc)
+    values = vars(c.grid)
+    grid = c.grid = _checked("grid", lambda: KnobGrid(**values))
     if grid.n_points() > MAX_GRID_POINTS:
         raise ConfigError(f"grid.step: {grid.step} implies "
                           f"{grid.n_points():.0f} grid points "
                           f"(at most {MAX_GRID_POINTS:,})")
     # the figures' knob axis runs one step past each end of the grid, and
     # its width, at most 4 times the largest of these, must be a float
-    key = max(("t_min", "t_max", "step"), key=lambda k: abs(grid_values[k]))
-    if abs(grid_values[key]) > sys.float_info.max / 4:
-        raise ConfigError(f"grid.{key}: {grid_values[key]:g} is beyond +-"
+    key = max(("t_min", "t_max", "step"), key=lambda k: abs(values[k]))
+    if abs(values[key]) > sys.float_info.max / 4:
+        raise ConfigError(f"grid.{key}: {values[key]:g} is beyond +-"
                           f"{sys.float_info.max / 4:.4g}, too wide for a figure")
+    if c.seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {c.seed}")
 
-    outputs = _fields(doc.get("outputs", {}), "outputs.", OUTPUT_FIELDS)
-    csv_path = base_dir / _string(outputs.get("csv", f"{mode}_curve.csv"),
-                                  "outputs.csv")
-    svg_path = base_dir / _string(outputs.get("svg", f"{mode}_figure.svg"),
-                                  "outputs.svg")
-    seed = _integer(doc.get("seed", DEFAULT_SEED), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {seed}")
-
-    election = lead = None
-    if mode == "election":
-        election = _parse_election(
-            _fields(_require(doc, "election", ""), "election.", ELECTION_FIELDS))
-    else:
-        lead = _parse_lead(_fields(_require(doc, "lead", ""), "lead.", LEAD_FIELDS))
-    return AnalysisConfig(mode=mode, dataset_path=dataset, grid=grid,
-                          seed=seed, csv_path=csv_path, svg_path=svg_path,
-                          election=election, lead=lead)
+    if c.election is not None and c.election.plausible_region is not None:
+        c.election.plausible_region = _checked(
+            "election.plausible_region",
+            lambda: PlausibleRegion(*c.election.plausible_region))
+    s = c.lead
+    if s is not None:
+        if s.knob_distribution is not None:
+            s.knob_distribution = _checked(
+                "lead.knob_distribution.weights",
+                lambda: KnobDistribution(**vars(s.knob_distribution)))
+        if not 1 <= s.m <= MAX_M:
+            raise ConfigError(f"lead.m: must be in [1, {MAX_M:,}], got {s.m}")
+        s.costs = _checked(None, lambda: CostParams(a=s.a, b=s.b,
+                                                    threshold=s.threshold))
+        if len(s.snapshot_ts) > MAX_SNAPSHOTS:
+            raise ConfigError(f"lead.snapshot_ts: {len(s.snapshot_ts)} "
+                              f"snapshots do not fit the figure (at most "
+                              f"{MAX_SNAPSHOTS})")
+    c.dataset = base_dir / c.dataset
+    c.outputs.csv = base_dir / c.outputs.csv
+    c.outputs.svg = base_dir / c.outputs.svg
+    return c
 
 
 def load_config(path, seed: Optional[int] = None,
-                grid_step: Optional[float] = None) -> AnalysisConfig:
+                grid_step: Optional[float] = None) -> SimpleNamespace:
     """Read and validate a JSON config file.
 
     seed and grid_step, when given, replace the file's `seed` and
@@ -336,11 +331,6 @@ def _csv_blocks(curve: CidCurve):
         block_rows=CSV_BLOCK_ROWS)
 
 
-def curve_to_csv(curve: CidCurve) -> bytes:
-    """The CSV of a curve as one bytes object: the joined `_csv_blocks`."""
-    return b"".join(_csv_blocks(curve))
-
-
 def _step_decimals(step: float) -> int:
     """Fewest decimals, at least 2, that write the grid step exactly."""
     decimals = 2
@@ -359,11 +349,11 @@ def _verdict(curve: CidCurve) -> list:
     return [curve.reference_decision.value, f"change points ≈ {brackets}"]
 
 
-def _election(config: AnalysisConfig) -> tuple:
+def _election(config: SimpleNamespace) -> tuple:
     """The election study's (curve, svg, verdict parts)."""
     s = config.election
     fit = _checked("dataset", lambda: fit_simple_ols(
-        ElectionDataset.from_csv(config.dataset_path)))
+        ElectionDataset.from_csv(config.dataset)))
     curve = _checked("election.x0", lambda: sweep_election(
         fit, s.x0, config.grid, level=s.level, kind=s.interval_kind))
     parts = []
@@ -376,17 +366,17 @@ def _election(config: AnalysisConfig) -> tuple:
     return curve, svg, parts
 
 
-def _lead(config: AnalysisConfig) -> tuple:
+def _lead(config: SimpleNamespace) -> tuple:
     """The lead study's (curve, svg, verdict parts)."""
     s = config.lead
-    counts = _checked("dataset", lambda: read_level_counts(config.dataset_path))
+    counts = _checked("dataset", lambda: read_level_counts(config.dataset))
     pop = _checked("dataset", lambda: LeadPopulation(counts, n_total=s.n_total))
     mech = s.mechanism
     if mech.name == "mar":  # no tilt at any level: fits every level count
         mech = mar_mechanism(len(counts))
     grid = config.grid
     ts = grid.values()
-    # grid.index_on_grid(t) of each snapshot, with the grid built once
+    # the grid row of each snapshot, with the grid and its spacing built once
     spacing = grid_spacing(ts)
     rows = ([_checked(f"lead.snapshot_ts[{i}]",
                       lambda: row_on_grid(ts, t, spacing))
@@ -404,17 +394,18 @@ def _lead(config: AnalysisConfig) -> tuple:
     return curve, svg, parts
 
 
-def run(config: AnalysisConfig) -> int:
+def run(config: SimpleNamespace) -> int:
     """Execute the configured pipeline, write CSV + SVG outputs and print the
     verdict. CSV and SVG paths that name one file are a config error, raised
     before anything runs or is written."""
-    if config.csv_path.resolve() == config.svg_path.resolve():
-        raise ConfigError(f"outputs.svg: {config.svg_path} is also the "
+    outputs = config.outputs
+    if outputs.csv.resolve() == outputs.svg.resolve():
+        raise ConfigError(f"outputs.svg: {outputs.svg} is also the "
                           f"outputs.csv path")
     study = _election if config.mode == "election" else _lead
     curve, svg, parts = study(config)
-    _write_atomic(config.csv_path, _csv_blocks(curve))
-    _write_atomic(config.svg_path, [svg])
+    _write_atomic(outputs.csv, _csv_blocks(curve))
+    _write_atomic(outputs.svg, [svg])
     print("; ".join(_verdict(curve) + parts))
     return 0
 
@@ -432,9 +423,9 @@ def _cmd_run(config: str, seed: Optional[int] = None,
              grid_step: Optional[float] = None) -> int:
     config = load_config(config, seed=seed, grid_step=grid_step)
     if out_dir is not None:
-        out = Path(out_dir)
-        config = replace(config, csv_path=out / config.csv_path.name,
-                         svg_path=out / config.svg_path.name)
+        outputs = config.outputs
+        outputs.csv = Path(out_dir) / outputs.csv.name
+        outputs.svg = Path(out_dir) / outputs.svg.name
     return run(config)
 
 

@@ -177,11 +177,24 @@ def _tilt_levels(probs: np.ndarray, w: np.ndarray,
     t*w shifted by its column maximum before exponentiating, so no entry
     overflows however large a finite |t*w| grows; levels with p = 0 keep no
     mass. impute_theta_grid rejects a t*w that is not finite.
+
+    The tilt ignores a constant c added to every weight, so t*w is taken as
+    t*(w - max w) for t > 0 and t*(w - min w) otherwise: bit for bit the
+    same for w + c wherever w + c is exact, where t*w + log p rounds log p
+    away once |t*c| is large. Weights spanning more than the float range
+    are halved first, and the products doubled after, both exactly, so
+    that their differences stay finite.
     """
     if probs[0] == 0.0:
         raise ValueError("baseline category empty: p_1 must be positive")
+    lo, hi = float(w.min()), float(w.max())
+    scale = 1.0 if hi - lo < np.inf else 0.5
     with np.errstate(divide="ignore", over="ignore"):
-        z = np.multiply.outer(w, ts)
+        z = np.subtract.outer(w * scale,
+                              np.where(ts > 0, hi * scale, lo * scale))
+        z *= ts
+        if scale != 1.0:
+            z /= scale
         z += np.log(probs)[:, None]
         # entries of a column can span more than the float range: -inf, no mass
         z -= z.max(axis=0)

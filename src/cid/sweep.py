@@ -49,12 +49,6 @@ class KnobGrid:
     def index_of_t0(self) -> int:
         return int(self._k_range()[0])
 
-    def index_on_grid(self, t: float) -> int:
-        """The row of the grid point nearest t, rejecting a t farther than
-        half a step from every grid point (CidCurve.index_on_grid on the
-        swept curve)."""
-        return row_on_grid(self.values(), t)
-
     def n_points(self) -> float:
         """len(values()), computed without building the grid. A float: it
         is inf when the step is so small that the count overflows."""

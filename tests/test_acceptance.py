@@ -207,12 +207,13 @@ class TestCriterion8Properties:
         assert count_theta == pytest.approx(oracle_thetas.mean(), abs=0.005)
 
     def test_seed_determinism_byte_identical(self, lead_population, lead_costs):
-        from cid.cli import curve_to_csv
+        from cid.cli import _csv_blocks
         cfg = ImputationConfig(m=25, seed=SEED)
         grid = KnobGrid(-0.5, 1.0, 0.25)
         runs = [sweep_lead(lead_population, accordion_mechanism(), grid, cfg,
                            lead_costs) for _ in range(2)]
-        assert curve_to_csv(runs[0]) == curve_to_csv(runs[1])
+        assert (b"".join(_csv_blocks(runs[0]))
+                == b"".join(_csv_blocks(runs[1])))
 
     def test_svg_parse_back_within_half_pixel(self, hibbs_fit):
         curve = sweep_election(hibbs_fit, -0.728, KnobGrid(-4, 4, 0.05))

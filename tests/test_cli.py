@@ -467,7 +467,7 @@ class TestRun:
         assert main(["run", str(path)]) == 0
         config = load_config(path)
         s = config.lead
-        pop = LeadPopulation(read_level_counts(config.dataset_path), s.n_total)
+        pop = LeadPopulation(read_level_counts(config.dataset), s.n_total)
         cfg = ImputationConfig(m=s.m, seed=config.seed)
         ts = config.grid.values()
         rows = ([int(np.argmin(np.abs(ts - t))) for t in snapshot_ts]
@@ -984,7 +984,7 @@ def test_run_loads_no_modules(tmp_path, name, grid_step):
 def test_bundled_configs_parse():
     for name in BUNDLED_CONFIGS:
         config = load_config(REPO / "configs" / name)
-        assert config.dataset_path.exists()
+        assert config.dataset.exists()
 
 
 # For each FIELD_PATHS field, a config change that trips the library's own

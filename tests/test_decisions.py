@@ -117,7 +117,7 @@ class TestDecideIntervention:
 
 @pytest.mark.parametrize("decision", ELECTION_DECISIONS + INTERVENTION_DECISIONS)
 def test_labels_need_no_csv_quoting(decision):
-    # curve_to_csv writes labels unquoted
+    # the CSV (cli._csv_blocks) writes labels unquoted
     assert not set(decision.value) & {",", '"', "\n", "\r"}
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cid import cli, svgfig
-from cid.cli import curve_to_csv
+from cid.cli import _csv_blocks
 from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
                             mar_mechanism, parametric_mechanism)
@@ -23,8 +23,8 @@ from cid.regression import MEAN_RESPONSE, NEW_OBSERVATION
 from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _Frame,
                         _line, _rect, _text, _vline, render_election_figure,
                         render_lead_figure)
-from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, sweep_election,
-                       sweep_lead)
+from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, row_on_grid,
+                       sweep_election, sweep_lead)
 from cid.textcols import BLOCK_BYTES, FAST_LIMIT, fixed, rows
 from tests import oracles
 from tests.test_svgfig import noisy_election_curve
@@ -211,7 +211,7 @@ def ref_render_lead_figure(curve, reference_line, snapshots, title):
 ])
 def test_election_outputs_equal_reference(hibbs_fit, kind, level, grid):
     curve = sweep_election(hibbs_fit, -0.728, grid, level=level, kind=kind)
-    assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
+    assert_same_text(b"".join(_csv_blocks(curve)), ref_curve_to_csv(curve))
     assert_same_text(
         render_election_figure(curve, "election",
                                PlausibleRegion(-0.635, 0.728)),
@@ -243,9 +243,9 @@ def test_noisy_figure_equals_reference(grid):
 def test_lead_outputs_equal_reference(lead_population, mech, grid):
     pop = lead_population
     cfg = ImputationConfig(m=3, seed=7)
-    rows = [0, grid.index_on_grid(0.5)]
+    rows = [0, row_on_grid(grid.values(), 0.5)]
     curve = sweep_lead(pop, mech, grid, cfg, CostParams(a=1, b=1), rows)
-    assert_same_text(curve_to_csv(curve), ref_curve_to_csv(curve))
+    assert_same_text(b"".join(_csv_blocks(curve)), ref_curve_to_csv(curve))
     snapshots = [(float(curve.t[i]),
                   oracles.impute_one_point(pop, mech, curve.t[i], cfg)[1]
                   .tolist())
@@ -312,10 +312,10 @@ def test_csv_equals_reference(rows, election):
                          family=INTERVENTION_DECISIONS, d_t=d_t, cid=cid,
                          change_points=(), i0=0)
     expected = ref_curve_to_csv(curve)
-    assert_same_text(curve_to_csv(curve), expected)
+    assert_same_text(b"".join(_csv_blocks(curve)), expected)
     # blocks of a few rows, each filled into the row buffer of the one before
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", 5):
-        assert_same_text(curve_to_csv(curve), expected)
+        assert_same_text(b"".join(_csv_blocks(curve)), expected)
 
 
 @given(st.data())
@@ -371,7 +371,7 @@ def test_csv_blocks_own_their_bytes(tmp_path, n):
     assert all(type(block) is bytes for block in blocks)
     csv_text = b"".join(blocks)
     assert_same_text(csv_text, ref_curve_to_csv(curve))
-    assert csv_text == curve_to_csv(curve)
+    assert csv_text == b"".join(_csv_blocks(curve))
     cli._write_atomic(tmp_path / "curve.csv", cli._csv_blocks(curve))
     assert (tmp_path / "curve.csv").read_bytes() == csv_text
 

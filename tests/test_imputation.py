@@ -193,6 +193,41 @@ class TestTilt:
                   for t in np.linspace(-2, 4, 25)]
         assert all(x > y for x, y in zip(masses, masses[1:]))
 
+    def test_weights_spanning_beyond_the_float_range(self):
+        # w_1 - w_3 overflows, while each t*w is +-10 or 0
+        p = dist(1, 2, 3)
+        w = np.array([1e308, 0.0, -1e308])
+        ts = np.array([-1e-307, 0.0, 1e-307])
+        expected = [p[0] * np.exp(t * w[0]) / (p * np.exp(t * w)).sum()
+                    for t in ts]
+        assert imputation._low_share(p, w, ts, 1) == pytest.approx(
+            expected, rel=1e-12)
+
+    @given(c=st.floats(-1e300, 1e300) | st.sampled_from([1e300, -1e300]),
+           ts=st.lists(st.floats(-1, 1), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_weights_do_not_tilt(self, lead_population, c, ts):
+        # ten equal weights are no tilt, however large: theta(t) = theta(t0)
+        thetas, _ = impute_theta_grid(lead_population, MnarMechanism((c,) * 10),
+                                      [0.0] + ts, ImputationConfig(m=2, seed=3))
+        assert thetas.tolist() == [thetas[0]] * len(thetas)
+
+    @given(probs=arrays(float, 10, elements=st.floats(0.01, 1.0)),
+           ks=st.lists(st.integers(-8, 8), min_size=10, max_size=10),
+           offset=st.integers(-(2**53 - 16), 2**53 - 16),
+           scale=st.integers(-30, 900),
+           ts=st.lists(st.floats(-4, 4), min_size=1, max_size=20))
+    @settings(max_examples=100)
+    def test_weight_offset(self, probs, ks, offset, scale, ts):
+        # w + c is exact: each k + offset is an integer below 2^53 times the
+        # same power of two; adding c to every weight leaves q_t as it was
+        p = dist(*probs)
+        w = np.ldexp(np.array(ks, dtype=float), scale)
+        shifted = np.ldexp(np.array(ks, dtype=float) + offset, scale)
+        q = imputation._low_share(p, w, np.array(ts), 3)
+        np.testing.assert_array_max_ulp(
+            imputation._low_share(p, shifted, np.array(ts), 3), q, maxulp=4)
+
 
 class TestImputeTheta:
     def test_mar_reference(self, lead_population):

@@ -1,12 +1,14 @@
 """The README's Library example runs as written, every name `cid` exports
-resolves, and the CLI section lists every config path a library check
-reports."""
+resolves, the CLI section lists every config path a library check reports,
+and the Config fields section states every config field as the parser
+reads it."""
 
+import json
 import re
 from pathlib import Path
 
 import cid
-from cid.cli import FIELD_PATHS
+from cid.cli import FIELD_PATHS, FIELDS, REQUIRED
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -40,3 +42,32 @@ def test_cli_section_lists_every_field_path():
     cli = section("CLI")
     for path in FIELD_PATHS.values():
         assert f"`{path}`" in cli, path
+
+
+# How the Config fields section names the type each converter reads.
+TYPES = {"_mode": "string", "_string": "string", "_finite": "number",
+         "_integer": "integer", "_finite_list": "list of numbers",
+         "_pair": "pair of numbers",
+         "_mechanism": "string or list of numbers"}
+
+
+def default_text(default) -> str:
+    """A field's default as the Config fields section states it."""
+    if default is REQUIRED:
+        return "required"
+    if default is None:
+        return "default none"
+    if isinstance(default, dict):  # one default per mode
+        return "default " + ", ".join(f"`{json.dumps(value)}` ({mode})"
+                                      for mode, value in default.items())
+    return f"default `{json.dumps(default)}`"
+
+
+def test_config_fields_section_states_every_field():
+    text = re.sub(r"\n  +", " ", section("Config fields"))  # join wrapped items
+    items = dict(re.findall(r"^- `([^`]+)`: (.*)$", text, re.MULTILINE))
+    assert list(items) == list(FIELDS)
+    for path, field in FIELDS.items():
+        stated = f"{TYPES[field.convert.__name__]}, {default_text(field.default)}"
+        assert re.match(re.escape(stated) + r"([.:;]|$)", items[path]), \
+            (path, stated)

@@ -29,7 +29,8 @@ def lead_curve_and_snapshots(lead_population):
     snapshot_ts = (-1.0, 0.0, 0.5, 1.0, 2.0)
     curve = sweep_lead(lead_population, accordion_mechanism(), grid, cfg,
                        CostParams(a=1, b=1),
-                       [grid.index_on_grid(t) for t in snapshot_ts])
+                       [sweep.row_on_grid(grid.values(), t)
+                        for t in snapshot_ts])
     snapshots = [(t, oracles.impute_one_point(
                       lead_population, accordion_mechanism(), t, cfg)[1])
                  for t in snapshot_ts]

@@ -62,10 +62,10 @@ class TestKnobGrid:
         grid = KnobGrid(-0.45, 1.3, 0.1, t0=-0.25)  # -0.45, -0.35, ..., 1.25
         ts = grid.values()
         for t in (-0.45, -0.25, 0.04, 0.06, 1.25, 1.29):
-            assert grid.index_on_grid(t) == int(np.argmin(np.abs(ts - t)))
+            assert sweep.row_on_grid(ts, t) == int(np.argmin(np.abs(ts - t)))
         for t in (-0.51, 1.31, 100.0):
             with pytest.raises(ValueError, match=r"^off grid: t = "):
-                grid.index_on_grid(t)
+                sweep.row_on_grid(ts, t)
 
     @staticmethod
     def probes(ts, spacing, i, step, u):
@@ -110,11 +110,12 @@ class TestKnobGrid:
         i = round(where * (len(ts) - 1))
         for t in self.probes(ts, spacing, i, step, u):
             t = float(t)
-            assert lookup(grid.index_on_grid, t) == lookup(argmin_row, t), t
+            assert lookup(lambda t: sweep.row_on_grid(grid.values(), t),
+                          t) == lookup(argmin_row, t), t
 
     def test_index_on_grid_rejects_nan(self):
         with pytest.raises(ValueError, match=r"^off grid: t = nan "):
-            KnobGrid(-1, 1, 0.5).index_on_grid(math.nan)
+            sweep.row_on_grid(KnobGrid(-1, 1, 0.5).values(), math.nan)
 
     def test_validation(self):
         with pytest.raises(ValueError):
