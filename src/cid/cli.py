@@ -30,9 +30,6 @@ MAX_GRID_POINTS = 1_000_000
 # round draws a posterior and inverts a binomial at every grid point, so
 # 10**9 rounds never finish.
 MAX_M = 1_000
-# Most rows of the CSV formatted and written at a time: enough to amortise
-# the formatter's per-call cost; rows of up to 64 bytes fit in BLOCK_BYTES.
-CSV_BLOCK_ROWS = 1024
 # The analysis modes; the document holds one block of fields named by its mode.
 MODES = ("election", "lead")
 
@@ -261,8 +258,11 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> SimpleNamespace:
                               f"snapshots do not fit the figure (at most "
                               f"{MAX_SNAPSHOTS})")
     c.dataset = base_dir / c.dataset
-    c.outputs.csv = base_dir / c.outputs.csv
-    c.outputs.svg = base_dir / c.outputs.svg
+    for key, name in vars(c.outputs).items():
+        # "" or "." names base_dir, which --out-dir would make a file name
+        if not Path(name).name:
+            raise ConfigError(f"outputs.{key}: must name a file, got {name!r}")
+        setattr(c.outputs, key, base_dir / name)
     return c
 
 
@@ -317,7 +317,8 @@ def _write_atomic(path: Path, blocks) -> None:
 
 def _csv_blocks(curve: CidCurve):
     """The CSV of a curve, `t,estimate,lo,hi,decision,d_t,j_t,cid`, as ASCII
-    byte blocks: the header, then at most CSV_BLOCK_ROWS rows at a time.
+    byte blocks: the header, then as many rows as fill textcols.BLOCK_BYTES
+    at a time.
 
     Fields that do not apply to the pipeline (None columns) are left empty.
     No field needs quoting, since each is a number or a decision label
@@ -327,8 +328,7 @@ def _csv_blocks(curve: CidCurve):
     yield from textcols.rows(len(curve.t), [
         curve.t, ",", curve.estimate, ",", curve.lower, ",", curve.upper, ",",
         ([d.value for d in curve.family], curve.codes), ",",
-        (("0", "1"), curve.d_t), ",", curve.j_t, ",", curve.cid, "\n"],
-        block_rows=CSV_BLOCK_ROWS)
+        (("0", "1"), curve.d_t), ",", curve.j_t, ",", curve.cid, "\n"])
 
 
 def _step_decimals(step: float) -> int:
@@ -396,9 +396,13 @@ def _lead(config: SimpleNamespace) -> tuple:
 
 def run(config: SimpleNamespace) -> int:
     """Execute the configured pipeline, write CSV + SVG outputs and print the
-    verdict. CSV and SVG paths that name one file are a config error, raised
-    before anything runs or is written."""
+    verdict. An output path that names a directory, and CSV and SVG paths
+    that name one file, are config errors, raised before anything runs or
+    is written."""
     outputs = config.outputs
+    for key, path in vars(outputs).items():
+        if path.is_dir():
+            raise ConfigError(f"outputs.{key}: {path} is a directory")
     if outputs.csv.resolve() == outputs.svg.resolve():
         raise ConfigError(f"outputs.svg: {outputs.svg} is also the "
                           f"outputs.csv path")

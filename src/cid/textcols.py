@@ -2,9 +2,8 @@
 numbers (`'%.{d}f' % v` for every value v) and labels, formatted with numpy.
 
 `rows` lays such parts side by side into the lines of a CSV body or an SVG
-element list, a block at a time; `fixed` writes the text of every value of
-an array into a matrix. Both fill rows of one byte buffer in place
-(`_Layout`), each text in its slot, padded with NUL bytes that `rows` drops.
+element list, a block at a time. It fills rows of one byte buffer in place
+(`_Layout`), each text in its slot, padded with NUL bytes that it drops.
 Numbers are rounded in numpy wherever the result is provably correctly
 rounded (see `FAST_LIMIT`); every other value goes to Python's own `%`.
 """
@@ -168,12 +167,12 @@ class _Layout:
             lead, dtype=np.int64).reshape(-1, 4).T
         self.shows_from, self.sign_from = np.array(thresholds)[..., None]
 
-    def fill(self, buf, base: int, lo: int, hi: int) -> np.ndarray:
-        """Write rows lo to hi into the flat uint8 buf, row lo at byte base
-        (at least margin), and return them as a (rows, width) matrix. The
-        literal bytes must be there already."""
-        n, W = hi - lo, self.width
-        block = buf[base:base + n * W].reshape(n, W)
+    def fill(self, buf, lo: int, hi: int) -> np.ndarray:
+        """Write rows lo to hi into the flat uint8 buf, row lo at byte
+        margin, and return them as a (rows, width) matrix. The literal bytes
+        must be there already."""
+        n, W, margin = hi - lo, self.width, self.margin
+        block = buf[margin:margin + n * W].reshape(n, W)
         if self.floats and self.limit != 0:  # 0: every value is slow
             v = np.concatenate([x[lo:hi] for x in self.floats])  # by column
             q = _rounded(v, self.scale, self.limit).astype(np.int64)
@@ -184,8 +183,7 @@ class _Layout:
             if self.signed:
                 dash = (whole >= self.sign_from) > shows
                 dash &= np.signbit(v).reshape(-1, n)[self.lead_col]
-            words = np.ndarray((n, W + self.margin - 3), np.uint32, buf,
-                               base - self.margin, (W, 1))
+            words = np.ndarray((n, W + margin - 3), np.uint32, buf, 0, (W, 1))
             for power, at in self.words:
                 top = q // power if power > 1 else q
                 words[:, at] = DIGIT_GROUPS.take(top).reshape(-1, n).T
@@ -207,29 +205,9 @@ class _Layout:
         return block
 
 
-def fixed(values, decimals: int) -> np.ndarray:
-    """The text `'%.{decimals}f' % v` of every value v of an array: a uint8
-    array of the array's shape plus one axis, holding each text
-    right-aligned and NUL-padded. The axis is as wide as the widest text,
-    and at least four bytes (see `_Layout`). The values are formatted into
-    the result a block at a time, and no temporary holds more than
-    BLOCK_BYTES: for finite values below 2**52 / 10**decimals, whatever
-    the array's size.
-    """
-    x = np.asarray(values, dtype=float)
-    layout = _Layout(x.size, [x.ravel()], decimals)
-    w, margin = layout.width, layout.margin
-    out = np.zeros(margin + x.size * w, dtype=np.uint8)
-    # last block first: a block's words may reach into the rows before it
-    for lo in reversed(range(0, x.size, layout.step)):
-        layout.fill(out, margin + lo * w, lo, min(lo + layout.step, x.size))
-    return out[margin:].reshape(x.shape + (w,))
-
-
-def rows(n: int, parts, sep: str = "", decimals: int = 6,
-         block_rows: int = BLOCK_BYTES):
+def rows(n: int, parts, sep: str = "", decimals: int = 6):
     """n lines laid out from parts, joined by sep, as blocks of ASCII bytes:
-    at most block_rows lines, and at most about BLOCK_BYTES, each.
+    as many lines as fill BLOCK_BYTES each (see `_Layout.step`).
 
     Each part is a literal string (or None, for none), the same on every
     line; an array of n floats, which gives line i the text
@@ -237,12 +215,14 @@ def rows(n: int, parts, sep: str = "", decimals: int = 6,
     line i the text texts[codes[i]]. The blocks are filled in turn into one
     row buffer of at most BLOCK_BYTES that holds every literal, and each
     block's padding is dropped as it is yielded, into bytes the caller owns.
+    No temporary holds more than BLOCK_BYTES: for finite values below
+    2**52 / 10**decimals, whatever n is.
     """
     layout = _Layout(n, [*parts, sep], decimals)
-    step, margin = min(layout.step, block_rows), layout.margin
+    step, margin = layout.step, layout.margin
     buf = np.zeros(margin + min(step, n) * layout.width, dtype=np.uint8)
     buf[margin:].reshape(min(step, n), layout.width)[:] = layout.skeleton
     for lo in range(0, n, step):
-        block = layout.fill(buf, margin, lo, min(lo + step, n))
+        block = layout.fill(buf, lo, min(lo + step, n))
         piece = block[block != 0].tobytes()
         yield piece[:len(piece) - len(sep)] if lo + step >= n else piece

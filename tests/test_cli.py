@@ -377,6 +377,25 @@ class TestRun:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("out_dir", [False, True],
+                             ids=["in-place", "out-dir"])
+    @pytest.mark.parametrize("value", ["", ".", "sub"],
+                             ids=["empty", "dot", "directory"])
+    @pytest.mark.parametrize("key", ["csv", "svg"])
+    def test_output_naming_no_file_exits_1(self, tmp_path, capsys,
+                                           election_doc, key, value, out_dir):
+        # "" and "." name the config's directory, and sub/ exists: each is
+        # a config error before anything runs, with or without --out-dir
+        (tmp_path / "sub").mkdir()
+        election_doc["outputs"][key] = value
+        path = write_config(tmp_path, election_doc)
+        before = sorted(tmp_path.rglob("*"))
+        args = ["--out-dir", str(tmp_path)] if out_dir else []
+        assert main(["run", str(path)] + args) == 1
+        assert re.match(f"config error: outputs\\.{key}: ",
+                        capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("key, value, field", [
         ("knob_distribution", {"support": [0.0, 0.5], "weights": [0, 0]},
          "lead.knob_distribution.weights"),

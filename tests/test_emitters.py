@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cid import cli, svgfig
+from cid import cli, svgfig, textcols
 from cid.cli import _csv_blocks
 from cid.decisions import ELECTION_DECISIONS, INTERVENTION_DECISIONS
 from cid.imputation import (ImputationConfig, accordion_mechanism,
@@ -25,7 +25,7 @@ from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _Frame,
                         render_lead_figure)
 from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, row_on_grid,
                        sweep_election, sweep_lead)
-from cid.textcols import BLOCK_BYTES, FAST_LIMIT, fixed, rows
+from cid.textcols import BLOCK_BYTES, FAST_LIMIT, rows
 from tests import oracles
 from tests.test_svgfig import noisy_election_curve
 
@@ -288,10 +288,10 @@ TIES = {3: (0.0005, 0.0025, 0.0055), 6: (2.5e-6, 3.5e-6, 4.5e-6)}
 @pytest.mark.parametrize("decimals", [0, 3, 6])
 @given(values=st.lists(numbers, max_size=20))
 @example(values=[v for d in (3, 6) for t in TIES[d] for v in (t, -t)])
-def test_fixed_equals_percent_format(decimals, values):
-    text = fixed(np.array(values, dtype=float), decimals)
-    assert [bytes(row).lstrip(b"\0").decode() for row in text] == \
-        ["%.*f" % (decimals, v) for v in values]
+def test_rows_equal_percent_format(decimals, values):
+    text = b"".join(rows(len(values), [np.array(values, dtype=float)], "\n",
+                         decimals))
+    assert text.decode() == "\n".join("%.*f" % (decimals, v) for v in values)
 
 
 @given(rows=st.lists(st.tuples(numbers, numbers, numbers, numbers, numbers,
@@ -314,14 +314,15 @@ def test_csv_equals_reference(rows, election):
     expected = ref_curve_to_csv(curve)
     assert_same_text(b"".join(_csv_blocks(curve)), expected)
     # blocks of a few rows, each filled into the row buffer of the one before
-    with mock.patch.object(cli, "CSV_BLOCK_ROWS", 5):
+    with mock.patch.object(textcols, "BLOCK_BYTES", 300):
         assert_same_text(b"".join(_csv_blocks(curve)), expected)
 
 
 @given(st.data())
 def test_rows_lay_out_any_parts(data):
     # float columns, labels and literals in any order, adjacent columns
-    # with no literal between them included, in blocks of a few rows
+    # with no literal between them included, in blocks of one row, of a few
+    # rows and of every row
     n = data.draw(st.integers(0, 9))
     decimals = data.draw(st.sampled_from([0, 1, 2, 3, 6, 12]))
     values = numbers | st.sampled_from([math.nan, math.inf, -math.inf])
@@ -344,35 +345,47 @@ def test_rows_lay_out_any_parts(data):
             texts.append([labels[code] for code in codes])
         parts.append(part)
     sep = data.draw(st.sampled_from(["", "\n"]))
-    block_rows = data.draw(st.sampled_from([1, 2, 5, 1024]))
-    assert b"".join(rows(n, parts, sep, decimals, block_rows)).decode() == \
+    block_bytes = data.draw(st.sampled_from([1, 64, 160, BLOCK_BYTES]))
+    with mock.patch.object(textcols, "BLOCK_BYTES", block_bytes):
+        text = b"".join(rows(n, parts, sep, decimals))
+    assert text.decode() == \
         sep.join("".join(column[i] for column in texts) for i in range(n))
+
+
+# Rows of each block of a striped CSV. _Layout.step counts a row as the most
+# of its width, 16 bytes a float column and 16 bytes an integer digit that
+# not every value has: 48 bytes for a striped CSV of up to 1,025 rows.
+STRIPE_ROWS = 1024
+STRIPE_BLOCK_BYTES = STRIPE_ROWS * 48
 
 
 def striped_curve(n):
     """A lead-shaped curve of n rows whose t changes sign, and whose estimate
-    gains an integer digit, halfway through each block of the CSV."""
+    gains an integer digit, halfway through each block of its CSV, written
+    with BLOCK_BYTES set to STRIPE_BLOCK_BYTES."""
     i = np.arange(n)
-    half = i % cli.CSV_BLOCK_ROWS >= cli.CSV_BLOCK_ROWS // 2
-    return CidCurve(t=(i - cli.CSV_BLOCK_ROWS // 2) / 7,
+    half = i % STRIPE_ROWS >= STRIPE_ROWS // 2
+    return CidCurve(t=(i - STRIPE_ROWS // 2) / 7,
                     estimate=np.where(half, 10.25, 9.5) + i / 1e4,
                     codes=half.astype(int), family=INTERVENTION_DECISIONS,
                     d_t=1 - half, cid=np.cos(i) ** 2, change_points=(), i0=0)
 
 
-@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
-                               cli.CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, STRIPE_ROWS - 1, STRIPE_ROWS,
+                               STRIPE_ROWS + 1])
 def test_csv_blocks_own_their_bytes(tmp_path, n):
     # every block is filled into one reused row buffer; the blocks kept in
     # a list must still hold what was yielded, not the buffer's last rows
     curve = striped_curve(n)
-    blocks = list(cli._csv_blocks(curve))
-    assert len(blocks) == 1 + -(-n // cli.CSV_BLOCK_ROWS)  # header, rows
-    assert all(type(block) is bytes for block in blocks)
-    csv_text = b"".join(blocks)
-    assert_same_text(csv_text, ref_curve_to_csv(curve))
-    assert csv_text == b"".join(_csv_blocks(curve))
-    cli._write_atomic(tmp_path / "curve.csv", cli._csv_blocks(curve))
+    with mock.patch.object(textcols, "BLOCK_BYTES", STRIPE_BLOCK_BYTES):
+        blocks = list(cli._csv_blocks(curve))
+        assert [block.count(b"\n") for block in blocks] == \
+            [1] + [min(STRIPE_ROWS, n - lo) for lo in range(0, n, STRIPE_ROWS)]
+        assert all(type(block) is bytes for block in blocks)
+        csv_text = b"".join(blocks)
+        assert_same_text(csv_text, ref_curve_to_csv(curve))
+        assert csv_text == b"".join(_csv_blocks(curve))
+        cli._write_atomic(tmp_path / "curve.csv", cli._csv_blocks(curve))
     assert (tmp_path / "curve.csv").read_bytes() == csv_text
 
 
@@ -389,14 +402,16 @@ def traced_peak(work):
 
 def test_formatter_temporaries_stay_within_block_bytes(hibbs_fit):
     values = np.random.default_rng(5).normal(0, 30, (16_001, 6))
-    fixed(values, 6)  # numpy's first-call caches are not temporaries
-    peak, text = traced_peak(lambda: fixed(values, 6))
-    assert peak - text.nbytes <= 4 * BLOCK_BYTES
-    # formatted a block at a time, each block's words reaching into the
-    # last row of the block before it
-    assert [bytes(row).lstrip(b"\0")
-            for row in text.reshape(-1, text.shape[-1])] == \
-        [b"%.6f" % v for v in values.ravel().tolist()]
+    parts = [values[:, 0]] + [p for c in values.T[1:] for p in (",", c)]
+    # numpy's first-call caches are not temporaries
+    next(rows(len(values), parts, "\n"))
+    # streamed a block at a time: the blocks' lengths are all it keeps
+    peak, lengths = traced_peak(lambda: [
+        len(block) for block in rows(len(values), parts, "\n")])
+    assert len(lengths) > 1
+    assert peak <= 4 * BLOCK_BYTES
+    assert b"".join(rows(len(values), parts, "\n")) == b"\n".join(
+        b",".join(b"%.6f" % v for v in row) for row in values.tolist())
     # streaming a CSV takes the same memory whatever the curve's length
     peaks = []
     for step in (0.0005, 0.0001):  # 16,001 and 80,001 rows

@@ -442,6 +442,60 @@ class TestImputeThetaGrid:
         assert 0.0 < thetas[0] < 1.0
 
 
+def finite_or_zero(low, high):
+    """Floats in [low, high] with any magnitude below 1e-200 made 0, so that
+    scaling them by up to 2**+-20 and 10**+-3 stays exact."""
+    return st.floats(low, high).map(lambda v: v if abs(v) > 1e-200 else 0.0)
+
+
+class TestRelations:
+    @given(weights=st.lists(finite_or_zero(-12, 12), min_size=10,
+                            max_size=10),
+           unit=st.sampled_from([1e-3, 1.0, 1e3]),
+           ts=st.lists(finite_or_zero(-4, 4), min_size=7, max_size=7),
+           j=st.integers(-20, 20), seed=st.integers(0, 2**32),
+           rows=st.lists(st.integers(0, 6), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_duality(self, lead_population, weights, unit, ts, j, seed,
+                           rows):
+        # the tilt sees only t*w: (t / 2**j, w * 2**j) gives the same
+        # products, exactly, and so the same draws and counts
+        w = np.array(weights) * unit
+        cfg = ImputationConfig(m=2, seed=seed)
+        thetas, freqs = impute_theta_grid(
+            lead_population, MnarMechanism(tuple(w)), ts, cfg, rows)
+        scaled = impute_theta_grid(
+            lead_population, MnarMechanism(tuple(np.ldexp(w, j))),
+            np.ldexp(ts, -j), cfg, rows)
+        assert thetas.tobytes() == scaled[0].tobytes()
+        assert freqs.tobytes() == scaled[1].tobytes()
+
+    @pytest.mark.parametrize("mech", [accordion_mechanism(),
+                                      parametric_mechanism()],
+                             ids=lambda mech: mech.name)
+    def test_curve_within_mc_error_of_closed_form(self, lead_population,
+                                                  mech):
+        # theta_t(p) = (high_obs + n_missing * (1 - q_t(p))) / n_total over
+        # the posterior p ~ Dirichlet(1 + counts), with the missing units at
+        # or below the cutoff Bin(n_missing, q_t(p)) given p: its mean, and
+        # the variance of one round, from 20,000 posterior draws in numpy
+        pop, m = lead_population, 1_000
+        ts = np.linspace(-2.0, 4.0, 121)  # the bundled lead grid
+        p = np.random.default_rng(11).dirichlet(1.0 + pop.counts_array(),
+                                                20_000)
+        tilt = np.exp(np.outer(mech.as_array(), ts))  # (levels, knob values)
+        c = pop.cutoff_level
+        q = (p[:, :c] @ tilt[:c]) / (p @ tilt)  # (draws, knob values)
+        theta = (pop.observed_high_count + pop.n_missing * (1.0 - q)) \
+            / pop.n_total
+        variance = theta.var(axis=0) + \
+            (pop.n_missing * q * (1.0 - q)).mean(axis=0) / pop.n_total**2
+        thetas, _ = impute_theta_grid(pop, mech, ts,
+                                      ImputationConfig(m=m, seed=20240101))
+        z = (thetas - theta.mean(axis=0)) / np.sqrt(variance / m)
+        assert np.all(np.abs(z) <= 4.0), z
+
+
 class TestCoupling:
     # the values are inverted in calls of `chunk` values each: 512 (a short
     # call, the size once tabulated) or 20,000 (one call for most inputs);

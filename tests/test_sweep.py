@@ -272,6 +272,40 @@ class TestElectionChangePointOracle:
             assert any(in_bracket(r, lo, hi) for r in roots), ((lo, hi), roots)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(x0=st.floats(-3.0, 3.0),
+           delta=st.sampled_from([0.25, 0.3, 0.5, 1.0]) | st.floats(-2.0, 2.0),
+           level=st.floats(0.5, 0.99),
+           kind=st.sampled_from([MEAN_RESPONSE, NEW_OBSERVATION]),
+           step=st.sampled_from([0.5, 0.1, 0.02]),
+           k_lo=st.integers(0, 200), k_hi=st.integers(0, 200))
+    def test_shifting_x0_shifts_the_curve(self, hibbs_fit, x0, delta, level,
+                                          kind, step, k_lo, k_hi):
+        # the interval at t depends on x0 + t alone: x0 moved by delta and
+        # the grid, reference included, by -delta give the same rows, at
+        # knob values and change points moved by -delta
+        t_min, t_max = -k_lo * step, k_hi * step
+        base = sweep_election(hibbs_fit, x0, KnobGrid(t_min, t_max, step),
+                              level, kind)
+        shifted = sweep_election(
+            hibbs_fit, x0 + delta,
+            KnobGrid(t_min - delta, t_max - delta, step, t0=-delta),
+            level, kind)
+        # a bound within rounding of 50 may be decided either way
+        assume(np.all(np.abs(np.r_[base.lower, base.upper] - 50.0) > 1e-9))
+        assert (len(shifted.t), shifted.i0) == (len(base.t), base.i0)
+        np.testing.assert_allclose(shifted.t, base.t - delta, rtol=0,
+                                   atol=1e-12)
+        for column in ("estimate", "lower", "upper", "j_t", "cid"):
+            np.testing.assert_allclose(getattr(shifted, column),
+                                       getattr(base, column), rtol=0,
+                                       atol=1e-11)
+        assert shifted.codes.tolist() == base.codes.tolist()
+        np.testing.assert_allclose(
+            np.reshape(shifted.change_points, -1),
+            np.reshape(base.change_points, -1) - delta, rtol=0, atol=1e-12)
+
+
 class TestSweepLead:
     def test_accordion_change_point(self, lead_population, lead_costs):
         cfg = ImputationConfig(m=200, seed=20240101)
