@@ -211,17 +211,18 @@ def _checked(path: Optional[str], build):
         raise ConfigError(f"{where}: {err}") from err
 
 
-def parse_config(doc: dict, base_dir: Path = Path(".")) -> SimpleNamespace:
+def parse_config(doc: dict, config_file: Optional[Path] = None,
+                 out_dir: Optional[str] = None) -> SimpleNamespace:
     """Validate a config document, fill defaults and build its objects.
 
     The result is _read's namespace, in which grid,
     election.plausible_region and lead.knob_distribution are the library
     objects, lead.costs is built from lead.a, lead.b and lead.threshold,
-    and dataset, outputs.csv and outputs.svg are paths resolved against
-    base_dir (the config file's directory). Here the ranges the library
-    does not check itself are checked; the library's checks (of
-    lead.n_total against the dataset's counts, election.level and others)
-    report their config paths through FIELD_PATHS when the config runs.
+    and dataset, outputs.csv and outputs.svg are paths in config_file's
+    directory (out_dir, when given, holds the outputs). Here the ranges
+    the library does not check itself are checked, and the output paths
+    against the file system and the inputs; the library's checks report
+    their config paths through FIELD_PATHS when the config runs.
     """
     c = _read(doc)
     values = vars(c.grid)
@@ -257,24 +258,41 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> SimpleNamespace:
             raise ConfigError(f"lead.snapshot_ts: {len(s.snapshot_ts)} "
                               f"snapshots do not fit the figure (at most "
                               f"{MAX_SNAPSHOTS})")
+    base_dir = Path(".") if config_file is None else config_file.parent
     c.dataset = base_dir / c.dataset
+    # the paths taken so far, each with what it is: no output may replace one
+    taken = {c.dataset.resolve(): "dataset"}
+    if config_file is not None:
+        taken[config_file.resolve()] = "config file"
     for key, name in vars(c.outputs).items():
         # "" or "." names base_dir, which --out-dir would make a file name
         if not Path(name).name:
             raise ConfigError(f"outputs.{key}: must name a file, got {name!r}")
-        setattr(c.outputs, key, base_dir / name)
+        path = (base_dir / name if out_dir is None
+                else Path(out_dir) / Path(name).name)
+        if path.is_dir():
+            raise ConfigError(f"outputs.{key}: {path} is a directory")
+        # the nearest existing ancestor is where the writer's mkdir starts
+        ancestor = next(p for p in path.parents if os.path.lexists(p))
+        if not ancestor.is_dir():
+            raise ConfigError(f"outputs.{key}: {ancestor} is not a directory")
+        what = taken.setdefault(path.resolve(), f"outputs.{key}")
+        if what != f"outputs.{key}":
+            raise ConfigError(f"outputs.{key}: {path} is also the {what} path")
+        setattr(c.outputs, key, path)
     return c
 
 
-def load_config(path, seed: Optional[int] = None,
+def load_config(config, seed: Optional[int] = None,
+                out_dir: Optional[str] = None,
                 grid_step: Optional[float] = None) -> SimpleNamespace:
     """Read and validate a JSON config file.
 
-    seed and grid_step, when given, replace the file's `seed` and
-    `grid.step` before validation, so they are checked like the file's own
-    values.
+    seed, grid_step and out_dir, when given, replace the file's `seed`,
+    `grid.step` and the directory of its outputs before validation, so they
+    are checked like the file's own values.
     """
-    path = Path(path)
+    path = Path(config)
     try:
         doc = json.loads(path.read_text())
     except OSError as err:
@@ -286,7 +304,7 @@ def load_config(path, seed: Optional[int] = None,
             doc["seed"] = seed
         if grid_step is not None and isinstance(doc.get("grid", {}), dict):
             doc["grid"] = dict(doc.get("grid", {}), step=grid_step)
-    return parse_config(doc, base_dir=path.parent)
+    return parse_config(doc, path, out_dir)
 
 
 def _write_atomic(path: Path, blocks) -> None:
@@ -396,20 +414,11 @@ def _lead(config: SimpleNamespace) -> tuple:
 
 def run(config: SimpleNamespace) -> int:
     """Execute the configured pipeline, write CSV + SVG outputs and print the
-    verdict. An output path that names a directory, and CSV and SVG paths
-    that name one file, are config errors, raised before anything runs or
-    is written."""
-    outputs = config.outputs
-    for key, path in vars(outputs).items():
-        if path.is_dir():
-            raise ConfigError(f"outputs.{key}: {path} is a directory")
-    if outputs.csv.resolve() == outputs.svg.resolve():
-        raise ConfigError(f"outputs.svg: {outputs.svg} is also the "
-                          f"outputs.csv path")
+    verdict."""
     study = _election if config.mode == "election" else _lead
     curve, svg, parts = study(config)
-    _write_atomic(outputs.csv, _csv_blocks(curve))
-    _write_atomic(outputs.svg, [svg])
+    _write_atomic(config.outputs.csv, _csv_blocks(curve))
+    _write_atomic(config.outputs.svg, [svg])
     print("; ".join(_verdict(curve) + parts))
     return 0
 
@@ -420,17 +429,6 @@ def _cmd_mechanisms() -> int:
         weights = ", ".join(f"{w:g}" for w in mech.weights)
         print(f"{name}: ({weights})")
     return 0
-
-
-def _cmd_run(config: str, seed: Optional[int] = None,
-             out_dir: Optional[str] = None,
-             grid_step: Optional[float] = None) -> int:
-    config = load_config(config, seed=seed, grid_step=grid_step)
-    if out_dir is not None:
-        outputs = config.outputs
-        outputs.csv = Path(out_dir) / outputs.csv.name
-        outputs.svg = Path(out_dir) / outputs.svg.name
-    return run(config)
 
 
 USAGE = ("usage: cid run CONFIG [--seed N] [--out-dir DIR] [--grid-step S]\n"
@@ -569,7 +567,8 @@ def main(argv=None) -> int:
         return 0
     name, kwargs = command
     try:
-        return (_cmd_run if name == "run" else _cmd_mechanisms)(**kwargs)
+        return (run(load_config(**kwargs)) if name == "run"
+                else _cmd_mechanisms())
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cid import imputation, sweep
+from cid import cli, imputation, sweep
 from cid.cli import (FIELD_PATHS, USAGE, ConfigError, UsageError,
                      _write_atomic, load_config, main, parse_config, read_argv)
 from cid.errors import InputError
 from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
 from cid.metrics import CostParams
-from cid.regression import MEAN_RESPONSE
+from cid.regression import MEAN_RESPONSE, ElectionDataset
 from cid.sweep import KnobGrid, sweep_lead
 from tests import oracles
 from tests.test_emitters import ref_render_lead_figure
@@ -395,6 +395,99 @@ class TestRun:
         assert re.match(f"config error: outputs\\.{key}: ",
                         capsys.readouterr().err)
         assert sorted(tmp_path.rglob("*")) == before
+
+    # Output paths a run must refuse, as (outputs, --out-dir or None, the
+    # message), in a directory that holds config.json, sub/ and the dataset
+    # as data/NAME; {data} stands for data/NAME and {tmp} for the directory.
+    OUTPUT_CASES = [
+        *(pytest.param(outputs, out_dir, f"outputs.{key}: {message}",
+                       id=f"{key}-{case}")
+          for key in ("csv", "svg") for case, outputs, out_dir, message in [
+              ("dataset", {key: "{data}"}, None,
+               "{tmp}/{data} is also the dataset path"),
+              ("config-file", {key: "config.json"}, None,
+               "{tmp}/config.json is also the config file path"),
+              # in place, the output would be {tmp}/NAME
+              ("dataset-by-out-dir", {key: "sub/{name}"}, "data",
+               "{tmp}/{data} is also the dataset path"),
+              ("under-a-file", {key: "{data}/out.txt"}, None,
+               "{tmp}/{data} is not a directory"),
+          ]),
+        # --out-dir holds both outputs, and outputs.csv is checked first
+        pytest.param({}, "{data}",
+                     "outputs.csv: {tmp}/{data} is not a directory",
+                     id="out-dir-a-file"),
+        pytest.param({}, "{data}/sub",
+                     "outputs.csv: {tmp}/{data} is not a directory",
+                     id="out-dir-under-a-file"),
+        pytest.param({"csv": "out.txt", "svg": "out.txt"}, None,
+                     "outputs.svg: {tmp}/out.txt is also the outputs.csv "
+                     "path", id="one-file"),
+        pytest.param({"csv": "out.txt", "svg": "sub/../out.txt"}, None,
+                     "outputs.svg: {tmp}/sub/../out.txt is also the "
+                     "outputs.csv path", id="one-file-spelled-apart"),
+        # a/out.txt and b/out.txt are two files until --out-dir strips a/, b/
+        pytest.param({"csv": "a/out.txt", "svg": "b/out.txt"}, "sub",
+                     "outputs.svg: {tmp}/sub/out.txt is also the outputs.csv "
+                     "path", id="one-file-by-out-dir"),
+    ]
+
+    @staticmethod
+    def run_output_case(tmp_path, doc, outputs, out_dir):
+        """Lay out the case's directory, run it and return main's exit code
+        and the directory's file bytes before the run, and its {data} and
+        {tmp} values."""
+        name = Path(doc["dataset"]).name
+        values = {"data": f"data/{name}", "name": name, "tmp": tmp_path}
+        (tmp_path / "data").mkdir()
+        (tmp_path / name).rename(tmp_path / "data" / name)
+        (tmp_path / "sub").mkdir()
+        doc["dataset"] = values["data"]
+        doc["outputs"].update({key: value.format(**values)
+                               for key, value in outputs.items()})
+        path = write_config(tmp_path, doc)
+        before = {p: p.read_bytes() if p.is_file() else None
+                  for p in tmp_path.rglob("*")}
+        args = ([] if out_dir is None else
+                ["--out-dir", str(tmp_path / out_dir.format(**values))])
+        return main(["run", str(path)] + args), before, values
+
+    @pytest.mark.parametrize("outputs, out_dir, message", OUTPUT_CASES)
+    @pytest.mark.parametrize("doc_name", ["election_doc", "lead_doc"])
+    def test_bad_output_path_exits_1_keeping_inputs(
+            self, tmp_path, capsys, request, doc_name, outputs, out_dir,
+            message):
+        # each rule is a config error before anything is read or written:
+        # the inputs keep every byte, and no output or temporary appears
+        status, before, values = self.run_output_case(
+            tmp_path, request.getfixturevalue(doc_name), outputs, out_dir)
+        assert status == 1
+        assert capsys.readouterr().err == \
+            f"config error: {message.format(**values)}\n"
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.parametrize("outputs, out_dir, message", OUTPUT_CASES + [
+        *(pytest.param({key: value}, None, f"outputs.{key}: {message}",
+                       id=f"{key}-{case}")
+          for key in ("csv", "svg") for case, value, message in [
+              ("empty", "", "must name a file, got ''"),
+              ("directory", "sub", "{tmp}/sub is a directory")]),
+    ])
+    @pytest.mark.parametrize("doc_name", ["election_doc", "lead_doc"])
+    def test_output_paths_checked_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, request, doc_name, outputs,
+            out_dir, message):
+        def read(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "read_level_counts", read)
+        monkeypatch.setattr(ElectionDataset, "from_csv", read)
+        status, _, values = self.run_output_case(
+            tmp_path, request.getfixturevalue(doc_name), outputs, out_dir)
+        assert status == 1
+        assert capsys.readouterr().err == \
+            f"config error: {message.format(**values)}\n"
 
     @pytest.mark.parametrize("key, value, field", [
         ("knob_distribution", {"support": [0.0, 0.5], "weights": [0, 0]},
