@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -276,7 +275,11 @@ def parse_config(doc: dict, config_file: Optional[Path] = None,
         ancestor = next(p for p in path.parents if os.path.lexists(p))
         if not ancestor.is_dir():
             raise ConfigError(f"outputs.{key}: {ancestor} is not a directory")
-        what = taken.setdefault(path.resolve(), f"outputs.{key}")
+        try:
+            resolved = path.resolve()
+        except (OSError, RuntimeError) as err:  # a symlink loop
+            raise ConfigError(f"outputs.{key}: {err}") from err
+        what = taken.setdefault(resolved, f"outputs.{key}")
         if what != f"outputs.{key}":
             raise ConfigError(f"outputs.{key}: {path} is also the {what} path")
         setattr(c.outputs, key, path)
@@ -433,57 +436,81 @@ def _cmd_mechanisms() -> int:
 
 USAGE = ("usage: cid run CONFIG [--seed N] [--out-dir DIR] [--grid-step S]\n"
          "       cid mechanisms\n")
-HELP = ("-h", "--help")
-# Each command's options, with the conversion of each option's value.
-COMMANDS = {"run": {"--seed": int, "--out-dir": str, "--grid-step": float},
-            "mechanisms": {}}
+# The options of `cid run`, with the conversion of each one's value.
+RUN_OPTIONS = {"--seed": int, "--out-dir": str, "--grid-step": float}
 
 
 class UsageError(Exception):
     """A command line the usage does not allow."""
 
 
-def _option(arg: str, names: tuple):
-    """How an argument other than `--` reads among the option names: None
-    for a positional or an option's value, else (name, the value joined to
-    it or None), where name is None for an unknown option.
+def _read_plain(argv: list) -> Optional[dict]:
+    """The keyword arguments of a plain `cid run` line, or None for any
+    other line.
 
-    A long option may be a unique prefix of its name and joins its value
-    with `=`; a short one joins it directly. An argument that names no
-    option and looks like a negative number, or holds a space, is a
-    positional.
+    A plain line is `run`, one CONFIG that does not start with `-`, and
+    whole option names, each with its value joined by `=` or as the next
+    argument; no value starts with `-` or fails its conversion, and a later
+    value of an option replaces an earlier one. argparse reads such a line
+    the same way.
     """
-    if not arg.startswith("-") or arg == "-":
+    if argv[:1] != ["run"]:
         return None
-    if arg in names:
-        return arg, None
-    head, eq, value = arg.partition("=")
-    if eq and head in names:
-        return head, value
-    if arg[1] == "-":
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            raise UsageError(f"ambiguous option: {arg} could match "
-                             f"{', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif arg[:2] in names:
-        return arg[:2], arg[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, None
+    values = {}
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in RUN_OPTIONS:
+            if arg.startswith("-") or "config" in values:
+                return None
+            values["config"] = arg
+            continue
+        if not eq:  # the next argument; none at the end is not plain
+            value = next(args, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[name[2:].replace("-", "_")] = RUN_OPTIONS[name](value)
+        except ValueError:
+            return None
+    return values if "config" in values else None
 
 
-def _asks_help(name: str, value: Optional[str]) -> bool:
-    """Whether an option asks for help: a help option with no value, or -h
-    joined to more h's (one -h each); any other value joined to a help
-    option is a UsageError."""
-    if name not in HELP:
-        return False
-    if value is None or (name == "-h" and value and not value.strip("h")):
-        return True
-    raise UsageError(f"argument -h/--help: ignored explicit argument "
-                     f"{value!r}")
+def _read_with_argparse(argv: list):
+    """read_argv's result for a line that is not plain, as argparse reads it
+    against the usage."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            head = "argument command: invalid choice: "
+            if message.startswith(head):
+                message = "invalid command " + message[len(head):]
+            raise UsageError(message)
+
+        def print_help(self, file=None):
+            """main prints the usage."""
+
+    class Store(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:  # what `--seed=--` leaves after its `--` goes
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
+    parser = Parser(prog="cid")
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_parser = commands.add_parser("run")
+    run_parser.add_argument("config", metavar="CONFIG")
+    for name, convert in RUN_OPTIONS.items():
+        run_parser.add_argument(name, type=convert, action=Store)
+    commands.add_parser("mechanisms")
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit:  # help: error raises instead of exiting
+        return None
+    command = args.pop("command")
+    return command, {key: value for key, value in args.items()
+                     if value is not None}
 
 
 def read_argv(argv: list):
@@ -491,69 +518,11 @@ def read_argv(argv: list):
     the usage says, or None when it asks for help. Anything else is a
     UsageError.
 
-    Options may come before or after CONFIG, a later value of an option
-    replaces an earlier one, and the arguments after a lone `--` are
-    positionals (a `--` right after CONFIG is dropped). Arguments are read
-    in order: a help option wins over an unknown option or a surplus
-    positional before it, but not over an option without a valid value.
+    A plain `cid run` line, the form every rerun takes, is read without
+    importing argparse; argparse reads every other line.
     """
-    extra = []
-    for i, arg in enumerate(argv):  # the options before the command
-        kind = None if arg == "--" else _option(arg, HELP)
-        if kind is None:
-            break
-        if kind[0] is None:
-            extra.append(arg)
-        elif _asks_help(*kind):
-            return None
-    else:
-        raise UsageError("the following arguments are required: command")
-    command, args = argv[i], argv[i + 1:]
-    if command not in COMMANDS:
-        raise UsageError(f"invalid command {command!r} (choose from "
-                         f"{', '.join(map(repr, COMMANDS))})")
-    options = COMMANDS[command]
-    end = args.index("--") if "--" in args else len(args)
-    kinds = [_option(arg, HELP + tuple(options)) for arg in args[:end]]
-    values = {}
-    i = 0
-    while i < len(args):
-        arg, kind = args[i], kinds[i] if i < end else None
-        i += 1
-        if kind is None:
-            if command != "run" or "config" in values:
-                extra.append(arg)
-            elif i <= end:
-                values["config"] = arg
-                i += i == end  # a `--` right after CONFIG
-            elif i < len(args):  # CONFIG after `--`
-                values["config"] = args[i]
-                i += 1
-            else:
-                extra.append(arg)
-            continue
-        name, value = kind
-        if name is None:
-            extra.append(arg)
-        elif _asks_help(name, value):
-            return None
-        else:
-            if value is None and i < end and kinds[i] is None:
-                value = args[i]
-                i += 1
-            if value is None or value == "--":
-                raise UsageError(f"argument {name}: expected one argument")
-            convert = options[name]
-            try:
-                values[name[2:].replace("-", "_")] = convert(value)
-            except ValueError:
-                raise UsageError(f"argument {name}: invalid {convert.__name__}"
-                                 f" value: {value!r}") from None
-    if command == "run" and "config" not in values:
-        raise UsageError("the following arguments are required: CONFIG")
-    if extra:
-        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
-    return command, values
+    values = _read_plain(argv)
+    return ("run", values) if values is not None else _read_with_argparse(argv)
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cid import cli, imputation, sweep
-from cid.cli import (FIELD_PATHS, USAGE, ConfigError, UsageError,
+from cid.cli import (FIELD_PATHS, FIELDS, USAGE, ConfigError, UsageError,
                      _write_atomic, load_config, main, parse_config, read_argv)
 from cid.errors import InputError
 from cid.imputation import ImputationConfig, LeadPopulation, read_level_counts
@@ -397,8 +400,9 @@ class TestRun:
         assert sorted(tmp_path.rglob("*")) == before
 
     # Output paths a run must refuse, as (outputs, --out-dir or None, the
-    # message), in a directory that holds config.json, sub/ and the dataset
-    # as data/NAME; {data} stands for data/NAME and {tmp} for the directory.
+    # message), in a directory that holds config.json, sub/, sub/loop (a
+    # symlink to itself) and the dataset as data/NAME; {data} stands for
+    # data/NAME and {tmp} for the directory.
     OUTPUT_CASES = [
         *(pytest.param(outputs, out_dir, f"outputs.{key}: {message}",
                        id=f"{key}-{case}")
@@ -412,6 +416,10 @@ class TestRun:
                "{tmp}/{data} is also the dataset path"),
               ("under-a-file", {key: "{data}/out.txt"}, None,
                "{tmp}/{data} is not a directory"),
+              ("symlink-loop", {key: "sub/loop"}, None,
+               "Symlink loop from '{tmp}/sub/loop'"),
+              ("symlink-loop-by-out-dir", {key: "loop"}, "sub",
+               "Symlink loop from '{tmp}/sub/loop'"),
           ]),
         # --out-dir holds both outputs, and outputs.csv is checked first
         pytest.param({}, "{data}",
@@ -442,6 +450,7 @@ class TestRun:
         (tmp_path / "data").mkdir()
         (tmp_path / name).rename(tmp_path / "data" / name)
         (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "loop").symlink_to("loop")
         doc["dataset"] = values["data"]
         doc["outputs"].update({key: value.format(**values)
                                for key, value in outputs.items()})
@@ -938,6 +947,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, reason", [
         pytest.param([], "required: command", id="no-command"),
+        pytest.param(["--"], "required: command", id="dashes-alone"),
         pytest.param(["bogus"], "invalid command 'bogus'", id="unknown-command"),
         pytest.param(["--", "run", "{config}"], "invalid command '--'",
                      id="dashes-before-command"),
@@ -1012,10 +1022,9 @@ class TestCommandLine:
               "--grid-step", "--g", "--grid-step=-2", "--bogus", "--bogus=1",
               "-x", "-x y", "--=x", "---", "-\u0663", "-1\n", "--seeds")
 
-    # argparse's reading of edge cases (`--`, options joined to values)
-    # changed after Python 3.11, whose reading the CLI keeps
-    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                        reason="the oracle is argparse as of Python 3.11")
+    # read_argv reads a plain `cid run` line itself and hands every other
+    # line to argparse; the oracle is the same argparse, so the two agree
+    # under any Python
     @settings(max_examples=600, deadline=None)
     @given(st.sampled_from(([], ["run"], ["run"], ["mechanisms"])),
            st.lists(st.sampled_from(TOKENS), max_size=6))
@@ -1080,15 +1089,16 @@ def test_bundled_configs_run_without_scipy(tmp_path):
 ])
 def test_run_loads_no_modules(tmp_path, name, grid_step):
     """Every module a run needs is loaded when cid.cli is imported, so the
-    run phase pays for no import."""
+    run phase pays for no import; the command line is the benchmark's, which
+    is read without argparse."""
     code = ("import sys\n"
             "from cid.cli import main\n"
             "before = set(sys.modules)\n"
             "assert main(['run', *sys.argv[1:]]) == 0\n"
             "print(sorted(set(sys.modules) ^ before))")
     step = ["--grid-step", grid_step] if grid_step else []
-    result = run_python(code, REPO / "configs" / name, "--out-dir", tmp_path,
-                        *step)
+    result = run_python(code, REPO / "configs" / name, "--seed", 20240101,
+                        "--out-dir", tmp_path, *step)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
 
@@ -1165,3 +1175,77 @@ def test_unnamed_sweep_error_is_a_bug(tmp_path, lead_doc, capsys,
     assert main(["run", str(write_config(tmp_path, lead_doc))]) == 2
     assert capsys.readouterr().err == "error: no field\n"
     assert not (tmp_path / "curve.csv").exists()
+
+
+# Values a fuzzed config field is set to: every JSON type, and numbers at
+# the edges of the ranges the fields are checked against.
+FUZZ_VALUES = ("x", True, None, [], {}, math.nan, math.inf, -math.inf,
+               1e308, -1e308, 0, -1, 0.5, 2**63)
+# The config objects an unknown key is added to ("" is the document).
+FUZZ_OBJECTS = sorted({""} | {path.rpartition(".")[0] + "."
+                              for path in FIELDS if "." in path})
+
+
+def leaf_paths(doc, prefix=""):
+    """The dotted paths of a config document's fields."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def holder(doc, path):
+    """The object that holds the field at a dotted path, made where it is
+    missing, and the field's name."""
+    *heads, name = path.split(".")
+    for head in heads:
+        doc = doc.setdefault(head, {})
+    return doc, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("election.json", "lead_accordion.json")), st.data())
+def test_fuzzed_config_runs_or_is_a_config_error(name, data):
+    """A bundled config with one or two fields dropped, added or set to an
+    odd value either runs to finite outputs or exits 1 at a config path
+    without writing; it never exits 2. The dataset, the bundled file, is
+    kept, since an unreadable dataset exits 2 by design."""
+    doc = json.loads((REPO / "configs" / name).read_text())
+    doc["dataset"] = str((REPO / "configs" / doc["dataset"]).resolve())
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(("drop", "add", "set")), label="kind")
+        if kind == "drop":
+            path = data.draw(st.sampled_from(
+                sorted(set(leaf_paths(doc)) - {"dataset"})), label="drop")
+            obj, key = holder(doc, path)
+            del obj[key]
+        elif kind == "add":
+            obj, key = holder(doc, data.draw(st.sampled_from(FUZZ_OBJECTS),
+                                             label="add") + "bogus")
+            obj[key] = 1
+        else:
+            path = data.draw(st.sampled_from(sorted(set(FIELDS) - {"dataset"})),
+                             label="set")
+            obj, key = holder(doc, path)
+            obj[key] = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            status = main(["run", str(write_config(Path(tmp), doc)),
+                           "--out-dir", str(out)])
+        if status == 0:
+            blocks = sorted(p.read_bytes() for p in out.iterdir())
+            assert [b[:4] for b in blocks] == [b"<svg", b"t,es"]
+            assert not any(re.search(rb"nan|inf", b) for b in blocks)
+            return
+        err = stderr.getvalue()
+        assert status == 1, err
+        found = re.match(r"config error: (?:missing required field: )?"
+                         r"([\w.]+)", err)
+        assert found and (found[1] in FIELDS or found[1] + "." in FUZZ_OBJECTS
+                          or found[1].endswith("bogus")), err
+        assert err.count("\n") == 1 and stdout.getvalue() == ""
+        assert not out.exists()
