@@ -7,11 +7,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-# numpy.random is a package numpy loads lazily; importing it here keeps that
-# cost in import time rather than in the first lead run.
-from numpy.random import SeedSequence, default_rng
 
 from .errors import InputError
+from .streams import UNIFORMS, Stream, key
 
 N_LEVELS = 10
 # Cell size of the imputation coupling (impute_theta_grid): a round draws
@@ -145,25 +143,25 @@ class ImputationConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def substream(seed: int, m: int) -> np.random.Generator:
-    """Independent generator for imputation m.
+def substream(seed: int, m: int) -> Stream:
+    """The variates of imputation round m: a counter-based stream keyed by
+    seed and m alone (cid.streams), so results do not depend on evaluation
+    order, and every variate is a pure function of (seed, m, family,
+    index)."""
+    return Stream(key(seed, m))
 
-    Derived from seed and m alone, so results do not depend on evaluation
-    order. The spawn key (0, m) keeps the streams of earlier versions.
-    """
-    return default_rng(SeedSequence(seed, spawn_key=(0, m)))
 
-
-def draw_dirichlet_posterior(pop: LeadPopulation,
-                             rng: np.random.Generator) -> np.ndarray:
+def draw_dirichlet_posterior(pop: LeadPopulation, rng: Stream) -> np.ndarray:
     """One draw from Dirichlet(1 + n_1, ..., 1 + n_K), as a probability array.
 
-    Drawn as K independent gamma variates with shapes 1 + n_k, normalized;
-    all shapes are >= 1 thanks to the flat prior.
+    Drawn as the K gamma variates with shapes 1 + n_k at indices 0, ...,
+    K - 1 of rng, normalized; all shapes are >= 1 thanks to the flat prior.
     """
-    g = rng.standard_gamma(1.0 + pop.counts_array())
+    g = rng.gammas(1.0 + pop.counts_array())
     return g / g.sum()
 
 
@@ -201,33 +199,35 @@ def _tilt_levels(probs: np.ndarray, w: np.ndarray,
     return np.exp(z, out=z)
 
 
-def _tilt_rows(probs: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Row i is p tilted by ts[i] (_tilt_levels), normalized to sum to 1."""
-    tilted = np.ascontiguousarray(_tilt_levels(probs, w, ts).T)
-    tilted /= tilted.sum(axis=1, keepdims=True)
-    return tilted
+def _cell_shapes(n: int) -> np.ndarray:
+    """The gamma shapes of the cells of n uniforms (_draw_round): b = n //
+    CELL of shape CELL, then one of shape n + 1 - CELL*b."""
+    b = n // CELL
+    shapes = np.full(b + 1, float(CELL))
+    shapes[-1] = n + 1 - CELL * b
+    return shapes
 
 
-def _draw_cells(rng: np.random.Generator, n: int) -> tuple:
-    """Every CELL-th order statistic of n iid uniforms, and one uniform per
-    cell between them.
+def _draw_round(rng: Stream, shapes: np.ndarray, k: int) -> tuple:
+    """One round's posterior draw p (draw_dirichlet_posterior) and the cell
+    edges of its imputation uniforms, from one gamma call: shapes holds the
+    k posterior shapes, then the cell shapes (_cell_shapes), whose gammas
+    follow the posterior ones, at indices k, k + 1, ....
 
     With E_1, ..., E_(n+1) iid standard exponentials, the k-th smallest of n
     uniforms is (E_1 + ... + E_k) / (E_1 + ... + E_(n+1)) (Devroye 1986,
     Non-Uniform Random Variate Generation, ch. V). Sums of CELL exponentials
     are gamma variates of shape CELL, so b = n // CELL of them and one of
     shape n + 1 - CELL*b give the order statistics of ranks CELL, 2*CELL,
-    ..., CELL*b. Returns (bounds, u): bounds holds 0, those b order
-    statistics and 1, the edges of b + 1 cells, and u[j] is cell j's
-    uniform.
+    ..., CELL*b. Returns (p, bounds): bounds holds 0, those b order
+    statistics and 1, the edges of b + 1 cells.
     """
-    b = n // CELL
-    bounds = np.zeros(b + 2)
-    rng.standard_gamma(float(CELL), out=bounds[1:-1])
-    bounds[-1] = rng.standard_gamma(n + 1 - CELL * b)
-    np.cumsum(bounds, out=bounds)
+    g = rng.gammas(shapes)
+    bounds = np.empty(len(shapes) - k + 1)
+    bounds[0] = 0.0
+    np.cumsum(g[k:], out=bounds[1:])
     bounds /= bounds[-1]
-    return bounds, rng.random(b + 1)
+    return g[:k] / g[:k].sum(), bounds
 
 
 def _quantile_binomial(n, r, u) -> np.ndarray:
@@ -286,18 +286,19 @@ def _quantile_binomial(n, r, u) -> np.ndarray:
     return np.where(flip, n - below, below)
 
 
-def _cell_fields(q: np.ndarray, bounds: np.ndarray, u: np.ndarray,
+def _cell_fields(q: np.ndarray, bounds: np.ndarray, rng: Stream,
                  n: int) -> tuple:
-    """Where each probability q falls among n uniforms' cells (_draw_cells):
+    """Where each probability q falls among n uniforms' cells (_draw_round):
     (j, inside, r, u_j). The units at or below q are then the CELL*j units
     at or below the lower edge of q's cell j plus _quantile_binomial(inside,
     r, u_j): an exact Bin(n, q) draw at every q, nondecreasing in q.
 
     q lies at fraction r of the width of cell j, which holds inside units.
     They are iid uniform on the cell given its edges, so their count below
-    q is Bin(inside, r), drawn by inverting the cell's uniform u_j.
+    q is Bin(inside, r), drawn by inverting the cell's uniform u_j, the
+    uniform at index j of rng's UNIFORMS family.
     """
-    b = len(u) - 1
+    b = len(bounds) - 2
     # q == 1 lies on the top edge; it belongs to the last cell, at r = 1
     j = np.minimum(np.searchsorted(bounds, q, side="right") - 1, b)
     lo, hi = bounds[j], bounds[j + 1]
@@ -305,45 +306,39 @@ def _cell_fields(q: np.ndarray, bounds: np.ndarray, u: np.ndarray,
         r = np.where(q < hi, (q - lo) / (hi - lo), 1.0)
     # as bytes, since fewer than CELL: a batch holds many
     inside = np.where(j < b, np.uint8(CELL - 1), np.uint8(n - CELL * b))
-    return j, inside, r, u[j]
+    return j, inside, r, rng.random(UNIFORMS, j)
 
 
-def _conditional(rng: np.random.Generator, count: int,
-                 probs: np.ndarray) -> np.ndarray:
-    """Multinomial(count, probs / probs.sum()); zeros when count is 0."""
-    if count == 0:
-        return np.zeros(len(probs), dtype=np.int64)
-    return rng.multinomial(count, probs / probs.sum())
-
-
-def _low_share(p: np.ndarray, w: np.ndarray, ts: np.ndarray,
-               cutoff: int) -> np.ndarray:
-    """q_t = P_t(level <= cutoff) at each knob value t in ts, from
-    _tilt_levels: a ratio, so the columns need no normalizing. Exactly 0 or 1
-    when all the tilted mass is on one side."""
-    tilted = _tilt_levels(p, w, ts)
+def _low_share(tilted: np.ndarray, cutoff: int) -> np.ndarray:
+    """q_t = P_t(level <= cutoff) at each knob value t, from its column of
+    _tilt_levels: a ratio, so the columns need no normalizing. Exactly 0 or
+    1 when all the tilted mass is on one side."""
     low = tilted[:cutoff].sum(axis=0)
     return low / (low + tilted[cutoff:].sum(axis=0))
 
 
 def _round_chunks(pop: LeadPopulation, w: np.ndarray, ts: np.ndarray,
-                  cfg: ImputationConfig):
-    """Each round's draws and the cell fields (_cell_fields) of its knob
-    values, at most BATCH values at a time, in round order.
+                  rows: np.ndarray, cfg: ImputationConfig):
+    """Each round's cell fields (_cell_fields) of its knob values, at most
+    BATCH values at a time, in round order.
 
-    Yields ((rng, p, start, stop), fields) for the knob values
-    ts[start:stop]: rng is round m's substream, left in its state after the
-    cells, and p its posterior draw.
+    Yields ((start, stop, tilted), fields) for the knob values
+    ts[start:stop]: tilted holds round m's posterior draw tilted by the
+    values among them at the grid rows in rows (_tilt_levels), one row per
+    such grid row, in the order of rows.
     """
     n = pop.n_missing
+    shapes = np.concatenate((1.0 + pop.counts_array(), _cell_shapes(n)))
     for m in range(cfg.m):
         rng = substream(cfg.seed, m)
-        p = draw_dirichlet_posterior(pop, rng)
-        cells = _draw_cells(rng, n)
+        p, bounds = _draw_round(rng, shapes, pop.k)
         for start in range(0, len(ts), BATCH):
             stop = min(start + BATCH, len(ts))
-            q = _low_share(p, w, ts[start:stop], pop.cutoff_level)
-            yield (rng, p, start, stop), _cell_fields(q, *cells, n)
+            tilted = _tilt_levels(p, w, ts[start:stop])
+            here = rows[(start <= rows) & (rows < stop)] - start
+            q = _low_share(tilted, pop.cutoff_level)
+            yield ((start, stop, tilted[:, here].T),
+                   _cell_fields(q, bounds, rng, n))
 
 
 def _batches(chunks):
@@ -369,23 +364,23 @@ def _joined(parts: list) -> list:
     return joined
 
 
-def _completed_freqs(pop: LeadPopulation, rng: np.random.Generator,
-                     tilted: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """One round's completed frequencies at each snapshot: the below[s]
-    missing units at or below the cutoff, and the rest above it, spread over
-    the levels by the tilted row tilted[s], each snapshot from rng's present
-    state."""
-    cutoff, observed = pop.cutoff_level, pop.counts_array()
-    bit_generator = rng.bit_generator
-    after_cells = bit_generator.state
-    freqs = np.empty((len(below), pop.k))
-    for s, n_low in enumerate(below.tolist()):
-        bit_generator.state = after_cells
-        imputed = np.concatenate((
-            _conditional(rng, n_low, tilted[s, :cutoff]),
-            _conditional(rng, pop.n_missing - n_low, tilted[s, cutoff:])))
-        freqs[s] = (observed + imputed) / pop.n_total
-    return freqs
+def _completed_freqs(pop: LeadPopulation, tilted: np.ndarray,
+                     below: np.ndarray) -> np.ndarray:
+    """One round's completed frequencies at each snapshot, as their
+    expectation given the round's tilted rows tilted[s] and the below[s]
+    missing units at or below the cutoff: those units spread over the levels
+    at or below it in proportion to tilted[s], and the rest over the levels
+    above it likewise."""
+    cutoff, n = pop.cutoff_level, pop.n_missing
+    imputed = np.empty_like(tilted)
+    for side, count in ((slice(None, cutoff), below),
+                        (slice(cutoff, None), n - below)):
+        probs = tilted[:, side]
+        # a side without units has no share, and possibly no mass
+        share = np.divide(count, probs.sum(axis=1), out=np.zeros(len(count)),
+                          where=count > 0)
+        np.multiply(probs, share[:, None], out=imputed[:, side])
+    return (pop.counts_array() + imputed) / pop.n_total
 
 
 def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
@@ -397,11 +392,11 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     posterior and tilts them. Missing units are exchangeable given the
     tilted probabilities, so the missing units at or below the cutoff are
     Bin(n_missing, q_t), q_t = P_t(level <= cutoff). Round m draws them
-    from substream(seed, m) by one coupling shared by the whole grid: after
+    from substream(seed, m) by one coupling shared by the whole grid: with
     the posterior, the round draws every CELL-th order statistic of
-    n_missing imputation uniforms and one uniform per cell between them
-    (_draw_cells), and the count at q_t is the number of those uniforms at
-    or below q_t (_cell_fields). That count is exactly Bin(n_missing, q_t)
+    n_missing imputation uniforms (_draw_round), and the count at q_t is the
+    number of those uniforms at or below q_t, found from one uniform of the
+    cell holding q_t (_cell_fields). That count is exactly Bin(n_missing, q_t)
     and nondecreasing in q_t, so for a mechanism whose weights at or below
     the cutoff all exceed those above it (accordion, parametric) each
     round's fraction, and their mean, is nonincreasing in t. Row i depends
@@ -411,10 +406,13 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     BATCH at a time, so the work held at once is bounded however fine the
     grid and however many the rounds.
 
-    For each row in rows, the units below and above the cutoff are spread
-    over the levels by two conditional multinomials, drawn from the
-    generator state that follows the cells, so the frequencies agree with
-    the fraction and do not depend on the other rows either.
+    For each row in rows, a round's completed frequencies are their
+    expectation given its posterior draw and its count at or below the
+    cutoff (_completed_freqs): that count spread over the levels at or below
+    the cutoff in proportion to the tilted posterior, and the rest over the
+    levels above it. They draw nothing, so they agree with the fraction and
+    do not depend on the other rows either, and their mean over the rounds
+    has the expectation a multinomial spread would give it.
 
     Returns (thetas, freqs): the mean fraction per knob value, shape (T,),
     and the mean completed frequency vector per row in rows, shape (S, K).
@@ -443,20 +441,22 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     high_if_none_below = pop.observed_high_count + pop.n_missing
     theta_sum = np.zeros(len(ts))
     freq_sum = np.zeros((len(rows), pop.k))
-    below_rows = np.zeros(len(rows), dtype=np.int64)  # of the present round
-    for heads, (j, inside, r, u) in _batches(_round_chunks(pop, w, ts, cfg)):
+    # the present round's tilted posterior and count below at each row
+    tilted_rows = np.empty((len(rows), pop.k))
+    below_rows = np.empty(len(rows), dtype=np.int64)
+    chunks = _round_chunks(pop, w, ts, rows, cfg)
+    for heads, (j, inside, r, u) in _batches(chunks):
         counts = _quantile_binomial(inside, r, u) + CELL * j
         offset = 0
-        for rng, p, start, stop in heads:
+        for start, stop, tilted in heads:
             below = counts[offset:offset + stop - start]
             offset += stop - start
             theta_sum[start:stop] += (high_if_none_below - below) / pop.n_total
             here = (start <= rows) & (rows < stop)
             below_rows[here] = below[rows[here] - start]
+            tilted_rows[here] = tilted
             if stop == len(ts):  # the round's last knob values
-                freq_sum += _completed_freqs(pop, rng,
-                                             _tilt_rows(p, w, ts[rows]),
-                                             below_rows)
+                freq_sum += _completed_freqs(pop, tilted_rows, below_rows)
     freqs = freq_sum / cfg.m
     # the float mean of m fractions at the worst case can exceed it by an ulp
     thetas = np.minimum(theta_sum / cfg.m, pop.worst_case_theta)

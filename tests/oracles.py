@@ -17,7 +17,8 @@ from itertools import accumulate
 import numpy as np
 
 from cid.decisions import ElectionDecision, InterventionDecision
-from cid.imputation import _tilt_rows, draw_dirichlet_posterior, substream
+from cid.imputation import _tilt_levels, draw_dirichlet_posterior, substream
+from cid.streams import UNIFORMS
 
 
 @dataclass(frozen=True)
@@ -138,44 +139,47 @@ def impute_one_point(pop, mech, t: float, cfg, cell: int = 64) -> tuple:
     frequencies at the single knob value t, one round and one cell at a
     time: the reference for impute_theta_grid's order-statistic coupling.
 
-    Round m draws, from substream(seed, m) after the Dirichlet posterior,
-    n // cell gamma spacings of shape cell and a last one of shape
+    Round m draws from substream(seed, m) by index. Its gamma variates at
+    indices 0, ..., K - 1 give the Dirichlet posterior; those at K, K + 1,
+    ... are n // cell gamma spacings of shape cell and a last one of shape
     n + 1 - cell * (n // cell), whose normalized partial sums are every
-    cell-th order statistic of the n missing units' uniforms, then one
-    uniform per cell. The units at or below the cutoff are those below the
-    cell holding q = P_t(level <= cutoff), plus a binomial quantile of that
-    cell's uniform for the units inside it. From the generator state after
-    the cells, the units below and above the cutoff are spread over the
-    levels by one multinomial each; a side with no units draws nothing.
+    cell-th order statistic of the n missing units' uniforms. The units at
+    or below the cutoff are those below the cell holding q = P_t(level <=
+    cutoff), plus a binomial quantile, for the units inside that cell, of
+    the uniform at the cell's index in the UNIFORMS family. The completed
+    frequencies are their expectation given the tilted posterior and that
+    count: the units on each side of the cutoff spread over its levels in
+    proportion to the tilted posterior; a side with no units adds nothing.
     """
-    n, c = pop.n_missing, pop.cutoff_level
+    n, c, k = pop.n_missing, pop.cutoff_level, pop.k
     observed = pop.counts_array()
     theta_sum = 0.0
-    freq_sum = np.zeros(pop.k)
+    freq_sum = np.zeros(k)
     for m in range(cfg.m):
         rng = substream(cfg.seed, m)
         p = draw_dirichlet_posterior(pop, rng)
-        p_t = _tilt_rows(p, mech.as_array(), np.array([float(t)]))[0]
+        p_t = _tilt_levels(p, mech.as_array(), np.array([float(t)]))[:, 0]
         low = math.fsum(p_t[:c].tolist())
         q = low / (low + math.fsum(p_t[c:].tolist()))
         b = n // cell
-        shapes = np.array([cell] * b + [n + 1 - cell * b], dtype=float)
-        sums = list(accumulate(rng.standard_gamma(shapes).tolist()))
+        spacings = rng.gammas([cell] * b + [n + 1 - cell * b],
+                              range(k, k + b + 1))
+        sums = list(accumulate(spacings.tolist()))
         edges = [0.0] + [s / sums[-1] for s in sums[:-1]] + [1.0]
-        u = rng.random(b + 1).tolist()
         j = bisect.bisect_right(edges, q) - 1
         if j == b + 1:  # q == 1 on the top edge
             j = b
         lo, hi = edges[j], edges[j + 1]
         r = (q - lo) / (hi - lo) if q < hi else 1.0
         inside = cell - 1 if j < b else n - cell * b
-        below = cell * j + binomial_quantile(inside, r, u[j])
+        (u,) = rng.random(UNIFORMS, [j])
+        below = cell * j + binomial_quantile(inside, r, u)
         theta_sum += (pop.observed_high_count + n - below) / pop.n_total
         imputed = []
         for count, probs in ((below, p_t[:c]), (n - below, p_t[c:])):
-            imputed.extend(rng.multinomial(count, probs / probs.sum())
-                           if count else [0] * len(probs))
-        freq_sum += (observed + np.array(imputed, dtype=np.int64)) / pop.n_total
+            imputed.extend(probs * (count / probs.sum()) if count
+                           else [0.0] * len(probs))
+        freq_sum += (observed + np.array(imputed)) / pop.n_total
     freq = freq_sum / cfg.m
     return (min(theta_sum / cfg.m, pop.worst_case_theta),
             freq / freq.sum())

@@ -12,7 +12,7 @@ import pytest
 from cid.decisions import (INTERVENTION_DECISIONS, InterventionDecision,
                            decide_intervention_codes)
 from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
-                            _tilt_rows, accordion_mechanism,
+                            _tilt_levels, accordion_mechanism,
                             impute_theta_grid, mar_mechanism,
                             parametric_mechanism)
 from cid.metrics import (CostParams, cid_general, cid_lead, interval_overlaps,
@@ -171,7 +171,8 @@ class TestCriterion8Properties:
         w = parametric_mechanism().as_array()
 
         def tilt(q, weights, t):
-            return _tilt_rows(q, weights, np.array([t]))[0]
+            tilted = _tilt_levels(q, weights, np.array([t]))[:, 0]
+            return tilted / tilted.sum()
 
         a = tilt(p, w, 1.3)
         assert tilt(p, w + 2.5, 1.3) == pytest.approx(a, abs=1e-10)

@@ -31,29 +31,30 @@ from tests.test_emitters import ref_render_lead_figure
 
 REPO = Path(__file__).resolve().parent.parent
 
-# SHA-256 of the bundled lead configs' outputs (numpy 2.4). A change to any
+# SHA-256 of the bundled lead configs' outputs. Their draws come from the
+# in-repo streams of cid.streams, not from numpy's samplers; a change to any
 # of them is a re-baseline of the lead study and must say why.
 LEAD_DIGESTS = {
     "lead_accordion_curve.csv":
-        "a67d9056092037dae7c05a04aa55797bb7531c5499da64120d9b381fdae56dad",
+        "00cd7a087e2cb94d2762fb4f4dfa07ba51f7923851927fbd8052f067439f76f8",
     "lead_accordion_figure.svg":
-        "a29f78f803e433ca13ad609e175120a14e02a979218da7d9c924c76a83e6c386",
+        "245be10cd06eeb4aabcade3d3ea94581182d615609b44bd3e9a47546d91a48d0",
     "lead_parametric_curve.csv":
-        "7ce36298410282479c0b68ebffb6c60b1f9da09ec44da6a6a88d88e8e233c632",
+        "5d6d4cb90092414ed5d6efc8fd8fe508c1ab70369e44d37b9b30b0c8340696ea",
     "lead_parametric_figure.svg":
-        "180f2540bc737fbc59fd29937f4ebf79f5f0ababd85580854675bcf416be7a70",
+        "060c184459478ff6bc8c1f9d4388613902a9a357b7addd9c608226f772abc23a",
 }
 # The same at --grid-step 0.002 (3,001 points): each round's inversion holds
 # thousands of values, where the 121 bundled points hold few.
 LEAD_FINE_DIGESTS = {
     "lead_accordion_curve.csv":
-        "351bc4b9944dc71e6707ec838a4c2a0e0591f6ee168d31a5ae23b88c25f01c1d",
+        "1266d61cfe1bac3fe3b17029238ff44a72e5862864be373cbea5c2ac4efe7311",
     "lead_accordion_figure.svg":
-        "f142abdbc2ba43173942c5ffb810403e26ee9156c9217b2e3e3cf8a6a042c1da",
+        "848a1c3709b7a944f8c6398c516929df368e8b0ef2fe2b8df42a7abada5ea32b",
     "lead_parametric_curve.csv":
-        "9b872490466cb152f257c57bceb434c66be671674d008f065e2fa6fc2a31b9af",
+        "c02c750fd7743f2367640b4de7404895357eddfa72386e16b1379953eea03ea8",
     "lead_parametric_figure.svg":
-        "56cc0c8a8c75b9232537a594dbf62b7dfdde91260dee80a45cb5f9f5299461a4",
+        "26aa1c2d1e2d8c074d29e7a825ad4680c1c8f2baa1031c31bb2c7410799fbd1e",
 }
 
 
@@ -698,7 +699,7 @@ class TestRun:
         def fail(*args):
             raise AssertionError("imputed beyond the missing-unit bound")
 
-        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
+        monkeypatch.setattr(imputation, "substream", fail)
         lead_doc["lead"]["n_total"] = n_total
         path = write_config(tmp_path, lead_doc)
         tracemalloc.start()
@@ -801,7 +802,7 @@ class TestRun:
         def fail(*args):
             raise AssertionError("imputed before checking the tilt")
 
-        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
+        monkeypatch.setattr(imputation, "substream", fail)
         lead_doc["lead"]["mechanism"] = [1e308, 1, 1, 0, 0, 0, 0, 0, 0, -1e308]
         lead_doc["grid"] = {"t_min": -2, "t_max": 4, "step": 0.05}
         del lead_doc["lead"]["snapshot_ts"]
@@ -887,6 +888,27 @@ class TestRun:
         verdict = capsys.readouterr().out
         assert re.search(r"change points ≈ \[0\.\d{3}, 0\.\d{3}\]$",
                          verdict.strip()), verdict
+
+    def test_verdict_at_a_twelve_decimal_step(self, tmp_path, election_doc,
+                                               capsys, hibbs_fit):
+        # narrow the first election change point to 1e-10 by sweeps of 100
+        # steps, then run a grid of step 1e-12 across it: its bracket needs
+        # all 12 decimals the verdict writes
+        lo, hi = 0.86, 0.88
+        while hi - lo > 1e-10:
+            grid = KnobGrid(lo, hi, (hi - lo) / 100, t0=lo)
+            (lo, hi), = sweep.sweep_election(hibbs_fit, -0.728,
+                                             grid).change_points
+        del election_doc["election"]["plausible_region"]
+        election_doc["grid"] = {"t_min": lo, "t_max": lo + 2e-10,
+                                "step": 1e-12, "t0": lo}
+        assert main(["run", str(write_config(tmp_path, election_doc))]) == 0
+        verdict = capsys.readouterr().out.strip()
+        found = re.fullmatch(r"challenger; change points ≈ \[(0\.\d{12}), "
+                             r"(0\.\d{12})\]", verdict)
+        assert found, verdict
+        low, high = (float(text) for text in found.groups())
+        assert round((high - low) * 1e12) == 1
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1090,17 +1112,24 @@ def test_bundled_configs_run_without_scipy(tmp_path):
 def test_run_loads_no_modules(tmp_path, name, grid_step):
     """Every module a run needs is loaded when cid.cli is imported, so the
     run phase pays for no import; the command line is the benchmark's, which
-    is read without argparse."""
+    is read without argparse. The lead draws come from cid.streams, so
+    neither the import nor the run loads numpy.random, or the secrets and
+    _hashlib modules its seeding imports."""
     code = ("import sys\n"
             "from cid.cli import main\n"
+            "absent = ['numpy.random', 'secrets', '_hashlib']\n"
+            "print([m for m in absent if m in sys.modules])\n"
             "before = set(sys.modules)\n"
             "assert main(['run', *sys.argv[1:]]) == 0\n"
+            "print([m for m in absent if m in sys.modules])\n"
             "print(sorted(set(sys.modules) ^ before))")
     step = ["--grid-step", grid_step] if grid_step else []
     result = run_python(code, REPO / "configs" / name, "--seed", 20240101,
                         "--out-dir", tmp_path, *step)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-2:] == ["[]", "[]"]  # after the run, and nothing new
 
 
 def test_bundled_configs_parse():

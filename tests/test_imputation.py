@@ -11,10 +11,11 @@ from cid import imputation
 from cid.errors import InputError
 from cid.imputation import (BATCH, CELL, MAX_MISSING, ImputationConfig,
                             LeadPopulation, MnarMechanism, _cell_fields,
-                            _draw_cells, _quantile_binomial, _tilt_rows,
-                            accordion_mechanism, draw_dirichlet_posterior,
-                            impute_theta_grid, mar_mechanism,
-                            parametric_mechanism, substream)
+                            _cell_shapes, _draw_round, _quantile_binomial,
+                            _tilt_levels, accordion_mechanism,
+                            draw_dirichlet_posterior, impute_theta_grid,
+                            mar_mechanism, parametric_mechanism, substream)
+from cid.streams import UNIFORMS
 from tests import oracles
 from tests.conftest import LEAD_PROBS
 
@@ -25,8 +26,9 @@ def dist(*probs):
 
 
 def tilt(p, mech, t):
-    """p tilted by mech at the single knob value t."""
-    return _tilt_rows(p, mech.as_array(), np.array([t]))[0]
+    """p tilted by mech at the single knob value t, normalized."""
+    tilted = _tilt_levels(p, mech.as_array(), np.array([t]))[:, 0]
+    return tilted / tilted.sum()
 
 
 def impute_theta(pop, mech, t, cfg):
@@ -35,11 +37,18 @@ def impute_theta(pop, mech, t, cfg):
     return thetas[0], freqs[0]
 
 
-def count_below(q, bounds, u, n):
-    """Units at or below each probability q among n uniforms with the cells
-    (bounds, u) of _draw_cells, as impute_theta_grid counts them."""
-    j, inside, r, u_j = _cell_fields(q, bounds, u, n)
+def count_below(q, bounds, rng, n):
+    """Units at or below each probability q among n uniforms with the cell
+    edges bounds of _draw_round and the cell uniforms of rng, as
+    impute_theta_grid counts them."""
+    j, inside, r, u_j = _cell_fields(q, bounds, rng, n)
     return CELL * j + _quantile_binomial(inside, r, u_j)
+
+
+def draw_cells(rng, n):
+    """The cell edges of n uniforms drawn from rng (_draw_round, with no
+    posterior before them)."""
+    return _draw_round(rng, _cell_shapes(n), 0)[1]
 
 
 class TestMechanisms:
@@ -61,24 +70,22 @@ class TestMechanisms:
 class TestDirichletPosterior:
     def test_flat_prior_is_uniform_on_simplex(self):
         pop = LeadPopulation(observed_counts=(0,) * 10, n_total=100)
-        rng = np.random.default_rng(0)
-        draws = np.array([draw_dirichlet_posterior(pop, rng)
-                          for _ in range(10_000)])
+        draws = np.array([draw_dirichlet_posterior(pop, substream(0, i))
+                          for i in range(10_000)])
         assert draws.mean(axis=0) == pytest.approx([0.1] * 10, abs=0.01)
 
     def test_posterior_mean_matches_observed_frequencies(self, lead_population):
-        rng = np.random.default_rng(1)
-        draws = np.array([draw_dirichlet_posterior(lead_population, rng)
-                          for _ in range(2_000)])
+        draws = np.array([draw_dirichlet_posterior(lead_population,
+                                                   substream(1, i))
+                          for i in range(2_000)])
         assert draws.mean(axis=0) == pytest.approx(LEAD_PROBS, abs=0.005)
 
     def test_against_rejection_sampling_oracle(self):
         # Dirichlet(2,1,1): density proportional to x1, component-1 mean 1/2.
         pop = LeadPopulation(observed_counts=(1, 0, 0), n_total=1,
                              cutoff_level=1)
-        rng = np.random.default_rng(2)
-        draws = np.array([draw_dirichlet_posterior(pop, rng)[0]
-                          for _ in range(50_000)])
+        draws = np.array([draw_dirichlet_posterior(pop, substream(2, i))[0]
+                          for i in range(50_000)])
 
         # oracle: uniform simplex proposals accepted with probability x1
         oracle_rng = np.random.default_rng(3)
@@ -120,7 +127,7 @@ class TestTilt:
         def fail(*args):
             raise AssertionError("drew before checking t * w")
 
-        monkeypatch.setattr(imputation, "draw_dirichlet_posterior", fail)
+        monkeypatch.setattr(imputation, "substream", fail)
         pop = LeadPopulation((2, 1, 1), n_total=10, cutoff_level=1)
         for weights, ts, message in [
             ((1e308, 1.0, -1e308), np.linspace(-2.0, 4.0, 121),
@@ -200,8 +207,8 @@ class TestTilt:
         ts = np.array([-1e-307, 0.0, 1e-307])
         expected = [p[0] * np.exp(t * w[0]) / (p * np.exp(t * w)).sum()
                     for t in ts]
-        assert imputation._low_share(p, w, ts, 1) == pytest.approx(
-            expected, rel=1e-12)
+        assert imputation._low_share(_tilt_levels(p, w, ts), 1) == \
+            pytest.approx(expected, rel=1e-12)
 
     @given(c=st.floats(-1e300, 1e300) | st.sampled_from([1e300, -1e300]),
            ts=st.lists(st.floats(-1, 1), min_size=1, max_size=20))
@@ -224,9 +231,11 @@ class TestTilt:
         p = dist(*probs)
         w = np.ldexp(np.array(ks, dtype=float), scale)
         shifted = np.ldexp(np.array(ks, dtype=float) + offset, scale)
-        q = imputation._low_share(p, w, np.array(ts), 3)
+        ts = np.array(ts)
+        q = imputation._low_share(_tilt_levels(p, w, ts), 3)
         np.testing.assert_array_max_ulp(
-            imputation._low_share(p, shifted, np.array(ts), 3), q, maxulp=4)
+            imputation._low_share(_tilt_levels(p, shifted, ts), 3), q,
+            maxulp=4)
 
 
 class TestImputeTheta:
@@ -291,9 +300,9 @@ class TestImputeTheta:
                          ImputationConfig(m=1))
 
     def test_substreams_are_independent_of_order(self):
-        g1 = substream(5, 3).random(4)
-        _ = substream(5, 2).random(4)
-        g2 = substream(5, 3).random(4)
+        g1 = substream(5, 3).random(UNIFORMS, np.arange(4))
+        _ = substream(5, 2).random(UNIFORMS, np.arange(4))
+        g2 = substream(5, 3).random(UNIFORMS, np.arange(4))
         assert np.array_equal(g1, g2)
 
 
@@ -541,23 +550,33 @@ class TestCoupling:
                                                              r.tolist(),
                                                              u.tolist())]
 
+    def test_quantile_binomial_at_the_largest_uniform(self):
+        # 1 - 2**-53 is the largest uniform a stream returns; there the
+        # rounded cdf can stay below u past k = n, and the count must
+        # still lie in [0, n]
+        n = np.repeat(np.arange(CELL), 4)
+        r = np.tile([0.0, 0.5, 1.0 - 2.0**-53, 1.0], CELL)
+        counts = _quantile_binomial(n, r, np.full(len(n), 1.0 - 2.0**-53))
+        assert np.all((0 <= counts) & (counts <= n)), counts
+
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 290_000])
     def test_cells_are_order_statistics(self, n):
-        bounds, u = _draw_cells(np.random.default_rng(4), n)
-        assert len(bounds) == n // CELL + 2 and len(u) == n // CELL + 1
+        rng = substream(4, 0)
+        bounds = draw_cells(rng, n)
+        assert len(bounds) == n // CELL + 2
         assert bounds[0] == 0.0 and bounds[-1] == 1.0
         assert np.all(np.diff(bounds) > 0)
         q = np.array([0.0, 1.0])
-        assert count_below(q, bounds, u, n).tolist() == [0, n]
+        assert count_below(q, bounds, rng, n).tolist() == [0, n]
 
     def test_count_below_is_binomial(self):
         """Chi-squared test of the count at six probabilities against
         Bin(290,000, q), over 4,000 cell draws."""
         n = 290_000
         qs = np.array([1e-5, 0.01, 0.3, 0.5, 0.97, 1.0 - 1e-5])
-        rng = np.random.default_rng(20240101)
-        counts = np.array([count_below(qs, *_draw_cells(rng, n), n)
-                           for _ in range(4_000)])
+        rngs = (substream(20240101, i) for i in range(4_000))
+        counts = np.array([count_below(qs, draw_cells(rng, n), rng, n)
+                           for rng in rngs])
         for q, sample in zip(qs, counts.T):
             # bins between the deciles of Bin(n, q): bin i holds the counts
             # in [cuts[i - 1], cuts[i])

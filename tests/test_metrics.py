@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -41,6 +42,49 @@ class TestIntervalOverlaps:
         # compare signs too: -0.0 == 0.0, but they print differently
         assert [(j, math.copysign(1.0, j)) for j in got.tolist()] == \
             [(j, math.copysign(1.0, j)) for j in expected]
+
+
+# Thirteen values that stress the overlap: infinities, the largest and
+# smallest magnitudes, signed zeros, NaN and a few plain numbers.
+SPECIAL_VALUES = (-math.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5,
+                  1.0, 2.0, 1e308, math.inf, math.nan)
+
+
+def interval_overlaps_with_clamps(ref_lower, ref_upper, lower, upper):
+    """interval_overlaps with a clamp of j at 0 and an extra equality in
+    same_point, neither of which the overlap needs: the reference it is
+    compared against."""
+    lo = np.where(lower > ref_lower, lower, ref_lower)
+    hi = np.where(upper < ref_upper, upper, ref_upper)
+    ref_width = ref_upper - ref_lower
+    width = upper - lower
+    overlap = hi - lo
+    j = 0.5 * (overlap / ref_width + overlap / width)
+    j = np.where(0.0 > j, 0.0, j)
+    j = np.where(1.0 < j, 1.0, j)
+    same_point = ((ref_lower == ref_upper) & (ref_upper == lower)
+                  & (lower == upper))
+    j = np.where((ref_width == 0.0) | (width == 0.0),
+                 np.where(same_point, 1.0, 0.0), j)
+    return np.where(hi < lo, 0.0, j)
+
+
+def test_overlaps_equal_the_clamped_form_on_special_values():
+    # all 13**4 = 28,561 combinations of the four bounds, compared bit for
+    # bit; the reference interval is a pair of floats, the others arrays
+    lower, upper = np.array(np.meshgrid(SPECIAL_VALUES, SPECIAL_VALUES,
+                                        indexing="ij")).reshape(2, -1)
+    compared = 0
+    with np.errstate(all="ignore"):
+        for ref_lower in SPECIAL_VALUES:
+            for ref_upper in SPECIAL_VALUES:
+                got = interval_overlaps(ref_lower, ref_upper, lower, upper)
+                expected = interval_overlaps_with_clamps(ref_lower, ref_upper,
+                                                         lower, upper)
+                assert got.tobytes() == expected.tobytes(), (ref_lower,
+                                                             ref_upper)
+                compared += len(got)
+    assert compared == 28_561
 
 
 class TestIntervalOverlap:

@@ -503,6 +503,22 @@ class TestAnnotatePlausibleRegion:
         assert min_cid_in_region(election_curve,
                                  PlausibleRegion(0.5, 3.0)) == 0.0
 
+    def test_bounds_on_grid_points_are_inside(self, election_curve):
+        # the region is closed: a bound that is a grid point takes that point
+        # in, at either end
+        t, cid = election_curve.t, election_curve.cid
+        first_changed = int(np.flatnonzero(cid == 0.0)[0])
+        below = cid[first_changed - 5:first_changed]
+        assert below.min() >= 1.0
+        assert min_cid_in_region(election_curve, PlausibleRegion(
+            t[first_changed - 5], t[first_changed])) == 0.0
+        # the overlap, and so the CID, falls away from t0 = 0: on the
+        # negative side the lowest CID of a region is at its lower bound
+        i = int(np.flatnonzero(t == -3.0)[0])
+        assert cid[i] < cid[i + 1:i + 6].min()
+        assert min_cid_in_region(election_curve,
+                                 PlausibleRegion(t[i], t[i + 5])) == cid[i]
+
     def test_empty_intersection_raises(self, election_curve):
         with pytest.raises(ValueError, match=r"^\[10\.0, 11\.0\] contains no "
                                              r"grid points"):
