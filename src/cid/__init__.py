@@ -4,29 +4,44 @@ Quantifies how policy decisions derived from statistical estimates change
 under departures from baseline assumptions: additive measurement error in
 regression inputs, and missing-not-at-random mechanisms in categorical
 outcome data.
+
+The exports below are resolved on first use (PEP 562), so `import cid`
+loads no numpy and `import cid.cli` compiles the CLI before numpy loads.
 """
 
-from .decisions import ElectionDecision, InterventionDecision
-from .imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
-                         accordion_mechanism, draw_dirichlet_posterior,
-                         impute_theta_grid, mar_mechanism,
-                         parametric_mechanism)
-from .metrics import CostParams, cid_general, cid_lead, max_cost
-from .regression import ElectionDataset, FittedLine, fit_simple_ols
-from .svgfig import render_election_figure, render_lead_figure
-from .sweep import (CidCurve, KnobDistribution, KnobGrid, PlausibleRegion,
-                    expected_cid, min_cid_in_region, sweep_election,
-                    sweep_lead)
+import importlib
 
-__all__ = [
-    "CidCurve", "CostParams", "ElectionDataset", "ElectionDecision",
-    "FittedLine", "ImputationConfig", "InterventionDecision",
-    "KnobDistribution", "KnobGrid", "LeadPopulation", "MnarMechanism",
-    "PlausibleRegion", "accordion_mechanism", "cid_general", "cid_lead",
-    "draw_dirichlet_posterior", "expected_cid", "fit_simple_ols",
-    "impute_theta_grid", "mar_mechanism", "max_cost", "min_cid_in_region",
-    "parametric_mechanism", "render_election_figure", "render_lead_figure",
-    "sweep_election", "sweep_lead",
-]
+# The submodule that defines each exported name.
+_EXPORTS = {
+    "ElectionDecision": "decisions", "InterventionDecision": "decisions",
+    "ImputationConfig": "imputation", "LeadPopulation": "imputation",
+    "MnarMechanism": "imputation", "accordion_mechanism": "imputation",
+    "draw_dirichlet_posterior": "imputation",
+    "impute_theta_grid": "imputation", "mar_mechanism": "imputation",
+    "parametric_mechanism": "imputation",
+    "CostParams": "metrics", "cid_general": "metrics", "cid_lead": "metrics",
+    "max_cost": "metrics",
+    "ElectionDataset": "regression", "FittedLine": "regression",
+    "fit_simple_ols": "regression",
+    "render_election_figure": "svgfig", "render_lead_figure": "svgfig",
+    "CidCurve": "sweep", "KnobDistribution": "sweep", "KnobGrid": "sweep",
+    "PlausibleRegion": "sweep", "expected_cid": "sweep",
+    "min_cid_in_region": "sweep", "sweep_election": "sweep",
+    "sweep_lead": "sweep",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """An exported name, imported from its submodule on first use. Any
+    other name is an AttributeError, so `from cid import sweep` imports the
+    submodule."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

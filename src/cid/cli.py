@@ -11,7 +11,15 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
-from . import textcols
+# cid does no BLAS work, but numpy's OpenBLAS starts a worker thread per
+# core that busy-waits after the import. So the pool is one thread unless
+# the user sized it; this runs before the first numpy import, as `import
+# cid` loads no numpy.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import textcols  # noqa: E402 - after the BLAS setting
 from .errors import InputError
 from .imputation import (BUILTIN_MECHANISMS, ImputationConfig, LeadPopulation,
                          MnarMechanism, mar_mechanism, read_level_counts)

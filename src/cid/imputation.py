@@ -16,10 +16,11 @@ N_LEVELS = 10
 # every CELL-th order statistic of its imputation uniforms, so it holds
 # n_missing // CELL + 1 cells of at most CELL - 1 units each.
 CELL = 64
-# Most values impute_theta_grid inverts in one _quantile_binomial call: the
-# 3,001 knob values of a step-0.002 lead grid fit five rounds, and the
-# call's arrays stay near 128 KiB each however fine the grid.
-BATCH = 2**14
+# Most values impute_theta_grid inverts in one _quantile_binomial call, and
+# most knob values a round tilts at once. The inversion's float64 arrays
+# then hold textcols.BLOCK_BYTES (64 KiB) each, below glibc's 128 KiB mmap
+# threshold, so they reuse freed memory however fine the grid.
+BATCH = 2**13
 # Most missing units a LeadPopulation may have: a round's 2**20 cells at
 # this bound peak at 32 MiB, where one uniform per unit would take 512 MiB.
 MAX_MISSING = 2**26
@@ -121,13 +122,17 @@ class LeadPopulation:
 
 
 def read_level_counts(path) -> tuple:
-    """Per-level counts from a `level,count` CSV covering levels 1..K."""
+    """Per-level counts from a `level,count` CSV covering levels 1..K. A
+    file the csv module cannot read is a ValueError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
-        for column in ("level", "count"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{path} has no {column!r} column")
-        rows = [(int(r["level"]), int(r["count"])) for r in reader]
+        try:
+            for column in ("level", "count"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path} has no {column!r} column")
+            rows = [(int(r["level"]), int(r["count"])) for r in reader]
+        except csv.Error as err:  # e.g. a field over the csv field size limit
+            raise ValueError(f"{path}: {err}") from err
     rows.sort()
     levels = [lvl for lvl, _ in rows]
     if levels != list(range(1, len(rows) + 1)):
@@ -337,8 +342,12 @@ def _round_chunks(pop: LeadPopulation, w: np.ndarray, ts: np.ndarray,
             tilted = _tilt_levels(p, w, ts[start:stop])
             here = rows[(start <= rows) & (rows < stop)] - start
             q = _low_share(tilted, pop.cutoff_level)
-            yield ((start, stop, tilted[:, here].T),
-                   _cell_fields(q, bounds, rng, n))
+            head = (start, stop, tilted[:, here].T)
+            fields = _cell_fields(q, bounds, rng, n)
+            # the caller holds what it needs; the tilted posterior and the
+            # shares are not kept through the next round's draw
+            del tilted, q
+            yield head, fields
 
 
 def _batches(chunks):

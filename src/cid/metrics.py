@@ -60,7 +60,6 @@ def interval_overlaps(ref_lower: float, ref_upper: float, lower, upper) -> np.nd
     overlap = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         j = 0.5 * (overlap / ref_width + overlap / width)
-    j = np.where(1.0 < j, 1.0, j)
     same_point = (ref_lower == ref_upper) & (lower == upper)
     j = np.where((ref_width == 0.0) | (width == 0.0),
                  np.where(same_point, 1.0, 0.0), j)

@@ -46,13 +46,17 @@ class ElectionDataset:
 
     @classmethod
     def from_csv(cls, path) -> "ElectionDataset":
-        """Read a `year,growth,vote` CSV file."""
+        """Read a `year,growth,vote` CSV file. A file the csv module cannot
+        read is a ValueError."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh, restval="")
-            for column in ("year", "growth", "vote"):
-                if column not in (reader.fieldnames or ()):
-                    raise ValueError(f"{path} has no {column!r} column")
-            rows = [(r["year"], r["growth"], r["vote"]) for r in reader]
+            try:
+                for column in ("year", "growth", "vote"):
+                    if column not in (reader.fieldnames or ()):
+                        raise ValueError(f"{path} has no {column!r} column")
+                rows = [(r["year"], r["growth"], r["vote"]) for r in reader]
+            except csv.Error as err:  # e.g. a field over the size limit
+                raise ValueError(f"{path}: {err}") from err
         return cls.from_records(rows)
 
 

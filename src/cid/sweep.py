@@ -204,20 +204,27 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
     with the threshold rule at costs.threshold.
 
     A threshold not below pop.worst_case_theta is a ValueError, raised
-    before any imputation. The whole grid is imputed in one
-    common-random-numbers pass (impute_theta_grid): every grid point reuses
-    the same per-imputation substreams, and each point is byte-identical to
-    imputing it alone, in any evaluation order; for the accordion and
-    parametric mechanisms the estimate is nonincreasing in t. The grid
-    contains t0 exactly, so the reference estimate is its row; the
-    decisions and cid_lead take the whole grid. The curve carries the mean
-    completed frequencies of the grid rows in snapshot_rows.
+    before any imputation. With a zero cost, the row at t0 is imputed alone
+    first, and a reference estimate that leaves no outcome a cost is
+    cid_lead's InputError, raised before the grid is imputed. The whole
+    grid is imputed in one common-random-numbers pass (impute_theta_grid):
+    every grid point reuses the same per-imputation substreams, and each
+    point is byte-identical to imputing it alone, in any evaluation order;
+    for the accordion and parametric mechanisms the estimate is
+    nonincreasing in t. The grid contains t0 exactly, so the reference
+    estimate is its row; the decisions and cid_lead take the whole grid.
+    The curve carries the mean completed frequencies of the grid rows in
+    snapshot_rows.
     """
     max_cost(0.0, costs, pop.worst_case_theta)  # checks the threshold
     ts = grid.values()
+    i0 = grid.index_of_t0()
+    if costs.a == 0 or costs.b == 0:
+        # the row at t0 is the same imputed alone as in the grid
+        theta_ref = impute_theta_grid(pop, mech, ts[i0:i0 + 1], cfg)[0]
+        cid_lead(theta_ref, theta_ref, 1, costs, pop.worst_case_theta)
     snapshot_rows = tuple(snapshot_rows)
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg, snapshot_rows)
-    i0 = grid.index_of_t0()
     theta_ref = thetas[i0]
     codes = decide_intervention_codes(thetas, costs.threshold)
     return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,

@@ -325,6 +325,12 @@ class TestRun:
                      "1956,2e-200,57.8\n1960,3e-200,49.9\n", id="tiny-growth"),
         pytest.param("election_doc", "year,growth,vote\n1952,1e200,44.6\n"
                      "1956,2e200,57.8\n1960,3e200,49.9\n", id="huge-growth"),
+        # a field longer than the csv module's field size limit
+        pytest.param("election_doc", "year,growth,vote\n1952,2.4,44.6\n"
+                     f"1956,{'9' * 200_000},57.8\n1960,0.9,49.9\n",
+                     id="over-long-field"),
+        pytest.param("lead_doc", f"level,count\n1,100\n2,{'9' * 200_000}\n"
+                     "3,100\n4,100\n", id="lead-over-long-field"),
     ])
     def test_invalid_dataset_exits_1_without_outputs(
             self, tmp_path, capsys, request, doc_name, text):
@@ -338,6 +344,21 @@ class TestRun:
         assert "config error: dataset:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("doc_name", ["election_doc", "lead_doc"])
+    def test_dataset_with_crlf_lines_reads_the_same(self, tmp_path, request,
+                                                    doc_name):
+        doc = request.getfixturevalue(doc_name)
+        text = (tmp_path / doc["dataset"]).read_text()
+        doc["dataset"] = "data.csv"
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            (tmp_path / "data.csv").write_text(text.replace("\n", ending),
+                                               newline="")
+            assert main(["run", str(write_config(tmp_path, doc))]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("curve.csv", "figure.svg")])
+        assert outputs[0] == outputs[1]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mode": "lead", "dataset": "d.csv",
@@ -678,6 +699,21 @@ class TestRun:
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
 
+    @pytest.mark.parametrize("name", ["lead_accordion.json",
+                                      "lead_parametric.json"])
+    def test_lead_run_phase_memory_is_bounded(self, tmp_path, capsys, name):
+        # 3,001 knob values x m = 5: inversion batches of at most BATCH
+        # values, and no round's tilted posterior held through the next
+        tracemalloc.start()
+        try:
+            code = main(["run", str(REPO / "configs" / name), "--grid-step",
+                         "0.002", "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1200 * 1024
+
     def test_grid_too_wide_for_a_figure_exits_1(self, tmp_path, lead_doc,
                                                  capsys):
         # one step past each end of this grid the figure's knob axis would be
@@ -687,6 +723,11 @@ class TestRun:
                             "step": 1e307}
         assert main(["run", str(write_config(tmp_path, lead_doc))]) == 1
         assert "config error: grid.t_min: " in capsys.readouterr().err
+        assert not (tmp_path / "figure.svg").exists()
+        # beyond a quarter of the largest float, though within half of it
+        lead_doc["grid"] = {"t_min": -1, "t_max": 6e307, "step": 1e307}
+        assert main(["run", str(write_config(tmp_path, lead_doc))]) == 1
+        assert "config error: grid.t_max: " in capsys.readouterr().err
         assert not (tmp_path / "figure.svg").exists()
         # within a quarter of the largest float the axis stays finite
         lead_doc["grid"] = {"t_min": -4e307, "t_max": 4e307, "step": 1e307}
@@ -835,6 +876,36 @@ class TestRun:
             f"cost is zero\n")
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "figure.svg").exists()
+
+    @pytest.mark.parametrize("costs, status, inverted", [
+        # the m values of the t0 row alone, not the 60,001-point grid
+        ({"b": 0, "threshold": 0.5}, 1, 5),
+        # both costs positive: the grid's values, and no more
+        ({}, 0, 5 * 60_001),
+    ])
+    def test_zero_cost_is_checked_before_the_grid(
+            self, tmp_path, capsys, monkeypatch, costs, status, inverted):
+        sizes = []
+        quantile = imputation._quantile_binomial
+
+        def counted(n, r, u):
+            sizes.append(len(r))
+            return quantile(n, r, u)
+
+        monkeypatch.setattr(imputation, "_quantile_binomial", counted)
+        doc = json.loads((REPO / "configs" / "lead_accordion.json").read_text())
+        doc["dataset"] = str(REPO / "data" / "lead_counts.csv")
+        doc["lead"].update(costs)
+        assert doc["lead"]["m"] == 5
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)),
+                     "--grid-step", "0.0001", "--out-dir", str(out)]) == status
+        assert sum(sizes) == inverted
+        if status:
+            assert capsys.readouterr().err == (
+                "config error: lead.b: degenerate scaling: maximum attainable "
+                "cost is zero\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("x0, grid, where", [
         (1e155, None, "x0 = 1e+155"),
@@ -1071,13 +1142,54 @@ BUNDLED_CONFIGS = ("election.json", "lead_accordion.json",
                    "lead_parametric.json")
 
 
-def run_python(code, *args):
-    """Run code in a fresh interpreter that imports cid from the source tree."""
+def run_python(code, *args, **variables):
+    """Run code in a fresh interpreter that imports cid from the source tree,
+    with the environment variables in variables set, or unset where None."""
     src = str(REPO / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **variables)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env=env, capture_output=True, text=True)
+
+
+def test_package_exports_load_on_first_use():
+    # `import cid` loads no numpy; a submodule imports by its name
+    code = ("import sys, cid\n"
+            "print('numpy' in sys.modules)\n"
+            "from cid import sweep\n"
+            "print(cid.KnobGrid is sweep.KnobGrid, hasattr(cid, 'nothing'))")
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True", "False"]
+
+
+# The environment variables that size numpy's OpenBLAS thread pool.
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, *BLAS_VARIABLES])
+def test_cli_sets_one_blas_thread_unless_sized(preset):
+    variables = dict.fromkeys(BLAS_VARIABLES)
+    if preset is not None:
+        variables[preset] = "2"
+    code = "import os, cid.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    result = run_python(code, **variables)
+    assert result.returncode == 0, result.stderr
+    expected = {None: "1", "OPENBLAS_NUM_THREADS": "2"}.get(preset, "None")
+    assert result.stdout.strip() == expected
+
+
+def test_cli_import_starts_no_blas_thread():
+    code = ("import os, cid.cli, numpy\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "blas = numpy.show_config(mode='dicts')['Build Dependencies']\n"
+            "print('openblas' in blas['blas']['name'])")
+    result = run_python(code, **dict.fromkeys(BLAS_VARIABLES))
+    if result.returncode != 0 or result.stdout.split()[1] != "True":
+        pytest.skip("needs /proc/self/task and a numpy built with OpenBLAS")
+    assert result.stdout.split()[0] == "1"
 
 
 def test_cli_import_leaves_out_scipy():
@@ -1233,6 +1345,30 @@ def holder(doc, path):
     return doc, name
 
 
+def run_fuzzed(doc: dict, tmp: Path) -> tuple:
+    """main's exit status and standard error for the config doc, written to
+    the directory tmp, with its outputs in tmp/out. The status is 0 or 1. A
+    run that exits 0 has written a CSV and an SVG without nan or inf; one
+    that exits 1 has printed one line of standard error, nothing else, and
+    written nothing."""
+    out = tmp / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        status = main(["run", str(write_config(tmp, doc)),
+                       "--out-dir", str(out)])
+    err = stderr.getvalue()
+    assert status in (0, 1), err
+    if status == 0:
+        blocks = sorted(p.read_bytes() for p in out.iterdir())
+        assert [b[:4] for b in blocks] == [b"<svg", b"t,es"]
+        assert not any(re.search(rb"nan|inf", b) for b in blocks)
+    else:
+        assert err.count("\n") == 1 and stdout.getvalue() == ""
+        assert not out.exists()
+    return status, err
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(("election.json", "lead_accordion.json")), st.data())
 def test_fuzzed_config_runs_or_is_a_config_error(name, data):
@@ -1259,22 +1395,78 @@ def test_fuzzed_config_runs_or_is_a_config_error(name, data):
             obj, key = holder(doc, path)
             obj[key] = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            status = main(["run", str(write_config(Path(tmp), doc)),
-                           "--out-dir", str(out)])
-        if status == 0:
-            blocks = sorted(p.read_bytes() for p in out.iterdir())
-            assert [b[:4] for b in blocks] == [b"<svg", b"t,es"]
-            assert not any(re.search(rb"nan|inf", b) for b in blocks)
-            return
-        err = stderr.getvalue()
-        assert status == 1, err
+        status, err = run_fuzzed(doc, Path(tmp))
+    if status:
         found = re.match(r"config error: (?:missing required field: )?"
                          r"([\w.]+)", err)
         assert found and (found[1] in FIELDS or found[1] + "." in FUZZ_OBJECTS
                           or found[1].endswith("bogus")), err
-        assert err.count("\n") == 1 and stdout.getvalue() == ""
-        assert not out.exists()
+
+
+# Values a fuzzed dataset cell is set to: empty and blank, words, numbers
+# out of range or in odd spellings, quotes, a NUL, a count above the
+# configured n_total, and a field longer than the csv module reads.
+ODD_CELLS = ("", " ", "x", "nan", "inf", "-inf", "-1", "0", "1.5", "1e308",
+             "-1e308", "1e-320", "1e23", "1_0", " 7 ", "0x1f", "\u0661",
+             "\x00", '"3"', '"', "99999999999", "9" * 200_000)
+# What a fuzzed dataset's lines go through, once or twice.
+DATASET_MUTATIONS = ("empty", "header-only", "bom", "crlf", "blank",
+                     "duplicate", "short", "long", "cell", "binary")
+
+
+def mutated_dataset(data, lines: list) -> bytes:
+    """The lines of a bundled dataset, header first, after one or two
+    DATASET_MUTATIONS drawn from data, as file bytes."""
+    ending, prefix = "\n", ""
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(DATASET_MUTATIONS), label="kind")
+        row = data.draw(st.integers(1, max(1, len(lines) - 1)), label="row")
+        row = min(row, len(lines))
+        if kind == "empty":
+            lines = []
+        elif kind == "header-only":
+            lines = lines[:1]
+        elif kind == "bom":
+            prefix = "\ufeff"
+        elif kind == "crlf":
+            ending = "\r\n"
+        elif kind in ("blank", "binary"):
+            lines.insert(row, "" if kind == "blank" else "\udcff")
+        elif kind == "duplicate" and row < len(lines):
+            lines.insert(row, lines[row])
+        elif kind in ("short", "long", "cell") and row < len(lines):
+            cells = lines[row].split(",")
+            if kind == "short":
+                cells.pop()
+            elif kind == "long":
+                cells.append("1")
+            else:
+                cells[data.draw(st.integers(0, len(cells) - 1),
+                                label="column")] = data.draw(
+                    st.sampled_from(ODD_CELLS), label="value")
+            lines[row] = ",".join(cells)
+    text = prefix + "".join(line + ending for line in lines)
+    # a lone surrogate escapes an invalid UTF-8 byte
+    return text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("election.json", "lead_accordion.json")), st.data())
+def test_fuzzed_dataset_runs_or_is_a_config_error(name, data):
+    """A bundled config run on its dataset with one or two rows, cells or
+    line forms changed either writes finite outputs or exits 1 at
+    `dataset` without writing; it never exits 2. The lead mechanism is
+    `mar`, which fits any number of levels, and a lead count above the
+    configured n_total is reported at `lead.n_total`, the value it
+    contradicts."""
+    doc = json.loads((REPO / "configs" / name).read_text())
+    lines = (REPO / "configs" / doc["dataset"]).read_text().splitlines()
+    if doc["mode"] == "lead":
+        doc["lead"]["mechanism"] = "mar"
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = Path(tmp) / "data.csv"
+        dataset.write_bytes(mutated_dataset(data, lines))
+        doc["dataset"] = str(dataset)
+        status, err = run_fuzzed(doc, Path(tmp))
+    if status:
+        assert re.match(r"config error: (dataset|lead\.n_total): ", err), err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from cid import imputation
+from cid import imputation, textcols
 from cid.errors import InputError
 from cid.imputation import (BATCH, CELL, MAX_MISSING, ImputationConfig,
                             LeadPopulation, MnarMechanism, _cell_fields,
@@ -427,6 +427,10 @@ class TestImputeThetaGrid:
         halves = [impute_theta_grid(lead_population, mech, part, cfg)[0]
                   for part in (ts[:half], ts[half:])]
         assert np.array_equal(np.concatenate(halves), thetas)
+
+    def test_batch_arrays_fill_one_text_block(self):
+        # a batch's float64 arrays follow the formatter's working-set rule
+        assert BATCH * np.dtype(float).itemsize == textcols.BLOCK_BYTES
 
     @pytest.mark.parametrize("rows", [[25], [-1], [0, 30]])
     def test_rows_out_of_range_rejected(self, lead_population, rows):
