@@ -3,13 +3,13 @@ log-odds pattern-mixture MNAR mechanisms, with point-estimate combining."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .streams import UNIFORMS, Stream, key
+from .textcols import read_columns
 
 N_LEVELS = 10
 # Cell size of the imputation coupling (impute_theta_grid): a round draws
@@ -122,18 +122,10 @@ class LeadPopulation:
 
 
 def read_level_counts(path) -> tuple:
-    """Per-level counts from a `level,count` CSV covering levels 1..K. A
-    file the csv module cannot read is a ValueError."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        try:
-            for column in ("level", "count"):
-                if column not in (reader.fieldnames or ()):
-                    raise ValueError(f"{path} has no {column!r} column")
-            rows = [(int(r["level"]), int(r["count"])) for r in reader]
-        except csv.Error as err:  # e.g. a field over the csv field size limit
-            raise ValueError(f"{path}: {err}") from err
-    rows.sort()
+    """Per-level counts from a `level,count` CSV covering levels 1..K
+    (textcols.read_columns)."""
+    rows = sorted((int(level), int(count))
+                  for level, count in read_columns(path, ("level", "count")))
     levels = [lvl for lvl, _ in rows]
     if levels != list(range(1, len(rows) + 1)):
         raise ValueError(f"levels must be 1..K without gaps, got {levels}")
@@ -322,57 +314,6 @@ def _low_share(tilted: np.ndarray, cutoff: int) -> np.ndarray:
     return low / (low + tilted[cutoff:].sum(axis=0))
 
 
-def _round_chunks(pop: LeadPopulation, w: np.ndarray, ts: np.ndarray,
-                  rows: np.ndarray, cfg: ImputationConfig):
-    """Each round's cell fields (_cell_fields) of its knob values, at most
-    BATCH values at a time, in round order.
-
-    Yields ((start, stop, tilted), fields) for the knob values
-    ts[start:stop]: tilted holds round m's posterior draw tilted by the
-    values among them at the grid rows in rows (_tilt_levels), one row per
-    such grid row, in the order of rows.
-    """
-    n = pop.n_missing
-    shapes = np.concatenate((1.0 + pop.counts_array(), _cell_shapes(n)))
-    for m in range(cfg.m):
-        rng = substream(cfg.seed, m)
-        p, bounds = _draw_round(rng, shapes, pop.k)
-        for start in range(0, len(ts), BATCH):
-            stop = min(start + BATCH, len(ts))
-            tilted = _tilt_levels(p, w, ts[start:stop])
-            here = rows[(start <= rows) & (rows < stop)] - start
-            q = _low_share(tilted, pop.cutoff_level)
-            head = (start, stop, tilted[:, here].T)
-            fields = _cell_fields(q, bounds, rng, n)
-            # the caller holds what it needs; the tilted posterior and the
-            # shares are not kept through the next round's draw
-            del tilted, q
-            yield head, fields
-
-
-def _batches(chunks):
-    """Runs of consecutive chunks (_round_chunks) holding at most BATCH knob
-    values together, as (chunk heads, fields joined over the run)."""
-    heads, parts, size = [], [], 0
-    for head, fields in chunks:
-        if size + len(fields[0]) > BATCH:
-            yield heads, _joined(parts)
-            heads, size = [], 0
-        heads.append(head)
-        parts.append(fields)
-        size += len(fields[0])
-    if heads:
-        yield heads, _joined(parts)
-
-
-def _joined(parts: list) -> list:
-    """The fields of parts joined, emptying parts: the joined copies alone
-    stay while the batch is inverted."""
-    joined = [np.concatenate(column) for column in zip(*parts)]
-    parts.clear()
-    return joined
-
-
 def _completed_freqs(pop: LeadPopulation, tilted: np.ndarray,
                      below: np.ndarray) -> np.ndarray:
     """One round's completed frequencies at each snapshot, as their
@@ -411,17 +352,19 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     round's fraction, and their mean, is nonincreasing in t. Row i depends
     on ts[i] alone, not on the other knob values or their order.
 
-    The binomial quantiles of several rounds are inverted together, at most
-    BATCH at a time, so the work held at once is bounded however fine the
-    grid and however many the rounds.
+    A round tilts its knob values at most BATCH at a time; the cell fields
+    of such slices wait, in round order, until the next slice would take
+    them past BATCH values, and are then inverted in one _quantile_binomial
+    call. So the work held at once is O(BATCH) however fine the grid,
+    besides each round's posterior draw and counts at the S rows, O(M(K+S)).
 
     For each row in rows, a round's completed frequencies are their
     expectation given its posterior draw and its count at or below the
     cutoff (_completed_freqs): that count spread over the levels at or below
     the cutoff in proportion to the tilted posterior, and the rest over the
-    levels above it. They draw nothing, so they agree with the fraction and
-    do not depend on the other rows either, and their mean over the rounds
-    has the expectation a multinomial spread would give it.
+    levels above it, tilted again once every count is in. They draw nothing,
+    so they agree with the fraction and do not depend on the other rows
+    either, and their mean has the expectation a multinomial spread gives.
 
     Returns (thetas, freqs): the mean fraction per knob value, shape (T,),
     and the mean completed frequency vector per row in rows, shape (S, K).
@@ -447,25 +390,47 @@ def impute_theta_grid(pop: LeadPopulation, mech: MnarMechanism, ts,
     if np.any((rows < 0) | (rows >= len(ts))):
         raise ValueError(f"rows must index the {len(ts)} knob values, got "
                          f"{rows.tolist()}")
-    high_if_none_below = pop.observed_high_count + pop.n_missing
+    n, cutoff = pop.n_missing, pop.cutoff_level
+    shapes = np.concatenate((1.0 + pop.counts_array(), _cell_shapes(n)))
+    high_if_none_below = pop.observed_high_count + n
     theta_sum = np.zeros(len(ts))
+    # each round's posterior draw, and its counts below at the rows
+    posteriors = np.empty((cfg.m, pop.k))
+    below_rows = np.empty((cfg.m, len(rows)), dtype=np.int64)
+    # slices awaiting inversion: (round, start, stop), cell fields, values
+    heads, parts, size = [], [], 0
+
+    def invert():
+        j, inside, r, u = map(np.concatenate, zip(*parts))
+        parts.clear()  # the joined copies alone stay through the inversion
+        below = _quantile_binomial(inside, r, u) + CELL * j
+        for m, start, stop in heads:
+            here, below = below[:stop - start], below[stop - start:]
+            theta_sum[start:stop] += (high_if_none_below - here) / pop.n_total
+            at = (start <= rows) & (rows < stop)
+            below_rows[m, at] = here[rows[at] - start]
+        heads.clear()
+
+    for m in range(cfg.m):
+        rng = substream(cfg.seed, m)
+        posteriors[m], bounds = _draw_round(rng, shapes, pop.k)
+        for start in range(0, len(ts), BATCH):
+            stop = min(start + BATCH, len(ts))
+            if size + stop - start > BATCH:
+                invert()
+                size = 0
+            tilted = _tilt_levels(posteriors[m], w, ts[start:stop])
+            heads.append((m, start, stop))
+            parts.append(_cell_fields(_low_share(tilted, cutoff), bounds, rng, n))
+            size += stop - start
+            del tilted  # not held through the next inversion or draw
+    if heads:
+        invert()
     freq_sum = np.zeros((len(rows), pop.k))
-    # the present round's tilted posterior and count below at each row
-    tilted_rows = np.empty((len(rows), pop.k))
-    below_rows = np.empty(len(rows), dtype=np.int64)
-    chunks = _round_chunks(pop, w, ts, rows, cfg)
-    for heads, (j, inside, r, u) in _batches(chunks):
-        counts = _quantile_binomial(inside, r, u) + CELL * j
-        offset = 0
-        for start, stop, tilted in heads:
-            below = counts[offset:offset + stop - start]
-            offset += stop - start
-            theta_sum[start:stop] += (high_if_none_below - below) / pop.n_total
-            here = (start <= rows) & (rows < stop)
-            below_rows[here] = below[rows[here] - start]
-            tilted_rows[here] = tilted
-            if stop == len(ts):  # the round's last knob values
-                freq_sum += _completed_freqs(pop, tilted_rows, below_rows)
+    for p, below in zip(posteriors, below_rows):
+        # C order, so numpy adds a row's levels in one order for any S
+        tilted = _tilt_levels(p, w, ts[rows]).T.copy()
+        freq_sum += _completed_freqs(pop, tilted, below)
     freqs = freq_sum / cfg.m
     # the float mean of m fractions at the worst case can exceed it by an ulp
     thetas = np.minimum(theta_sum / cfg.m, pop.worst_case_theta)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -11,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
+from .textcols import read_columns
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,8 @@ class ElectionDataset:
 
     @classmethod
     def from_csv(cls, path) -> "ElectionDataset":
-        """Read a `year,growth,vote` CSV file. A file the csv module cannot
-        read is a ValueError."""
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, restval="")
-            try:
-                for column in ("year", "growth", "vote"):
-                    if column not in (reader.fieldnames or ()):
-                        raise ValueError(f"{path} has no {column!r} column")
-                rows = [(r["year"], r["growth"], r["vote"]) for r in reader]
-            except csv.Error as err:  # e.g. a field over the size limit
-                raise ValueError(f"{path}: {err}") from err
-        return cls.from_records(rows)
+        """Read a `year,growth,vote` CSV file (textcols.read_columns)."""
+        return cls.from_records(read_columns(path, ("year", "growth", "vote")))
 
 
 @dataclass(frozen=True)

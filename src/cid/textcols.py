@@ -10,6 +10,7 @@ rounded (see `FAST_LIMIT`); every other value goes to Python's own `%`.
 
 from __future__ import annotations
 
+import csv
 from bisect import bisect_left
 
 import numpy as np
@@ -226,3 +227,22 @@ def rows(n: int, parts, sep: str = "", decimals: int = 6):
         block = layout.fill(buf, lo, min(lo + step, n))
         piece = block[block != 0].tobytes()
         yield piece[:len(piece) - len(sep)] if lo + step >= n else piece
+
+
+def read_columns(path, columns: tuple) -> list:
+    """Each row's cells in the named columns of a CSV file with a header
+    line, as strings ("" where a row is short). A byte-order mark (U+FEFF)
+    before the header, as spreadsheets write one, is not part of the first
+    name. A missing column, or a file the csv module cannot read, is a
+    ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        try:
+            names = reader.fieldnames or [""]
+            reader.fieldnames = [names[0].removeprefix("\ufeff"), *names[1:]]
+            for column in columns:
+                if column not in reader.fieldnames:
+                    raise ValueError(f"{path} has no {column!r} column")
+            return [tuple(row[c] for c in columns) for row in reader]
+        except csv.Error as err:  # e.g. a field over the csv field size limit
+            raise ValueError(f"{path}: {err}") from err

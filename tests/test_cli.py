@@ -360,6 +360,25 @@ class TestRun:
                             for name in ("curve.csv", "figure.svg")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("name", ["election.json", "lead_accordion.json"])
+    def test_dataset_with_a_byte_order_mark_reads_the_same(self, tmp_path,
+                                                           capsys, name):
+        # U+FEFF before the header, as spreadsheet programs save CSV
+        doc = json.loads((REPO / "configs" / name).read_text())
+        plain = REPO / "configs" / doc["dataset"]
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+        runs = []
+        for dataset in (plain, marked):
+            doc["dataset"] = str(dataset)
+            out = tmp_path / dataset.stem
+            assert main(["run", str(write_config(tmp_path, doc)),
+                         "--out-dir", str(out)]) == 0
+            runs.append((capsys.readouterr().out,
+                         {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 2
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mode": "lead", "dataset": "d.csv",
                                        "lead": {"n_total": 1,

@@ -405,28 +405,42 @@ class TestImputeThetaGrid:
         mech = parametric_mechanism()
         cfg = ImputationConfig(m=m, seed=13)
         ts = np.linspace(-2.0, 4.0, n_points)
-        rows = [0, n_points // 2, min(BATCH, n_points - 1), n_points - 1]
-        sizes = []
+        for rows in ([0, n_points // 2, min(BATCH, n_points - 1), n_points - 1],
+                     # unsorted, with a row twice, and across a batch edge
+                     [n_points - 1, 0, min(BATCH, n_points - 1), n_points // 2,
+                      0]):
+            sizes = []
 
-        def recorded(n, r, u):
-            sizes.append(len(r))
-            return _quantile_binomial(n, r, u)
+            def recorded(n, r, u):
+                sizes.append(len(r))
+                return _quantile_binomial(n, r, u)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(imputation, "_quantile_binomial", recorded)
-            thetas, freqs = impute_theta_grid(lead_population, mech, ts, cfg,
-                                              rows)
-        assert len(sizes) == batches and max(sizes) <= BATCH
-        assert sum(sizes) == m * n_points
-        for s, i in enumerate(rows):
-            (theta,), (row,) = impute_theta_grid(lead_population, mech,
-                                                 [ts[i]], cfg, rows=[0])
-            assert theta == thetas[i]
-            assert row.tolist() == freqs[s].tolist()
+            with monkeypatch.context() as patch:
+                patch.setattr(imputation, "_quantile_binomial", recorded)
+                thetas, freqs = impute_theta_grid(lead_population, mech, ts,
+                                                  cfg, rows)
+            assert len(sizes) == batches and max(sizes) <= BATCH
+            assert sum(sizes) == m * n_points
+            for s, i in enumerate(rows):
+                (theta,), (row,) = impute_theta_grid(lead_population, mech,
+                                                     [ts[i]], cfg, rows=[0])
+                assert theta == thetas[i]
+                assert row.tolist() == freqs[s].tolist()
         half = n_points // 2
         halves = [impute_theta_grid(lead_population, mech, part, cfg)[0]
                   for part in (ts[:half], ts[half:])]
         assert np.array_equal(np.concatenate(halves), thetas)
+
+    def test_empty_grid_inverts_nothing(self, lead_population, monkeypatch):
+        def never(n, r, u):
+            raise AssertionError("an empty grid has no quantile to invert")
+
+        monkeypatch.setattr(imputation, "_quantile_binomial", never)
+        thetas, freqs = impute_theta_grid(lead_population,
+                                          parametric_mechanism(), [],
+                                          ImputationConfig(m=3))
+        assert thetas.shape == (0,)
+        assert freqs.shape == (0, lead_population.k)
 
     def test_batch_arrays_fill_one_text_block(self):
         # a batch's float64 arrays follow the formatter's working-set rule
