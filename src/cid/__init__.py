@@ -16,7 +16,6 @@ _EXPORTS = {
     "ElectionDecision": "decisions", "InterventionDecision": "decisions",
     "ImputationConfig": "imputation", "LeadPopulation": "imputation",
     "MnarMechanism": "imputation", "accordion_mechanism": "imputation",
-    "draw_dirichlet_posterior": "imputation",
     "impute_theta_grid": "imputation", "mar_mechanism": "imputation",
     "parametric_mechanism": "imputation",
     "CostParams": "metrics", "cid_general": "metrics", "cid_lead": "metrics",

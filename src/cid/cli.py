@@ -361,18 +361,20 @@ def _csv_blocks(curve: CidCurve):
 
 
 def _step_decimals(step: float) -> int:
-    """Fewest decimals, at least 2, that write the grid step exactly."""
+    """Fewest decimals, at least 2, that write the grid step exactly. The
+    loop ends: past about 323 decimals, round returns the float itself."""
     decimals = 2
-    while decimals < 12 and abs(round(step, decimals) - step) > 1e-9 * step:
+    while abs(round(step, decimals) - step) > 1e-9 * step:
         decimals += 1
     return decimals
 
 
-def _verdict(curve: CidCurve) -> list:
-    """The reference decision and the change-point brackets, as verdict parts."""
+def _verdict(curve: CidCurve, step: float) -> list:
+    """The reference decision and the change-point brackets, written to the
+    decimals of the configured grid step, as verdict parts."""
     if not curve.change_points:
         return [curve.reference_decision.value, "no change points"]
-    d = _step_decimals(curve.step)
+    d = _step_decimals(step)
     brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]"
                          for lo, hi in curve.change_points)
     return [curve.reference_decision.value, f"change points ≈ {brackets}"]
@@ -430,7 +432,7 @@ def run(config: SimpleNamespace) -> int:
     curve, svg, parts = study(config)
     _write_atomic(config.outputs.csv, _csv_blocks(curve))
     _write_atomic(config.outputs.svg, [svg])
-    print("; ".join(_verdict(curve) + parts))
+    print("; ".join(_verdict(curve, config.grid.step) + parts))
     return 0
 
 

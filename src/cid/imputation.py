@@ -152,16 +152,6 @@ def substream(seed: int, m: int) -> Stream:
     return Stream(key(seed, m))
 
 
-def draw_dirichlet_posterior(pop: LeadPopulation, rng: Stream) -> np.ndarray:
-    """One draw from Dirichlet(1 + n_1, ..., 1 + n_K), as a probability array.
-
-    Drawn as the K gamma variates with shapes 1 + n_k at indices 0, ...,
-    K - 1 of rng, normalized; all shapes are >= 1 thanks to the flat prior.
-    """
-    g = rng.gammas(1.0 + pop.counts_array())
-    return g / g.sum()
-
-
 def _tilt_levels(probs: np.ndarray, w: np.ndarray,
                  ts: np.ndarray) -> np.ndarray:
     """Column i is p tilted by ts[i] up to a positive factor: proportional to
@@ -206,10 +196,12 @@ def _cell_shapes(n: int) -> np.ndarray:
 
 
 def _draw_round(rng: Stream, shapes: np.ndarray, k: int) -> tuple:
-    """One round's posterior draw p (draw_dirichlet_posterior) and the cell
-    edges of its imputation uniforms, from one gamma call: shapes holds the
-    k posterior shapes, then the cell shapes (_cell_shapes), whose gammas
-    follow the posterior ones, at indices k, k + 1, ....
+    """One round's posterior draw p and the cell edges of its imputation
+    uniforms, from one gamma call: shapes holds the k posterior shapes, then
+    the cell shapes (_cell_shapes), whose gammas follow the posterior ones,
+    at indices k, k + 1, .... With posterior shapes 1 + n_1, ..., 1 + n_K
+    (a flat prior), the normalized first k gammas are a draw from the
+    Dirichlet posterior Dirichlet(1 + n_1, ..., 1 + n_K).
 
     With E_1, ..., E_(n+1) iid standard exponentials, the k-th smallest of n
     uniforms is (E_1 + ... + E_k) / (E_1 + ... + E_(n+1)) (Devroye 1986,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import textcols
-from .sweep import CidCurve, PlausibleRegion
+from .sweep import CidCurve, PlausibleRegion, grid_spacing
 
 DEFAULT_COLORS = {
     "curve": "#1a1a1a",
@@ -197,7 +197,7 @@ def _cid_panel(out, curve, height, ymax, region=None):
     the curve has no more points than the panel has pixel columns."""
     if not len(curve.t):
         raise ValueError("cannot render an empty curve")
-    pad = curve.step if len(curve.t) > 1 else 1.0
+    pad = grid_spacing(curve.t) if len(curve.t) > 1 else 1.0
     frame = _Frame(MARGIN, MARGIN, WIDTH_PX - 2 * MARGIN, height,
                    float(curve.t.min()) - pad, float(curve.t.max()) + pad,
                    0.0, ymax)

@@ -66,15 +66,16 @@ def row_on_grid(ts: np.ndarray, t: float,
                 spacing: Optional[float] = None) -> int:
     """The row of the ascending grid points ts nearest t, the lower one on a
     tie; a t farther than half the grid step from every grid point, or NaN,
-    is a ValueError. spacing is grid_spacing(ts), which a caller looking up
-    many t in one grid computes once."""
+    is a ValueError. The step's rounding is forgiven up to 1e-9 of a step,
+    as KnobGrid forgives it at the grid's ends. spacing is grid_spacing(ts),
+    which a caller looking up many t in one grid computes once."""
     if spacing is None:
         spacing = grid_spacing(ts)
     # t lies between rows j - 1 and j, the first row at or above it
     j = int(np.searchsorted(ts, t))
     if j == len(ts) or (j > 0 and t - ts[j - 1] <= ts[j] - t):
         j -= 1
-    if not abs(ts[j] - t) <= spacing / 2.0 + 1e-12:
+    if not abs(ts[j] - t) <= (0.5 + 1e-9) * spacing:
         raise ValueError(f"off grid: t = {t} is farther than step/2 from "
                          f"any grid point")
     return j
@@ -109,23 +110,9 @@ class CidCurve:
     completed_freqs: Optional[np.ndarray] = None
 
     @property
-    def decision(self) -> tuple:
-        """Each point's decision, in grid order."""
-        return tuple(self.family[k] for k in self.codes.tolist())
-
-    @property
     def reference_decision(self):
         """The decision at the reference t0."""
         return self.family[self.codes[self.i0]]
-
-    def index_on_grid(self, t: float) -> int:
-        """The row of the grid point nearest t, rejecting a t farther than
-        half a grid step from every grid point."""
-        return row_on_grid(self.t, t)
-
-    @property
-    def step(self) -> float:
-        return grid_spacing(self.t)
 
 
 def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,
@@ -238,8 +225,8 @@ def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:
     by its probabilities.
 
     Each support point snaps to the nearest grid point; points farther than
-    half a grid step from the grid are rejected (CidCurve.index_on_grid,
-    with the grid step computed once).
+    half a grid step from the grid are rejected (row_on_grid, with the grid
+    step computed once).
     """
     # scaling each weight first keeps w * cid finite near the float maximum
     scale = np.sum(dist.weights)

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from cid.decisions import ElectionDecision, InterventionDecision
-from cid.imputation import _tilt_levels, draw_dirichlet_posterior, substream
+from cid.imputation import _tilt_levels, substream
 from cid.streams import UNIFORMS
 
 
@@ -140,9 +140,10 @@ def impute_one_point(pop, mech, t: float, cfg, cell: int = 64) -> tuple:
     time: the reference for impute_theta_grid's order-statistic coupling.
 
     Round m draws from substream(seed, m) by index. Its gamma variates at
-    indices 0, ..., K - 1 give the Dirichlet posterior; those at K, K + 1,
-    ... are n // cell gamma spacings of shape cell and a last one of shape
-    n + 1 - cell * (n // cell), whose normalized partial sums are every
+    indices 0, ..., K - 1, of shapes 1 + n_k, normalized, are the Dirichlet
+    posterior draw; those at K, K + 1, ... are n // cell gamma spacings of
+    shape cell and a last one of shape n + 1 - cell * (n // cell), whose
+    normalized partial sums are every
     cell-th order statistic of the n missing units' uniforms. The units at
     or below the cutoff are those below the cell holding q = P_t(level <=
     cutoff), plus a binomial quantile, for the units inside that cell, of
@@ -157,7 +158,8 @@ def impute_one_point(pop, mech, t: float, cfg, cell: int = 64) -> tuple:
     freq_sum = np.zeros(k)
     for m in range(cfg.m):
         rng = substream(cfg.seed, m)
-        p = draw_dirichlet_posterior(pop, rng)
+        g = rng.gammas(1.0 + observed)
+        p = g / g.sum()
         p_t = _tilt_levels(p, mech.as_array(), np.array([float(t)]))[:, 0]
         low = math.fsum(p_t[:c].tolist())
         q = low / (low + math.fsum(p_t[c:].tolist()))

@@ -612,6 +612,25 @@ class TestRun:
             f"step/2 from any grid point\n")
         assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("key, value, field, t", [
+        ("snapshot_ts", [1.005e-10], "lead.snapshot_ts[0]", "1.005e-10"),
+        ("knob_distribution", {"support": [1.009e-10], "weights": [1]},
+         "lead.knob_distribution.support", "1.009e-10"),
+    ])
+    def test_value_hundreds_of_tiny_steps_off_grid_exits_1(
+            self, tmp_path, lead_doc, capsys, key, value, field, t):
+        # 500 and 900 steps of 1e-15 past the grid's end at 1e-10: an
+        # absolute slack of 1e-12 past half a step would take them
+        lead_doc["grid"] = {"t_min": -1e-10, "t_max": 1e-10, "step": 1e-15}
+        lead_doc["lead"]["snapshot_ts"] = [0.0]
+        lead_doc["lead"][key] = value
+        path = write_config(tmp_path, lead_doc)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {field}: off grid: t = {t} is farther than "
+            f"step/2 from any grid point\n")
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_other_mode_block_exits_1(self, tmp_path, capsys, election_doc):
         election_doc["lead"] = {"n_total": 400000, "mechanism": "accordion"}
         path = write_config(tmp_path, election_doc)
@@ -982,23 +1001,27 @@ class TestRun:
     def test_verdict_at_a_twelve_decimal_step(self, tmp_path, election_doc,
                                                capsys, hibbs_fit):
         # narrow the first election change point to 1e-10 by sweeps of 100
-        # steps, then run a grid of step 1e-12 across it: its bracket needs
-        # all 12 decimals the verdict writes
+        # steps, then run grids of step 1e-12 and 1e-13 across it: its
+        # bracket needs as many decimals as the configured step, whatever
+        # the spacing of the grid points (9.992e-14 for a step of 1e-13)
         lo, hi = 0.86, 0.88
         while hi - lo > 1e-10:
             grid = KnobGrid(lo, hi, (hi - lo) / 100, t0=lo)
             (lo, hi), = sweep.sweep_election(hibbs_fit, -0.728,
                                              grid).change_points
         del election_doc["election"]["plausible_region"]
-        election_doc["grid"] = {"t_min": lo, "t_max": lo + 2e-10,
-                                "step": 1e-12, "t0": lo}
-        assert main(["run", str(write_config(tmp_path, election_doc))]) == 0
-        verdict = capsys.readouterr().out.strip()
-        found = re.fullmatch(r"challenger; change points ≈ \[(0\.\d{12}), "
-                             r"(0\.\d{12})\]", verdict)
-        assert found, verdict
-        low, high = (float(text) for text in found.groups())
-        assert round((high - low) * 1e12) == 1
+        for step, decimals in ((1e-12, 12), (1e-13, 13)):
+            election_doc["grid"] = {"t_min": lo, "t_max": lo + 2e-10,
+                                    "step": step, "t0": lo}
+            assert main(["run", str(write_config(tmp_path,
+                                                 election_doc))]) == 0
+            verdict = capsys.readouterr().out.strip()
+            number = rf"(0\.\d{{{decimals}}})"
+            found = re.fullmatch(rf"challenger; change points ≈ \[{number}, "
+                                 rf"{number}\]", verdict)
+            assert found, verdict
+            low, high = (float(text) for text in found.groups())
+            assert round((high - low) / step) == 1
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -23,8 +23,8 @@ from cid.regression import MEAN_RESPONSE, NEW_OBSERVATION
 from cid.svgfig import (DEFAULT_COLORS, _axes, _document, _fmt, _Frame,
                         _line, _rect, _text, _vline, render_election_figure,
                         render_lead_figure)
-from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, row_on_grid,
-                       sweep_election, sweep_lead)
+from cid.sweep import (CidCurve, KnobGrid, PlausibleRegion, grid_spacing,
+                       row_on_grid, sweep_election, sweep_lead)
 from cid.textcols import BLOCK_BYTES, FAST_LIMIT, rows
 from tests import oracles
 from tests.test_svgfig import noisy_election_curve
@@ -57,7 +57,8 @@ def ref_curve_to_csv(curve):
     writer.writerow(["t", "estimate", "lo", "hi", "decision", "d_t", "j_t", "cid"])
     writer.writerows(zip(
         column(curve.t), column(curve.estimate), column(curve.lower),
-        column(curve.upper), [d.value for d in curve.decision],
+        column(curve.upper),
+        [curve.family[code].value for code in curve.codes.tolist()],
         curve.d_t.tolist(), column(curve.j_t), column(curve.cid)))
     return buf.getvalue()
 
@@ -103,13 +104,13 @@ def ref_cid_panel(out, curve, reference_line, region_lines, frame):
                          cls="cid-marker"))
     else:
         cids = curve.cid.tolist()
-        drawn = {curve.index_on_grid(reference_line)}
+        drawn = {row_on_grid(curve.t, reference_line)}
         for column in ref_columns([x for x, _ in pts], frame.width):
             values = [cids[i] for i in column]
             drawn |= {column[0], column[-1],
                       column[values.index(min(values))],
                       column[values.index(max(values))]}
-        decisions = curve.decision
+        decisions = [curve.family[code] for code in curve.codes.tolist()]
         for i in range(len(pts) - 1):
             if decisions[i] != decisions[i + 1]:
                 drawn |= {i, i + 1}
@@ -125,7 +126,7 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
     margin, gap = 56, 48
     panel_h = (svgfig.HEIGHT_PX - 2 * margin - gap) / 2
     panel_w = svgfig.WIDTH_PX - 2 * margin
-    pad = curve.step if len(ts) > 1 else 1.0
+    pad = grid_spacing(ts) if len(ts) > 1 else 1.0
     top = _Frame(margin, margin, panel_w, panel_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 2.05)
     out = []
@@ -137,7 +138,7 @@ def ref_render_election_figure(curve, reference_line, region_lines, title):
     bottom = _Frame(margin, margin + panel_h + gap, panel_w, panel_h,
                     top.xmin, top.xmax,
                     min(lows) - 0.05 * span, max(highs) + 0.05 * span)
-    ref = curve.index_on_grid(reference_line)
+    ref = row_on_grid(ts, reference_line)
     out.append(bottom.open_group("interval-panel"))
     _axes(out, bottom, "interval")
     # one bar per pixel column, from its least lower to its greatest upper
@@ -164,7 +165,7 @@ def ref_render_lead_figure(curve, reference_line, snapshots, title):
     panel_w = svgfig.WIDTH_PX - 2 * margin
     top_h = (svgfig.HEIGHT_PX - 2 * margin - gap) * 0.55
     inset_h = (svgfig.HEIGHT_PX - 2 * margin - gap) * 0.45
-    pad = curve.step if len(ts) > 1 else 1.0
+    pad = grid_spacing(ts) if len(ts) > 1 else 1.0
     top = _Frame(margin, margin, panel_w, top_h,
                  float(ts.min()) - pad, float(ts.max()) + pad, 0.0, 1.05)
     out = []

@@ -13,8 +13,8 @@ from cid.imputation import (BATCH, CELL, MAX_MISSING, ImputationConfig,
                             LeadPopulation, MnarMechanism, _cell_fields,
                             _cell_shapes, _draw_round, _quantile_binomial,
                             _tilt_levels, accordion_mechanism,
-                            draw_dirichlet_posterior, impute_theta_grid,
-                            mar_mechanism, parametric_mechanism, substream)
+                            impute_theta_grid, mar_mechanism,
+                            parametric_mechanism, substream)
 from cid.streams import UNIFORMS
 from tests import oracles
 from tests.conftest import LEAD_PROBS
@@ -45,6 +45,15 @@ def count_below(q, bounds, rng, n):
     return CELL * j + _quantile_binomial(inside, r, u_j)
 
 
+def posterior_draws(pop, seed, rounds):
+    """The posterior draws of rounds 0, ..., rounds - 1 as impute_theta_grid
+    makes them (_draw_round), one per row."""
+    shapes = np.concatenate((1.0 + pop.counts_array(),
+                             _cell_shapes(pop.n_missing)))
+    return np.array([_draw_round(substream(seed, i), shapes, pop.k)[0]
+                     for i in range(rounds)])
+
+
 def draw_cells(rng, n):
     """The cell edges of n uniforms drawn from rng (_draw_round, with no
     posterior before them)."""
@@ -70,22 +79,18 @@ class TestMechanisms:
 class TestDirichletPosterior:
     def test_flat_prior_is_uniform_on_simplex(self):
         pop = LeadPopulation(observed_counts=(0,) * 10, n_total=100)
-        draws = np.array([draw_dirichlet_posterior(pop, substream(0, i))
-                          for i in range(10_000)])
+        draws = posterior_draws(pop, 0, 10_000)
         assert draws.mean(axis=0) == pytest.approx([0.1] * 10, abs=0.01)
 
     def test_posterior_mean_matches_observed_frequencies(self, lead_population):
-        draws = np.array([draw_dirichlet_posterior(lead_population,
-                                                   substream(1, i))
-                          for i in range(2_000)])
+        draws = posterior_draws(lead_population, 1, 2_000)
         assert draws.mean(axis=0) == pytest.approx(LEAD_PROBS, abs=0.005)
 
     def test_against_rejection_sampling_oracle(self):
         # Dirichlet(2,1,1): density proportional to x1, component-1 mean 1/2.
         pop = LeadPopulation(observed_counts=(1, 0, 0), n_total=1,
                              cutoff_level=1)
-        draws = np.array([draw_dirichlet_posterior(pop, substream(2, i))[0]
-                          for i in range(50_000)])
+        draws = posterior_draws(pop, 2, 50_000)[:, 0]
 
         # oracle: uniform simplex proposals accepted with probability x1
         oracle_rng = np.random.default_rng(3)

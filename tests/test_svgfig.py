@@ -198,9 +198,10 @@ def election_frames(curve):
     gap = 48
     panel_h = (svgfig.HEIGHT_PX - 2 * svgfig.MARGIN - gap) / 2
     width = svgfig.WIDTH_PX - 2 * svgfig.MARGIN
+    pad = sweep.grid_spacing(curve.t)
     top = svgfig._Frame(svgfig.MARGIN, svgfig.MARGIN, width, panel_h,
-                        float(curve.t.min()) - curve.step,
-                        float(curve.t.max()) + curve.step, 0.0, 2.05)
+                        float(curve.t.min()) - pad,
+                        float(curve.t.max()) + pad, 0.0, 2.05)
     lo, hi = float(curve.lower.min()), float(curve.upper.max())
     span = hi - lo
     bottom = svgfig._Frame(svgfig.MARGIN, svgfig.MARGIN + panel_h + gap, width,
@@ -325,10 +326,11 @@ class TestPixelColumns:
         svg = render_lead_figure(curve, "")
         assert len(svg) < 256 * 1024
         root = ET.fromstring(svg)
+        pad = sweep.grid_spacing(curve.t)
         top = svgfig._Frame(
             svgfig.MARGIN, svgfig.MARGIN, svgfig.WIDTH_PX - 2 * svgfig.MARGIN,
             (svgfig.HEIGHT_PX - 2 * svgfig.MARGIN - 56) * 0.55,
-            -2 - curve.step, 4 + curve.step, 0.0, 1.05)
+            -2 - pad, 4 + pad, 0.0, 1.05)
         self.assert_keeps_column_extremes(curve, root, top,
                                           texts(top.px(curve.t)))
 

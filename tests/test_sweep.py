@@ -14,7 +14,7 @@ from cid.metrics import CostParams
 from cid.regression import (MEAN_RESPONSE, NEW_OBSERVATION, FittedLine,
                             predict_intervals)
 from cid.sweep import (KnobDistribution, KnobGrid, PlausibleRegion,
-                       expected_cid, min_cid_in_region,
+                       expected_cid, min_cid_in_region, row_on_grid,
                        sweep_election, sweep_lead)
 from tests import oracles
 
@@ -22,6 +22,11 @@ from tests import oracles
 @pytest.fixture(scope="module")
 def election_curve(hibbs_fit):
     return sweep_election(hibbs_fit, -0.728, KnobGrid(-4, 4, 0.02))
+
+
+def decisions(curve):
+    """Each point's decision, in grid order."""
+    return [curve.family[code] for code in curve.codes.tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +76,9 @@ class TestKnobGrid:
     def probes(ts, spacing, i, step, u):
         """Knob values around grid row i and the grid's ends: the point,
         half a step either side, the rejection bound half the spacing plus
-        1e-12 either side, with each's float neighbours, and one value
+        1e-9 of it either side, with each's float neighbours, and one value
         anywhere from a step below the grid to a step above it."""
-        bound = spacing / 2.0 + 1e-12
+        bound = (0.5 + 1e-9) * spacing
         centres = [ts[i], ts[0], ts[-1]]
         ts_near = [c + d for c in centres
                    for d in (0.0, step / 2, -step / 2, bound, -bound)]
@@ -102,7 +107,7 @@ class TestKnobGrid:
 
         def argmin_row(t):
             i = int(np.argmin(np.abs(ts - t)))
-            if abs(ts[i] - t) > spacing / 2.0 + 1e-12:
+            if abs(ts[i] - t) > (0.5 + 1e-9) * spacing:
                 raise ValueError(f"off grid: t = {t} is farther than step/2 "
                                  f"from any grid point")
             return i
@@ -139,7 +144,7 @@ class TestSweepElection:
         assert abs(covered.max() - 1.2) <= 0.05
 
     def test_reference_point_is_maximum(self, election_curve):
-        i0 = election_curve.index_on_grid(0.0)
+        i0 = row_on_grid(election_curve.t, 0.0)
         assert election_curve.cid[i0] == 2.0
         assert election_curve.d_t[i0] == 1
         assert election_curve.reference_decision is \
@@ -147,7 +152,7 @@ class TestSweepElection:
 
     def test_estimate_affine_in_t(self, election_curve, hibbs_fit):
         ts, estimate = election_curve.t, election_curve.estimate
-        i0 = election_curve.index_on_grid(0.0)
+        i0 = row_on_grid(election_curve.t, 0.0)
         for i in range(0, len(ts), 40):
             expected = estimate[i0] + hibbs_fit.slope * (ts[i] - ts[i0])
             assert estimate[i] == pytest.approx(expected, abs=1e-9)
@@ -218,7 +223,7 @@ class TestSweepElectionMatchesScalarOracle:
         rows, ref_decision = scalar_sweep_election(fit, x0, grid, level, kind)
         got = list(zip(curve.t.tolist(), curve.estimate.tolist(),
                        curve.lower.tolist(), curve.upper.tolist(),
-                       curve.decision, curve.d_t.tolist(), curve.j_t.tolist(),
+                       decisions(curve), curve.d_t.tolist(), curve.j_t.tolist(),
                        curve.cid.tolist()))
         assert got == rows
         assert curve.reference_decision is ref_decision
@@ -312,7 +317,7 @@ class TestSweepLead:
         curve = sweep_lead(lead_population, accordion_mechanism(),
                            KnobGrid(-2, 4, 0.05), cfg, lead_costs)
         assert curve.reference_decision is InterventionDecision.INTERVENE
-        assert curve.cid[curve.index_on_grid(0.0)] == 1.0
+        assert curve.cid[row_on_grid(curve.t, 0.0)] == 1.0
         mids = [(lo + hi) / 2 for lo, hi in curve.change_points]
         assert any(abs(m - 0.4) <= 0.1 for m in mids)
 
@@ -408,7 +413,8 @@ class TestSweepLeadMatchesScalarOracle:
         rows, ref_decision = scalar_sweep_lead(lead_population, mech, grid,
                                                cfg, costs)
         got = list(zip(curve.t.tolist(), curve.estimate.tolist(),
-                       curve.decision, curve.d_t.tolist(), curve.cid.tolist()))
+                       decisions(curve), curve.d_t.tolist(),
+                       curve.cid.tolist()))
         assert got == rows
         assert curve.reference_decision is ref_decision
         expected = tuple((rows[i][0], rows[i + 1][0])
@@ -426,7 +432,7 @@ class TestExpectedCid:
 
     def test_uniform_three_points(self, election_curve):
         dist = KnobDistribution((-0.5, 0.0, 0.5), (1, 1, 1))
-        cids = [election_curve.cid[election_curve.index_on_grid(t)]
+        cids = [election_curve.cid[row_on_grid(election_curve.t, t)]
                 for t in (-0.5, 0.0, 0.5)]
         assert expected_cid(election_curve, dist) == pytest.approx(
             np.mean(cids))
@@ -439,7 +445,7 @@ class TestExpectedCid:
         for t in (-3.14, 0.42, 2.0):
             dist = KnobDistribution(support=(t,), weights=(1.0,))
             assert expected_cid(election_curve, dist) == \
-                election_curve.cid[election_curve.index_on_grid(t)]
+                election_curve.cid[row_on_grid(election_curve.t, t)]
 
     def test_support_off_grid(self, election_curve):
         dist = KnobDistribution(support=(4.5,), weights=(1.0,))
@@ -450,8 +456,8 @@ class TestExpectedCid:
         dist = KnobDistribution(support=(0.0, 1.0), weights=(1.0, 3.0))
         cid = election_curve.cid
         assert expected_cid(election_curve, dist) == \
-            0.25 * cid[election_curve.index_on_grid(0.0)] + \
-            0.75 * cid[election_curve.index_on_grid(1.0)]
+            0.25 * cid[row_on_grid(election_curve.t, 0.0)] + \
+            0.75 * cid[row_on_grid(election_curve.t, 1.0)]
 
     def test_grid_step_computed_once(self, election_curve, monkeypatch):
         rng = np.random.default_rng(7)
@@ -465,7 +471,7 @@ class TestExpectedCid:
         before = 0.0
         for t, w in zip(dist.support, dist.weights):
             before += w / scale * election_curve.cid[
-                election_curve.index_on_grid(t)]
+                row_on_grid(election_curve.t, t)]
         calls = []
 
         def grid_spacing(values):
