@@ -13,7 +13,6 @@ import importlib
 
 # The submodule that defines each exported name.
 _EXPORTS = {
-    "ElectionDecision": "decisions", "InterventionDecision": "decisions",
     "ImputationConfig": "imputation", "LeadPopulation": "imputation",
     "MnarMechanism": "imputation", "accordion_mechanism": "imputation",
     "impute_theta_grid": "imputation", "mar_mechanism": "imputation",

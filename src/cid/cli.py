@@ -354,10 +354,12 @@ def _csv_blocks(curve: CidCurve):
     without commas, quotes or newlines.
     """
     yield b"t,estimate,lo,hi,decision,d_t,j_t,cid\n"
+    # each code's decision and d_t fields: d_t takes no column of T values
+    ref = curve.codes[curve.i0:curve.i0 + 1]
+    fields = [f"{d},{int(k in ref)}" for k, d in enumerate(curve.family)]
     yield from textcols.rows(len(curve.t), [
         curve.t, ",", curve.estimate, ",", curve.lower, ",", curve.upper, ",",
-        ([d.value for d in curve.family], curve.codes), ",",
-        (("0", "1"), curve.d_t), ",", curve.j_t, ",", curve.cid, "\n"])
+        (fields, curve.codes), ",", curve.j_t, ",", curve.cid, "\n"])
 
 
 def _step_decimals(step: float) -> int:
@@ -372,12 +374,12 @@ def _step_decimals(step: float) -> int:
 def _verdict(curve: CidCurve, step: float) -> list:
     """The reference decision and the change-point brackets, written to the
     decimals of the configured grid step, as verdict parts."""
-    if not curve.change_points:
-        return [curve.reference_decision.value, "no change points"]
+    points = curve.change_points
+    if not points:
+        return [curve.reference_decision, "no change points"]
     d = _step_decimals(step)
-    brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]"
-                         for lo, hi in curve.change_points)
-    return [curve.reference_decision.value, f"change points ≈ {brackets}"]
+    brackets = ", ".join(f"[{lo:.{d}f}, {hi:.{d}f}]" for lo, hi in points)
+    return [curve.reference_decision, f"change points ≈ {brackets}"]
 
 
 def _election(config: SimpleNamespace) -> tuple:

@@ -1,33 +1,15 @@
 """Decision rules mapping estimates (numbers or arrays) to discrete choices,
-returned as integer codes into each rule family's tuple of decisions."""
+returned as integer codes into each rule family's tuple of CSV labels."""
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-
-class ElectionDecision(Enum):
-    CHALLENGER_WINS = "challenger"
-    UNCLEAR = "unclear"
-    INCUMBENT_WINS = "incumbent"
-
-
 # Decision for each code decide_election_codes returns.
-ELECTION_DECISIONS = (ElectionDecision.CHALLENGER_WINS, ElectionDecision.UNCLEAR,
-                      ElectionDecision.INCUMBENT_WINS)
-
-
-class InterventionDecision(Enum):
-    INTERVENE = "intervene"
-    DONT_INTERVENE = "no-intervene"
-
+ELECTION_DECISIONS = ("challenger", "unclear", "incumbent")
 
 # Decision for each code decide_intervention_codes returns.
-INTERVENTION_DECISIONS = (InterventionDecision.DONT_INTERVENE,
-                          InterventionDecision.INTERVENE)
-
+INTERVENTION_DECISIONS = ("no-intervene", "intervene")
 
 # Vote share (%) that separates the two candidates.
 BOUNDARY = 50.0

@@ -23,10 +23,9 @@ FAMILY_BITS = 40
 # GAMMAS + 3k, GAMMAS + 3k + 1 and GAMMAS + 3k + 2, for its uniforms u0, u1
 # and u2.
 UNIFORMS, GAMMAS = 0, 1
-# The scales that turn a first gamma attempt's raw numbers, shifted right by
-# 11, into -u0, pi*u1 and u2. A product is -k or k exactly, or k*pi rounded
-# once, times a power of two, so it equals negating u0 or multiplying u1 by
-# pi.
+# The scales that turn a gamma attempt's raw numbers, shifted right by 11,
+# into -u0, pi*u1 and u2. A product is -k or k exactly, or k*pi rounded once,
+# times a power of two, so it equals negating u0 or multiplying u1 by pi.
 _SCALES = np.array([[-1.0], [math.pi], [1.0]]) * 2.0**-53
 # Most gamma variates drawn in one vectorised pass: a pass holds a few
 # arrays of 3 * BLOCK numbers, about 2 MiB, however many are drawn.
@@ -104,11 +103,10 @@ class Stream:
         0.0331 x^4 (the squeeze) or, failing that, log u2 < x^2/2 + d (1 - v
         + log v); otherwise attempt k + 1 decides.
 
-        The first attempts run in vectorised passes of at most BLOCK
-        variates, where only those that fail the squeeze take the logs of
-        the second test. The later attempts, needed by about one variate in
-        twenty at shape 1 and fewer at larger shapes, run one at a time
-        (_retry).
+        Each block of at most BLOCK variates runs one vectorised pass per
+        attempt over its undecided variates, where only those that fail the
+        squeeze take the logs of the second test. About one variate in
+        twenty needs a later attempt at shape 1, fewer at larger shapes.
         """
         shapes = np.asarray(shapes, dtype=float)
         index = None if index is None else np.asarray(index)
@@ -121,52 +119,43 @@ class Stream:
         return out
 
     def _block(self, shapes: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """gammas(shapes, index) in one vectorised pass."""
-        raw = self.raw((GAMMAS, GAMMAS + 1, GAMMAS + 2), index)
-        raw >>= np.uint64(11)
-        neg_u0, angle, u2 = raw.view(np.int64) * _SCALES
+        """gammas(shapes, index), one vectorised pass per attempt over the
+        variates the earlier attempts left undecided."""
         d = shapes - 1.0 / 3.0
         root = np.sqrt(9.0 * d)
-        x = np.log1p(neg_u0)
-        x *= -2.0
-        np.sqrt(x, out=x)
-        x *= np.cos(angle, out=angle)
-        v = x / root
-        v += 1.0
-        v *= v * v
-        # v <= 0 needs x <= -sqrt(9d) <= -sqrt(6), where the squeeze fails
-        x *= x
-        squeeze = x * x
-        squeeze *= -0.0331
-        squeeze += 1.0
-        left = np.flatnonzero(u2 >= squeeze)
-        vl = v[left]
-        # log 0 = -inf accepts; v <= 0 gives nan or -inf and rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = np.log(u2[left]) < \
-                0.5 * x[left] + d[left] * (1.0 - vl + np.log(vl))
-        v *= d
-        for i in left[~accept].tolist():
-            v[i] = self._retry(float(d[i]), float(root[i]), int(index[i]))
-        return v
-
-    def _retry(self, d: float, root: float, index: int) -> float:
-        """The gamma variate with d and root = sqrt(9d) at index (gammas),
-        decided by its attempts 1, 2, ..., one at a time in Python floats."""
-        family = GAMMAS + 3
+        out = rows = None  # rows: the rows of out undecided; None: all
+        family = GAMMAS
         while True:
-            u0, u1, u2 = (
-                (_mix((self.key + (((f << FAMILY_BITS) + index + 1) * GOLDEN))
-                      & MASK) >> 11) * 2.0**-53
-                for f in range(family, family + 3))
-            x = math.sqrt(-2.0 * math.log1p(-u0)) * math.cos(math.pi * u1)
-            v = 1.0 + x / root
-            if v > 0.0:
-                v *= v * v
-                x *= x
-                squeeze = 1.0 - 0.0331 * (x * x)
-                # log 0 = -inf accepts
-                if u2 < squeeze or u2 == 0.0 or \
-                        math.log(u2) < 0.5 * x + d * (1.0 - v + math.log(v)):
-                    return d * v
+            raw = self.raw((family, family + 1, family + 2), index)
+            raw >>= np.uint64(11)
+            neg_u0, angle, u2 = raw.view(np.int64) * _SCALES
+            x = np.log1p(neg_u0)
+            x *= -2.0
+            np.sqrt(x, out=x)
+            x *= np.cos(angle, out=angle)
+            v = x / root
+            v += 1.0
+            v *= v * v
+            # v <= 0 needs x <= -sqrt(9d) <= -sqrt(6), where the squeeze fails
+            x *= x
+            squeeze = x * x
+            squeeze *= -0.0331
+            squeeze += 1.0
+            left = np.flatnonzero(u2 >= squeeze)
+            vl = v[left]
+            # log 0 = -inf accepts; v <= 0 gives nan or -inf and rejects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                accept = np.log(u2[left]) < \
+                    0.5 * x[left] + d[left] * (1.0 - vl + np.log(vl))
+            v *= d
+            # the rejected rows are written too, and overwritten later
+            if rows is None:
+                out = v
+            else:
+                out[rows] = v
+            rejected = left[~accept]
+            if not len(rejected):
+                return out
+            rows = rejected if rows is None else rows[rejected]
+            d, root, index = d[rejected], root[rejected], index[rejected]
             family += 3

@@ -220,7 +220,7 @@ def _cid_panel(out, curve, height, ymax, region=None):
         out.append(_rect(x0 - 2, y0 - 2, 4, 4, DEFAULT_COLORS["curve"],
                          cls="cid-marker"))
     else:
-        changed = np.flatnonzero(curve.codes[1:] != curve.codes[:-1])
+        changed = curve.change_rows
         rows = _m4_rows(starts, curve.cid,
                         np.concatenate(([curve.i0], changed, changed + 1)))
         out.append(_polyline(x[rows], frame.py(curve.cid[rows]),

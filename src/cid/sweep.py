@@ -85,23 +85,20 @@ def row_on_grid(ts: np.ndarray, t: float,
 class CidCurve:
     """A swept CID curve as columns in grid order.
 
-    t, estimate, codes, d_t and cid are arrays of length T. codes[i] is the
-    index of point i's decision in family, the rule family's tuple of
-    decisions (ELECTION_DECISIONS or INTERVENTION_DECISIONS). An election
-    curve also has the interval bounds lower and upper and the overlap j_t;
-    a lead curve has the grid rows of its snapshots, snapshot_rows, and
-    their mean completed frequencies, shape (S, K). i0 is the row of the
-    reference t0, and change_points are the grid-adjacent (t_low, t_high)
-    pairs where the decision differs.
+    t, estimate, codes and cid are arrays of length T. codes[i] is the index
+    of point i's decision in family, the rule family's tuple of decision
+    labels (ELECTION_DECISIONS or INTERVENTION_DECISIONS). An election curve
+    also has the interval bounds lower and upper and the overlap j_t; a lead
+    curve has the grid rows of its snapshots, snapshot_rows, and their mean
+    completed frequencies, shape (S, K). i0 is the row of the reference t0.
+    d_t and change_points are read from codes, i0 and t.
     """
 
     t: np.ndarray
     estimate: np.ndarray
     codes: np.ndarray
     family: tuple
-    d_t: np.ndarray
     cid: np.ndarray
-    change_points: tuple
     i0: int
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
@@ -110,25 +107,25 @@ class CidCurve:
     completed_freqs: Optional[np.ndarray] = None
 
     @property
-    def reference_decision(self):
-        """The decision at the reference t0."""
+    def reference_decision(self) -> str:
+        """The label of the decision at the reference t0."""
         return self.family[self.codes[self.i0]]
 
+    @property
+    def d_t(self) -> np.ndarray:
+        """1 where the decision equals the reference decision, else 0."""
+        return (self.codes == self.codes[self.i0:self.i0 + 1]).astype(int)
 
-def _curve(ts: np.ndarray, i0: int, estimate: np.ndarray, codes: np.ndarray,
-           family: tuple, cid, **columns) -> CidCurve:
-    """A curve with the reference at row i0 of the grid ts.
+    @property
+    def change_rows(self) -> np.ndarray:
+        """The rows i whose decision differs from row i + 1's."""
+        return np.flatnonzero(self.codes[1:] != self.codes[:-1])
 
-    codes index family; d_t marks the points whose decision equals the
-    reference's, and cid maps the d_t array to the CID column. columns holds
-    the study's optional columns.
-    """
-    d_t = (codes == codes[i0]).astype(int)
-    changed = np.flatnonzero(codes[1:] != codes[:-1])
-    change_points = tuple(zip(ts[changed].tolist(), ts[changed + 1].tolist()))
-    return CidCurve(t=ts, estimate=estimate, codes=codes, family=family,
-                    d_t=d_t, cid=np.asarray(cid(d_t), dtype=float),
-                    change_points=change_points, i0=i0, **columns)
+    @property
+    def change_points(self) -> tuple:
+        """The grid neighbours (t_low, t_high) where the decision changes."""
+        rows = self.change_rows
+        return tuple(zip(self.t[rows].tolist(), self.t[rows + 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,10 @@ def sweep_election(fit: FittedLine, x0: float, grid: KnobGrid,
     i0 = grid.index_of_t0()
     codes = decide_election_codes(lower, upper)
     j_t = interval_overlaps(lower[i0], upper[i0], lower, upper)
-    return _curve(ts, i0, center, codes, ELECTION_DECISIONS,
-                  lambda d_t: cid_general(d_t, j_t),
-                  lower=lower, upper=upper, j_t=j_t)
+    return CidCurve(t=ts, estimate=center, codes=codes,
+                    family=ELECTION_DECISIONS,
+                    cid=cid_general(codes == codes[i0], j_t), i0=i0,
+                    lower=lower, upper=upper, j_t=j_t)
 
 
 def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
@@ -212,12 +210,12 @@ def sweep_lead(pop: LeadPopulation, mech: MnarMechanism, grid: KnobGrid,
         cid_lead(theta_ref, theta_ref, 1, costs, pop.worst_case_theta)
     snapshot_rows = tuple(snapshot_rows)
     thetas, freqs = impute_theta_grid(pop, mech, ts, cfg, snapshot_rows)
-    theta_ref = thetas[i0]
     codes = decide_intervention_codes(thetas, costs.threshold)
-    return _curve(ts, i0, thetas, codes, INTERVENTION_DECISIONS,
-                  lambda d_t: cid_lead(theta_ref, thetas, d_t, costs,
-                                       pop.worst_case_theta),
-                  snapshot_rows=snapshot_rows, completed_freqs=freqs)
+    cid = cid_lead(thetas[i0], thetas, codes == codes[i0], costs,
+                   pop.worst_case_theta)
+    return CidCurve(t=ts, estimate=thetas, codes=codes,
+                    family=INTERVENTION_DECISIONS, cid=cid, i0=i0,
+                    snapshot_rows=snapshot_rows, completed_freqs=freqs)
 
 
 def expected_cid(curve: CidCurve, dist: KnobDistribution) -> float:

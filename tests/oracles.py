@@ -16,7 +16,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from cid.decisions import ElectionDecision, InterventionDecision
 from cid.imputation import _tilt_levels, substream
 from cid.streams import UNIFORMS
 
@@ -33,27 +32,27 @@ class Interval:
         return self.upper - self.lower
 
 
-def decide_election(interval, boundary: float = 50.0) -> ElectionDecision:
-    """Three-way call from a vote-share interval.
+def decide_election(interval, boundary: float = 50.0) -> str:
+    """Three-way call from a vote-share interval, as its CSV label.
 
     Ties at the boundary count as Unclear: an interval touching the boundary
     carries maximal uncertainty about the winner.
     """
     if boundary < interval.lower:
-        return ElectionDecision.INCUMBENT_WINS
+        return "incumbent"
     if interval.upper < boundary:
-        return ElectionDecision.CHALLENGER_WINS
-    return ElectionDecision.UNCLEAR
+        return "challenger"
+    return "unclear"
 
 
-def decide_intervention(theta_hat: float,
-                        threshold: float) -> InterventionDecision:
-    """Two-way call from an estimated proportion; strict > at the threshold."""
+def decide_intervention(theta_hat: float, threshold: float) -> str:
+    """Two-way call from an estimated proportion, as its CSV label; strict >
+    at the threshold."""
     if not (0.0 <= theta_hat <= 1.0):
         raise ValueError(f"theta_hat must be in [0, 1], got {theta_hat}")
     if theta_hat > threshold:
-        return InterventionDecision.INTERVENE
-    return InterventionDecision.DONT_INTERVENE
+        return "intervene"
+    return "no-intervene"
 
 
 def interval_overlap(first, second) -> float:

@@ -9,8 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cid.decisions import (INTERVENTION_DECISIONS, InterventionDecision,
-                           decide_intervention_codes)
+from cid.decisions import INTERVENTION_DECISIONS, decide_intervention_codes
 from cid.imputation import (ImputationConfig, LeadPopulation, MnarMechanism,
                             _tilt_levels, accordion_mechanism,
                             impute_theta_grid, mar_mechanism,
@@ -95,7 +94,7 @@ def test_criterion_4_lead_mar_reference(lead_population, lead_cfg):
                                     lead_cfg)
     assert theta == pytest.approx(0.25, abs=0.005)
     assert INTERVENTION_DECISIONS[decide_intervention_codes(
-        theta, 0.20)] is InterventionDecision.INTERVENE
+        theta, 0.20)] == "intervene"
     ok(4, f"MAR theta {theta:.4f}, decision intervene")
 
 

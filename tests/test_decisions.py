@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cid.decisions import (ELECTION_DECISIONS, INTERVENTION_DECISIONS,
-                           ElectionDecision, InterventionDecision,
                            decide_election_codes, decide_intervention_codes)
-from cid.sweep import _curve
+from cid.sweep import CidCurve
 from tests import oracles
 
 
@@ -22,22 +21,21 @@ def decide_intervention(theta, threshold):
 
 class TestDecideElection:
     def test_challenger(self):
-        assert decide_election(39.6, 48.4) is ElectionDecision.CHALLENGER_WINS
+        assert decide_election(39.6, 48.4) == "challenger"
 
     def test_incumbent(self):
-        assert decide_election(51, 55) is ElectionDecision.INCUMBENT_WINS
+        assert decide_election(51, 55) == "incumbent"
 
     def test_unclear_straddling(self):
-        assert decide_election(49, 51) is ElectionDecision.UNCLEAR
+        assert decide_election(49, 51) == "unclear"
 
     def test_unclear_tie_at_boundary(self):
-        assert decide_election(48, 50) is ElectionDecision.UNCLEAR
-        assert decide_election(50, 52) is ElectionDecision.UNCLEAR
+        assert decide_election(48, 50) == "unclear"
+        assert decide_election(50, 52) == "unclear"
 
     @given(lo=st.floats(0, 100), width=st.floats(0, 50), shift=st.floats(0, 20))
     def test_monotone_in_endpoints(self, lo, width, shift):
-        order = [ElectionDecision.CHALLENGER_WINS, ElectionDecision.UNCLEAR,
-                 ElectionDecision.INCUMBENT_WINS]
+        order = ["challenger", "unclear", "incumbent"]
         before = decide_election(lo, lo + width)
         after = decide_election(lo + shift, lo + shift + width)
         assert order.index(after) >= order.index(before)
@@ -60,13 +58,13 @@ class TestDecideIntervention:
     threshold = 0.20
 
     def test_above_threshold(self):
-        assert decide_intervention(0.25, self.threshold) is InterventionDecision.INTERVENE
+        assert decide_intervention(0.25, self.threshold) == "intervene"
 
     def test_at_threshold_is_strict(self):
-        assert decide_intervention(0.20, self.threshold) is InterventionDecision.DONT_INTERVENE
+        assert decide_intervention(0.20, self.threshold) == "no-intervene"
 
     def test_below_threshold(self):
-        assert decide_intervention(0.19, self.threshold) is InterventionDecision.DONT_INTERVENE
+        assert decide_intervention(0.19, self.threshold) == "no-intervene"
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -77,13 +75,11 @@ class TestDecideIntervention:
     @given(theta=st.floats(0, 1))
     def test_single_step_at_threshold(self, theta):
         decision = decide_intervention(theta, self.threshold)
-        expected = (InterventionDecision.INTERVENE if theta > 0.20
-                    else InterventionDecision.DONT_INTERVENE)
-        assert decision is expected
+        expected = "intervene" if theta > 0.20 else "no-intervene"
+        assert decision == expected
 
     def test_custom_threshold(self):
-        assert decide_intervention(0.25, 0.30) is \
-            InterventionDecision.DONT_INTERVENE
+        assert decide_intervention(0.25, 0.30) == "no-intervene"
 
     @given(thetas=st.lists(st.sampled_from([0.0, 0.2, 0.30, 1.0]) |
                            st.floats(0, 1), min_size=1, max_size=8),
@@ -97,9 +93,7 @@ class TestDecideIntervention:
     def test_codes_tie_is_strict(self):
         codes = decide_intervention_codes([0.19, 0.20, 0.21], self.threshold)
         assert [INTERVENTION_DECISIONS[k] for k in codes.tolist()] == [
-            InterventionDecision.DONT_INTERVENE,
-            InterventionDecision.DONT_INTERVENE,
-            InterventionDecision.INTERVENE]
+            "no-intervene", "no-intervene", "intervene"]
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_threshold_outside_unit_interval(self, threshold):
@@ -118,14 +112,15 @@ class TestDecideIntervention:
 @pytest.mark.parametrize("decision", ELECTION_DECISIONS + INTERVENTION_DECISIONS)
 def test_labels_need_no_csv_quoting(decision):
     # the CSV (cli._csv_blocks) writes labels unquoted
-    assert not set(decision.value) & {",", '"', "\n", "\r"}
+    assert not set(decision) & {",", '"', "\n", "\r"}
 
 
 def reference_indicator(codes, i0=0):
     """The d_t column of a curve with these decision codes, reference row i0."""
     codes = np.asarray(codes)
     t = np.arange(len(codes), dtype=float)
-    curve = _curve(t, i0, t, codes, ELECTION_DECISIONS, lambda d_t: d_t)
+    curve = CidCurve(t=t, estimate=t, codes=codes, family=ELECTION_DECISIONS,
+                     cid=t, i0=i0)
     return curve.d_t.tolist()
 
 
@@ -141,3 +136,20 @@ class TestDecisionIndicator:
     def test_reflexive_and_symmetric(self, a, b):
         assert reference_indicator([a, a]) == [1, 1]
         assert reference_indicator([a, b]) == reference_indicator([b, a])
+
+
+@given(data=st.data(), family=st.sampled_from([ELECTION_DECISIONS,
+                                               INTERVENTION_DECISIONS]),
+       n=st.integers(0, 40))
+def test_derived_columns_equal_per_row_loop(data, family, n):
+    codes = data.draw(st.lists(st.integers(0, len(family) - 1), min_size=n,
+                               max_size=n))
+    t = np.arange(n) * 0.25 - 1.0
+    i0 = data.draw(st.integers(0, n - 1)) if n else 0
+    curve = CidCurve(t=t, estimate=t, codes=np.array(codes, dtype=int),
+                     family=family, cid=t, i0=i0)
+    assert curve.d_t.tolist() == [int(c == codes[i0]) for c in codes]
+    assert curve.change_points == tuple(
+        (t[i], t[i + 1]) for i in range(n - 1) if codes[i] != codes[i + 1])
+    if n:
+        assert curve.reference_decision == family[codes[i0]]

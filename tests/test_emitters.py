@@ -58,7 +58,7 @@ def ref_curve_to_csv(curve):
     writer.writerows(zip(
         column(curve.t), column(curve.estimate), column(curve.lower),
         column(curve.upper),
-        [curve.family[code].value for code in curve.codes.tolist()],
+        [curve.family[code] for code in curve.codes.tolist()],
         curve.d_t.tolist(), column(curve.j_t), column(curve.cid)))
     return buf.getvalue()
 
@@ -300,18 +300,16 @@ def test_rows_equal_percent_format(decimals, values):
                                st.integers(0, 1)), max_size=12),
        election=st.booleans())
 def test_csv_equals_reference(rows, election):
-    t, estimate, lower, upper, j_t, cid, codes, d_t = (
+    t, estimate, lower, upper, j_t, cid, codes, _ = (
         np.array(column) for column in zip(*rows)) if rows else (
         [np.empty(0)] * 6 + [np.empty(0, dtype=int)] * 2)
     if election:
         curve = CidCurve(t=t, estimate=estimate, codes=codes,
-                         family=ELECTION_DECISIONS, d_t=d_t, cid=cid,
-                         change_points=(), i0=0,
+                         family=ELECTION_DECISIONS, cid=cid, i0=0,
                          lower=lower, upper=upper, j_t=j_t)
     else:
         curve = CidCurve(t=t, estimate=estimate, codes=codes % 2,
-                         family=INTERVENTION_DECISIONS, d_t=d_t, cid=cid,
-                         change_points=(), i0=0)
+                         family=INTERVENTION_DECISIONS, cid=cid, i0=0)
     expected = ref_curve_to_csv(curve)
     assert_same_text(b"".join(_csv_blocks(curve)), expected)
     # blocks of a few rows, each filled into the row buffer of the one before
@@ -369,7 +367,7 @@ def striped_curve(n):
     return CidCurve(t=(i - STRIPE_ROWS // 2) / 7,
                     estimate=np.where(half, 10.25, 9.5) + i / 1e4,
                     codes=half.astype(int), family=INTERVENTION_DECISIONS,
-                    d_t=1 - half, cid=np.cos(i) ** 2, change_points=(), i0=0)
+                    cid=np.cos(i) ** 2, i0=0)
 
 
 @pytest.mark.parametrize("n", [1, STRIPE_ROWS - 1, STRIPE_ROWS,

@@ -128,12 +128,10 @@ class TestGammas:
         value, first = attempt(0, np.arange(n))
         assert 0 < np.count_nonzero(~first) < n // 10
         assert g[first].tolist() == value[first].tolist()
-        # the later attempts run in Python floats, whose logarithms and
-        # cosines may differ from numpy's in the last place
         left = np.flatnonzero(~first)
         for k in range(1, 10):
             value, accept = attempt(k, left)
-            assert g[left[accept]] == pytest.approx(value[accept], rel=1e-12)
+            assert g[left[accept]].tolist() == value[accept].tolist()
             left = left[~accept]
         assert len(left) == 0
 

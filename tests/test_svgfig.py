@@ -120,9 +120,7 @@ class TestElectionFigure:
         from cid.sweep import CidCurve
         empty = CidCurve(t=np.empty(0), estimate=np.empty(0),
                          codes=np.empty(0, dtype=int),
-                         family=ELECTION_DECISIONS,
-                         d_t=np.empty(0, dtype=int), cid=np.empty(0),
-                         change_points=(), i0=0)
+                         family=ELECTION_DECISIONS, cid=np.empty(0), i0=0)
         with pytest.raises(ValueError, match="empty"):
             render_election_figure(empty, "")
 
@@ -219,10 +217,11 @@ def noisy_election_curve(grid, seed):
     lower = rng.normal(size=len(ts))
     upper = lower + rng.exponential(size=len(ts))
     codes = (ts >= -1).astype(int) + (ts >= 2)
-    return sweep._curve(ts, grid.index_of_t0(), (lower + upper) / 2, codes,
-                        ELECTION_DECISIONS,
-                        lambda d_t: rng.integers(0, 9, len(ts)) / 4,
-                        lower=lower, upper=upper, j_t=np.zeros(len(ts)))
+    return sweep.CidCurve(t=ts, estimate=(lower + upper) / 2, codes=codes,
+                          family=ELECTION_DECISIONS,
+                          cid=rng.integers(0, 9, len(ts)) / 4,
+                          i0=grid.index_of_t0(), lower=lower, upper=upper,
+                          j_t=np.zeros(len(ts)))
 
 
 def texts(values):
